@@ -11,7 +11,7 @@
 //!   shifts onto its serial PHYs and keeps serving, the homogeneous
 //!   parallel mesh wedges its cross-chiplet traffic.
 
-use crate::harness::{parallel_map, Opts, Report};
+use crate::harness::{Opts, Report};
 use chiplet_fault::FaultScript;
 use chiplet_phy::PhyKind;
 use chiplet_topo::{Geometry, NodeId};
@@ -73,7 +73,7 @@ pub fn fig19_ber(opts: &Opts) -> Report {
         .iter()
         .flat_map(|&ber| systems.iter().map(move |&(k, name)| (ber, k, name)))
         .collect();
-    let outcomes = parallel_map(jobs, opts.threads, |(ber, kind, name)| {
+    let outcomes = simkit::par::map(&jobs, opts.threads, |&(ber, kind, name)| {
         (ber, name, run_at_ber(kind, geom, ber, opts))
     });
     for (ber, name, out) in &outcomes {
@@ -119,10 +119,10 @@ pub fn fig19_failover(opts: &Opts) -> Report {
         "cycle", "hetero-phy", "parallel-mesh"
     ));
     r.csv("cycle,hetero_phy_flits_per_cycle,parallel_mesh_flits_per_cycle");
-    let series: Vec<Vec<(u64, u64)>> = parallel_map(
-        vec![NetworkKind::HeteroPhyFull, NetworkKind::UniformParallelMesh],
+    let series: Vec<Vec<(u64, u64)>> = simkit::par::map(
+        &[NetworkKind::HeteroPhyFull, NetworkKind::UniformParallelMesh],
         opts.threads,
-        |kind| {
+        |&kind| {
             let mut net = kind.build(
                 geom,
                 SimConfig::default().with_seed(7),

@@ -9,11 +9,36 @@ pub mod tables;
 pub mod traces;
 pub mod vt;
 
+use crate::harness::{Opts, Report};
 use chiplet_topo::Geometry;
 use chiplet_traffic::Workload;
 use hetero_if::presets::NetworkKind;
 use hetero_if::sim::{run, RunSpec};
 use hetero_if::{SchedulingProfile, SimConfig, SimResults};
+
+/// One paper artifact: the name `hetero-bench` selects it by and the
+/// experiment producing its report.
+pub type Artifact = (&'static str, fn(&Opts) -> Report);
+
+/// Every artifact `hetero-bench` regenerates, in run order. Fig. 19 has
+/// two reports under one name.
+pub const ARTIFACTS: &[Artifact] = &[
+    ("tab01", tables::tab01),
+    ("fig08", vt::fig08),
+    ("fig11", patterns::fig11),
+    ("fig12", traces::fig12),
+    ("fig13", traces::fig13),
+    ("fig14", patterns::fig14),
+    ("fig15", traces::fig15),
+    ("tab03", scalability::tab03),
+    ("tab04", tables::tab04),
+    ("fig16", energy::fig16),
+    ("fig17", energy::fig17),
+    ("fig18", energy::fig18),
+    ("fig19", faults::fig19_ber),
+    ("fig19", faults::fig19_failover),
+    ("ablations", ablations::ablations),
+];
 
 /// Runs one preset network under a workload and returns the results.
 pub(crate) fn run_preset(

@@ -2,11 +2,11 @@
 //! patterns, for hetero-PHY and hetero-channel systems.
 
 use crate::experiments::reduced_wafer;
-use crate::harness::{fmt_latency, parallel_map, Opts, Report};
+use crate::harness::{fmt_latency, Opts, Report};
 use chiplet_topo::Geometry;
 use chiplet_traffic::TrafficPattern;
 use hetero_if::presets::{medium_system, wafer_system, NetworkKind};
-use hetero_if::sweep::{preset_sweep, saturation_rate};
+use hetero_if::sweep::{latency_sweep, saturation_rate};
 use hetero_if::{SchedulingProfile, SimConfig};
 
 fn pattern_figure(
@@ -33,15 +33,16 @@ fn pattern_figure(
         .iter()
         .flat_map(|&p| nets.iter().map(move |&n| (p, n)))
         .collect();
-    let mut sweeps = parallel_map(jobs, opts.threads, |(pattern, net)| {
-        preset_sweep(
-            net,
-            geom,
-            SimConfig::default(),
-            SchedulingProfile::balanced(),
+    let config = SimConfig::default();
+    let mut sweeps = simkit::par::map(&jobs, opts.threads, |&(pattern, net)| {
+        latency_sweep(
+            || net.build(geom, config, SchedulingProfile::balanced()),
             pattern,
             rates,
+            config.packet_len,
             opts.spec(),
+            config.seed,
+            1,
         )
     })
     .into_iter();

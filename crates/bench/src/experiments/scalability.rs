@@ -2,7 +2,7 @@
 //! scales (uniform traffic at 0.1 flits/cycle/node).
 
 use crate::experiments::run_preset;
-use crate::harness::{parallel_map, Opts, Report};
+use crate::harness::{Opts, Report};
 use chiplet_topo::NodeId;
 use chiplet_traffic::{SyntheticWorkload, TrafficPattern};
 use hetero_if::presets::{paper_scales, NetworkKind};
@@ -60,7 +60,7 @@ pub fn tab03(opts: &Opts) -> Report {
         .enumerate()
         .flat_map(|(i, s)| kinds_at(i).into_iter().map(move |k| (k, s.geometry)))
         .collect();
-    let mut latencies = parallel_map(jobs, opts.threads, |(kind, geom)| {
+    let mut latencies = simkit::par::map(&jobs, opts.threads, |&(kind, geom)| {
         avg_latency(kind, geom, opts)
     })
     .into_iter();

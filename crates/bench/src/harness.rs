@@ -4,7 +4,11 @@ use hetero_if::sim::RunSpec;
 use std::fs;
 use std::path::PathBuf;
 
-/// Options shared by every experiment binary.
+/// The command line of the `hetero-bench` artifact runner.
+pub const USAGE: &str =
+    "usage: hetero-bench <artifact...|all> [--full] [--out DIR | --no-out] [--threads N]";
+
+/// Options shared by every experiment.
 #[derive(Debug, Clone)]
 pub struct Opts {
     /// Run at the paper's exact scale and schedule instead of the reduced
@@ -19,11 +23,13 @@ pub struct Opts {
 
 impl Opts {
     /// Parses `--full` / `--out <dir>` / `--no-out` / `--threads <n>` from
-    /// `std::env::args`.
-    pub fn from_args() -> Self {
+    /// `std::env::args`, returning the options and the positional
+    /// arguments (the artifact names) in order.
+    pub fn from_args() -> (Self, Vec<String>) {
         let mut full = false;
         let mut out_dir = Some(default_out_dir());
         let mut threads = 1;
+        let mut names = Vec::new();
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
@@ -43,20 +49,22 @@ impl Opts {
                         });
                 }
                 "--help" | "-h" => {
-                    eprintln!("usage: [--full] [--out DIR | --no-out] [--threads N]");
+                    eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => {
+                other if other.starts_with('-') => {
                     eprintln!("unknown argument: {other}");
                     std::process::exit(2);
                 }
+                name => names.push(name.to_string()),
             }
         }
-        Self {
+        let opts = Self {
             full,
             out_dir,
             threads,
-        }
+        };
+        (opts, names)
     }
 
     /// The reduced-by-default run schedule (`--full` → the paper's
@@ -78,52 +86,6 @@ impl Default for Opts {
             threads: 1,
         }
     }
-}
-
-/// Runs `f` over `items` on a pool of `threads` scoped worker threads and
-/// returns the outputs in input order.
-///
-/// Each item is processed independently, so the output is identical to
-/// `items.into_iter().map(f).collect()` for any thread count; experiments
-/// use this to fan simulation jobs out while keeping reports
-/// byte-for-byte reproducible. With `threads <= 1` it degenerates to the
-/// sequential map (no threads are spawned).
-pub fn parallel_map<I, O, F>(items: Vec<I>, threads: usize, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let jobs: Vec<std::sync::Mutex<Option<I>>> = items
-        .into_iter()
-        .map(|i| std::sync::Mutex::new(Some(i)))
-        .collect();
-    let slots: Vec<std::sync::Mutex<Option<O>>> =
-        jobs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(jobs.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let item = jobs[i]
-                    .lock()
-                    .expect("job lock")
-                    .take()
-                    .expect("job taken twice");
-                *slots[i].lock().expect("slot lock") = Some(f(item));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot lock").expect("job not run"))
-        .collect()
 }
 
 /// The default CSV directory: `results/` next to the workspace root
@@ -226,16 +188,6 @@ mod tests {
         assert!(!o.full);
         assert!(o.out_dir.is_none());
         assert_eq!(o.spec(), RunSpec::quick());
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u32> = (0..37).collect();
-        let expect: Vec<u32> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 2, 5, 64] {
-            let got = parallel_map(items.clone(), threads, |x| x * x);
-            assert_eq!(got, expect, "threads={threads}");
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! * [`sim`] — warm-up/measure/drain driver with a deadlock watchdog and
 //!   probe attachment ([`sim::run_probed`]);
 //! * [`sweep`] — injection-rate sweeps (latency–throughput curves),
-//!   sequential or multi-threaded ([`sweep::latency_sweep_parallel`]);
+//!   sequential or multi-threaded ([`sweep::latency_sweep`]);
 //! * fault model — [`SimConfig::with_ber`] arms BER-driven corruption and
 //!   the CRC/replay retry layer ([`chiplet_fault`] holds the config and
 //!   scripts; [`Network::set_fault_script`] schedules hard failures);

@@ -1,31 +1,24 @@
 //! Injection-rate sweeps: the latency–throughput curves of Figs. 11/13/14.
 //!
-//! Sweeps come in two flavors with identical results:
-//!
-//! * [`latency_sweep`] runs the points one after another, stopping two
-//!   points past saturation;
-//! * [`latency_sweep_parallel`] distributes the points over a worker pool
-//!   ([`std::thread::scope`], no external dependencies). Every point is
-//!   an independent simulation on a fresh network with the same seed, so
-//!   parallel execution is bit-identical to sequential — a post-pass
-//!   re-applies the sequential early-exit rule, and workers skip points
-//!   only when enough earlier points are already known saturated that the
-//!   sequential sweep provably never reaches them.
+//! [`latency_sweep`] distributes the points of one curve over a worker
+//! pool ([`simkit::par::map`]; one thread = plain sequential loop). Every
+//! point is an independent simulation on a fresh network with the same
+//! seed, so the result is bit-identical for any thread count: the
+//! "stop two points past saturation" rule is applied over the completed
+//! points in rate order, and workers skip a point only when enough earlier
+//! points are already known saturated that the sequential sweep provably
+//! never reaches it.
 //!
 //! [`latency_sweep_warm_start`] additionally amortizes the warm-up: it
-//! pays it once, checkpoints the warmed network and starts every point
-//! from the restored state (an approximation — see its docs).
+//! pays it once ([`warm_checkpoint`]), and starts every point from the
+//! restored state (an approximation — see its docs).
 
-use crate::config::SimConfig;
 use crate::network::Network;
-use crate::presets::NetworkKind;
 use crate::results::SimResults;
-use crate::scheduler::SchedulingProfile;
 use crate::sim::{run, run_until, RunSpec};
-use chiplet_topo::{Geometry, NodeId};
+use chiplet_topo::NodeId;
 use chiplet_traffic::{SyntheticWorkload, TrafficPattern};
 use simkit::Cycle;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One point of a latency–injection curve.
@@ -39,6 +32,18 @@ pub struct SweepPoint {
     pub drained: bool,
 }
 
+/// The synthetic workload of one sweep point on `net`'s nodes.
+fn workload(
+    net: &Network,
+    pattern: TrafficPattern,
+    rate: f64,
+    packet_len: u16,
+    seed: u64,
+) -> SyntheticWorkload {
+    let nodes: Vec<NodeId> = (0..net.topology().geometry().nodes()).map(NodeId).collect();
+    SyntheticWorkload::new(nodes, pattern, rate, packet_len, seed)
+}
+
 fn run_point(
     net: &mut Network,
     pattern: TrafficPattern,
@@ -47,8 +52,7 @@ fn run_point(
     spec: RunSpec,
     seed: u64,
 ) -> SweepPoint {
-    let nodes: Vec<NodeId> = (0..net.topology().geometry().nodes()).map(NodeId).collect();
-    let mut w = SyntheticWorkload::new(nodes, pattern, rate, packet_len, seed);
+    let mut w = workload(net, pattern, rate, packet_len, seed);
     let outcome = run(net, &mut w, spec);
     SweepPoint {
         rate,
@@ -57,45 +61,14 @@ fn run_point(
     }
 }
 
-/// Sweeps injection rates on fresh networks built by `build`, stopping two
-/// points after saturation (the curves of Fig. 11 end just past the
-/// saturation throughput). An empty `rates` list is a no-op returning no
-/// points ([`sweep_endpoints`] handles the empty curve without panicking).
-pub fn latency_sweep(
-    mut build: impl FnMut() -> Network,
-    pattern: TrafficPattern,
-    rates: &[f64],
-    packet_len: u16,
-    spec: RunSpec,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    let mut out = Vec::new();
-    let mut past_saturation = 0;
-    for &rate in rates {
-        let mut net = build();
-        let point = run_point(&mut net, pattern, rate, packet_len, spec, seed);
-        let saturated = point.results.is_saturated();
-        out.push(point);
-        if saturated {
-            past_saturation += 1;
-            if past_saturation >= 2 {
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// [`latency_sweep`] over a worker pool of `threads` threads.
+/// Sweeps injection rates on fresh networks built by `build`, over a pool
+/// of `threads` workers (1 = sequential), stopping two points after
+/// saturation (the curves of Fig. 11 end just past the saturation
+/// throughput). An empty `rates` list is a no-op returning no points
+/// ([`sweep_endpoints`] handles the empty curve without panicking).
 ///
-/// Returns exactly the same points as the sequential sweep, in the same
-/// order: each point is an independent run (fresh network, same workload
-/// seed), and the sequential "stop two points past saturation" rule is
-/// re-applied over the completed points. A worker skips a point only when
-/// two already-finished points at lower rates saturated — in which case
-/// the sequential sweep would have stopped before it — so no point the
-/// sequential sweep reports is ever missing.
-pub fn latency_sweep_parallel(
+/// Returns the same points, in the same order, for any `threads`.
+pub fn latency_sweep(
     build: impl Fn() -> Network + Sync,
     pattern: TrafficPattern,
     rates: &[f64],
@@ -115,74 +88,39 @@ pub fn latency_sweep_parallel(
     .0
 }
 
-/// The shared sweep machinery behind [`latency_sweep_parallel`] and
+/// The shared sweep machinery behind [`latency_sweep`] and
 /// [`latency_sweep_warm_start`]: runs `run_at(rate)` for each rate on a
-/// pool of `threads` workers, re-applies the sequential early-exit rule,
-/// and also reports how many points actually executed (the warm-start
-/// savings accounting needs the executed count, not the reported one —
-/// workers may finish points the truncation later drops).
+/// pool of `threads` workers, applies the early-exit rule, and also
+/// reports how many points actually executed (the warm-start savings
+/// accounting needs the executed count, not the reported one — workers
+/// may finish points the truncation later drops).
 fn sweep_executor(
     run_at: impl Fn(f64) -> SweepPoint + Sync,
     rates: &[f64],
     threads: usize,
 ) -> (Vec<SweepPoint>, usize) {
-    let threads = threads.clamp(1, rates.len().max(1));
-    if threads <= 1 {
-        let mut out = Vec::new();
-        let mut past_saturation = 0;
-        for &rate in rates {
-            let point = run_at(rate);
-            let saturated = point.results.is_saturated();
-            out.push(point);
-            if saturated {
-                past_saturation += 1;
-                if past_saturation >= 2 {
-                    break;
-                }
-            }
-        }
-        let executed = out.len();
-        return (out, executed);
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<SweepPoint>>> = rates.iter().map(|_| Mutex::new(None)).collect();
+    let jobs: Vec<(usize, f64)> = rates.iter().copied().enumerate().collect();
     let saturated_idx: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= rates.len() {
-                    break;
-                }
-                // Early exit: with two known-saturated points below i, the
-                // sequential sweep stops before reaching i.
-                {
-                    let sat = saturated_idx.lock().expect("sweep lock");
-                    if sat.iter().filter(|&&s| s < i).count() >= 2 {
-                        continue;
-                    }
-                }
-                let point = run_at(rates[i]);
-                let is_sat = point.results.is_saturated();
-                *slots[i].lock().expect("sweep slot") = Some(point);
-                if is_sat {
-                    saturated_idx.lock().expect("sweep lock").push(i);
-                }
-            });
+    let slots = simkit::par::map(&jobs, threads, |&(i, rate)| {
+        // Early exit: with two known-saturated points below i, the
+        // sequential sweep stops before reaching i.
+        let sat = saturated_idx.lock().expect("sweep lock");
+        if sat.iter().filter(|&&s| s < i).count() >= 2 {
+            return None;
         }
+        drop(sat);
+        let point = run_at(rate);
+        if point.results.is_saturated() {
+            saturated_idx.lock().expect("sweep lock").push(i);
+        }
+        Some(point)
     });
-    let executed = slots
-        .iter()
-        .filter(|s| s.lock().expect("sweep slot").is_some())
-        .count();
-    // Post-pass: replay the sequential truncation over the computed
-    // points so the output is indistinguishable from `latency_sweep`.
+    let executed = slots.iter().flatten().count();
+    // Stop two points past saturation. A skipped point ends the curve:
+    // the sequential sweep stopped before it.
     let mut out = Vec::new();
     let mut past_saturation = 0;
-    for slot in &slots {
-        let Some(point) = slot.lock().expect("sweep slot").take() else {
-            break; // skipped ⇒ the sequential sweep stopped earlier
-        };
+    for point in slots.into_iter().map_while(|p| p) {
         let saturated = point.results.is_saturated();
         out.push(point);
         if saturated {
@@ -208,17 +146,38 @@ pub struct WarmSweep {
     pub warmup_cycles_saved: Cycle,
 }
 
-/// Warm-start variant of [`latency_sweep_parallel`]: pays the warm-up
-/// once — at the first (lightest) rate — checkpoints the warmed network
-/// ([`Network::checkpoint`]) and starts every sweep point from the
-/// restored state instead of re-simulating its own warm-up.
+/// Runs the warm-up of a fresh `build()` network at `rate` and
+/// checkpoints it ([`Network::checkpoint`]) — the shared starting state
+/// of a warm-started sweep. `None` when the warm-up itself ends early
+/// (deadlock or fault stall): every cold point would abort the same way,
+/// so warm-starting is moot.
+pub fn warm_checkpoint(
+    build: impl FnOnce() -> Network,
+    pattern: TrafficPattern,
+    rate: f64,
+    packet_len: u16,
+    spec: RunSpec,
+    seed: u64,
+) -> Option<Vec<u8>> {
+    let mut net = build();
+    let mut w = workload(&net, pattern, rate, packet_len, seed);
+    match run_until(&mut net, &mut w, spec, spec.warmup) {
+        Some(_) => None,
+        None => Some(net.checkpoint()),
+    }
+}
+
+/// Warm-start variant of [`latency_sweep`]: pays the warm-up once — at
+/// the first (lightest) rate — checkpoints the warmed network
+/// ([`warm_checkpoint`]) and starts every sweep point from the restored
+/// state instead of re-simulating its own warm-up.
 ///
 /// This is an *approximation mode*: each point resumes the warm state
 /// reached under the first rate with a fresh workload at its own rate, so
 /// results are close to — but not bit-identical with — a cold sweep
 /// (whose every point warms up under its own rate). Use it for dense
-/// sweeps where warm-up dominates the schedule;
-/// [`latency_sweep_parallel`] keeps the exact cold semantics.
+/// sweeps where warm-up dominates the schedule; [`latency_sweep`] keeps
+/// the exact cold semantics.
 ///
 /// Falls back to a cold sweep (`warmup_cycles_saved == 0`) when there is
 /// nothing to save (`warmup == 0`, fewer than two rates) or the warm-up
@@ -233,23 +192,16 @@ pub fn latency_sweep_warm_start(
     seed: u64,
     threads: usize,
 ) -> WarmSweep {
-    let cold = |build: &(dyn Fn() -> Network + Sync)| WarmSweep {
-        points: latency_sweep_parallel(build, pattern, rates, packet_len, spec, seed, threads),
-        warmup_cycles_saved: 0,
+    let blob = if spec.warmup == 0 || rates.len() < 2 {
+        None
+    } else {
+        warm_checkpoint(&build, pattern, rates[0], packet_len, spec, seed)
     };
-    if spec.warmup == 0 || rates.len() < 2 {
-        return cold(&build);
-    }
-    let blob = {
-        let mut net = build();
-        let nodes: Vec<NodeId> = (0..net.topology().geometry().nodes()).map(NodeId).collect();
-        let mut w = SyntheticWorkload::new(nodes, pattern, rates[0], packet_len, seed);
-        if run_until(&mut net, &mut w, spec, spec.warmup).is_some() {
-            // The warm-up aborted (deadlock or fault stall): every cold
-            // point would abort the same way, so warm-starting is moot.
-            return cold(&build);
-        }
-        net.checkpoint()
+    let Some(blob) = blob else {
+        return WarmSweep {
+            points: latency_sweep(build, pattern, rates, packet_len, spec, seed, threads),
+            warmup_cycles_saved: 0,
+        };
     };
     let (points, executed) = sweep_executor(
         |rate| {
@@ -265,44 +217,6 @@ pub fn latency_sweep_warm_start(
         points,
         warmup_cycles_saved: spec.warmup * executed.saturating_sub(1) as Cycle,
     }
-}
-
-/// Convenience: sweeps one paper preset on `geom`.
-pub fn preset_sweep(
-    kind: NetworkKind,
-    geom: Geometry,
-    config: SimConfig,
-    profile: SchedulingProfile,
-    pattern: TrafficPattern,
-    rates: &[f64],
-    spec: RunSpec,
-) -> Vec<SweepPoint> {
-    preset_sweep_parallel(kind, geom, config, profile, pattern, rates, spec, 1)
-}
-
-/// [`preset_sweep`] over `threads` worker threads (1 = sequential).
-#[allow(clippy::too_many_arguments)]
-pub fn preset_sweep_parallel(
-    kind: NetworkKind,
-    geom: Geometry,
-    config: SimConfig,
-    profile: SchedulingProfile,
-    pattern: TrafficPattern,
-    rates: &[f64],
-    spec: RunSpec,
-    threads: usize,
-) -> Vec<SweepPoint> {
-    let packet_len = config.packet_len;
-    let seed = config.seed;
-    latency_sweep_parallel(
-        || kind.build(geom, config, profile),
-        pattern,
-        rates,
-        packet_len,
-        spec,
-        seed,
-        threads,
-    )
 }
 
 /// The saturation injection rate: the highest swept rate whose run stayed
@@ -341,21 +255,38 @@ pub fn default_rate_ladder() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::RunSpec;
+    use crate::config::SimConfig;
+    use crate::presets::NetworkKind;
+    use crate::scheduler::SchedulingProfile;
+    use chiplet_topo::Geometry;
+
+    /// The 16-node uniform parallel mesh every sweep test runs on.
+    fn mesh() -> Network {
+        NetworkKind::UniformParallelMesh.build(
+            Geometry::new(2, 2, 2, 2),
+            SimConfig::default(),
+            SchedulingProfile::balanced(),
+        )
+    }
+
+    /// A cold uniform-traffic sweep of [`mesh`].
+    fn mesh_sweep(rates: &[f64], threads: usize) -> Vec<SweepPoint> {
+        let config = SimConfig::default();
+        latency_sweep(
+            mesh,
+            TrafficPattern::Uniform,
+            rates,
+            config.packet_len,
+            RunSpec::smoke(),
+            config.seed,
+            threads,
+        )
+    }
 
     #[test]
     fn mesh_sweep_shows_latency_growth_and_saturation() {
-        let geom = Geometry::new(2, 2, 2, 2);
         let rates = [0.02, 0.1, 0.3, 0.6, 1.0, 1.5, 2.0];
-        let points = preset_sweep(
-            NetworkKind::UniformParallelMesh,
-            geom,
-            SimConfig::default(),
-            SchedulingProfile::balanced(),
-            TrafficPattern::Uniform,
-            &rates,
-            RunSpec::smoke(),
-        );
+        let points = mesh_sweep(&rates, 1);
         assert!(points.len() >= 3);
         // Latency is (weakly) increasing from the first to the last point.
         let Some((first, last)) = sweep_endpoints(&points) else {
@@ -373,20 +304,8 @@ mod tests {
 
     #[test]
     fn parallel_sweep_matches_sequential_exactly() {
-        let geom = Geometry::new(2, 2, 2, 2);
         let rates = [0.02, 0.1, 0.3, 0.6, 1.0, 1.5, 2.0];
-        let sweep = |threads| {
-            preset_sweep_parallel(
-                NetworkKind::UniformParallelMesh,
-                geom,
-                SimConfig::default(),
-                SchedulingProfile::balanced(),
-                TrafficPattern::Uniform,
-                &rates,
-                RunSpec::smoke(),
-                threads,
-            )
-        };
+        let sweep = |threads| mesh_sweep(&rates, threads);
         let sequential = sweep(1);
         for threads in [2, 4, 7] {
             assert_eq!(sweep(threads), sequential, "threads={threads}");
@@ -401,23 +320,14 @@ mod tests {
 
     #[test]
     fn empty_rate_list_is_a_clean_no_op() {
-        let geom = Geometry::new(2, 2, 2, 2);
         let config = SimConfig::default();
-        let points = preset_sweep(
-            NetworkKind::UniformParallelMesh,
-            geom,
-            config,
-            SchedulingProfile::balanced(),
-            TrafficPattern::Uniform,
-            &[],
-            RunSpec::smoke(),
-        );
+        let points = mesh_sweep(&[], 1);
         assert!(points.is_empty());
         assert_eq!(saturation_rate(&points), None);
         assert!(sweep_endpoints(&points).is_none());
         // The warm-start variant degrades to the same clean no-op.
         let warm = latency_sweep_warm_start(
-            || NetworkKind::UniformParallelMesh.build(geom, config, SchedulingProfile::balanced()),
+            mesh,
             TrafficPattern::Uniform,
             &[],
             config.packet_len,
@@ -506,12 +416,11 @@ mod tests {
 
     #[test]
     fn warm_start_sweep_skips_warmup_and_reports_savings() {
-        let geom = Geometry::new(2, 2, 2, 2);
         let config = SimConfig::default();
         let rates = [0.02, 0.08, 0.14];
         let spec = RunSpec::smoke();
         let warm = latency_sweep_warm_start(
-            || NetworkKind::UniformParallelMesh.build(geom, config, SchedulingProfile::balanced()),
+            mesh,
             TrafficPattern::Uniform,
             &rates,
             config.packet_len,
@@ -534,7 +443,7 @@ mod tests {
         // Warm-starting is deterministic: the same call reproduces the
         // same points bit-for-bit at any worker count.
         let again = latency_sweep_warm_start(
-            || NetworkKind::UniformParallelMesh.build(geom, config, SchedulingProfile::balanced()),
+            mesh,
             TrafficPattern::Uniform,
             &rates,
             config.packet_len,

@@ -11,7 +11,7 @@ use crate::estimator::{EstimateRequest, Estimator};
 use chiplet_topo::Geometry;
 use chiplet_traffic::TrafficPattern;
 use hetero_if::sim::RunSpec;
-use hetero_if::sweep::{preset_sweep_parallel, saturation_rate};
+use hetero_if::sweep::{latency_sweep, saturation_rate};
 use hetero_if::{NetworkKind, SchedulingProfile, SimConfig};
 use std::time::Instant;
 
@@ -83,7 +83,7 @@ pub struct CalibrationReport {
     pub pass: bool,
 }
 
-/// Runs the calibration: golden [`preset_sweep_parallel`] vs
+/// Runs the calibration: golden [`latency_sweep`] vs
 /// [`Estimator::estimate_sweep`] over every paper preset.
 #[allow(clippy::too_many_arguments)]
 pub fn calibrate(
@@ -109,8 +109,15 @@ pub fn calibrate(
         NetworkKind::HeteroChannelHalf,
     ] {
         let t0 = Instant::now();
-        let golden =
-            preset_sweep_parallel(kind, geom, config, profile, pattern, rates, spec, threads);
+        let golden = latency_sweep(
+            || kind.build(geom, config, profile),
+            pattern,
+            rates,
+            config.packet_len,
+            spec,
+            config.seed,
+            threads,
+        );
         golden_secs += t0.elapsed().as_secs_f64();
         let req = EstimateRequest {
             kind,

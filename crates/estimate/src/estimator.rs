@@ -8,8 +8,9 @@ use chiplet_traffic::TrafficPattern;
 use hetero_if::sim::RunSpec;
 use hetero_if::{NetworkKind, SchedulingProfile, SimConfig};
 
-/// What to estimate: one paper preset under one traffic spec — the same
-/// knobs [`hetero_if::sweep::preset_sweep`] takes.
+/// What to estimate: one paper preset under one traffic spec — the knobs
+/// a [`hetero_if::sweep::latency_sweep`] of `kind.build(geom, config,
+/// profile)` takes.
 #[derive(Debug, Clone, Copy)]
 pub struct EstimateRequest {
     /// The network preset.

@@ -13,13 +13,15 @@
 //!    requests run exactly one simulation.
 //! 3. **Compute** — the claiming thread runs the engine (outside every
 //!    lock), inserts the result into both cache levels, publishes it to
-//!    any waiters and releases the claim.
+//!    any waiters and releases the claim. A compute that panics releases
+//!    its claim too, and the waiters retry instead of blocking forever.
 //!
 //! Sweep jobs fan their rate points out over a bounded worker pool
-//! ([`SweepService::workers`]). Jobs that opt into warm-start mode pay
-//! the warm-up once per (preset, config, pattern, lowest-rate) group,
-//! checkpoint the warmed network and fork every remaining point from the
-//! restored state — the points are keyed under a distinct
+//! ([`SweepService::workers`] threads of [`simkit::par::map`]). Jobs that
+//! opt into warm-start mode pay the warm-up once per (preset, config,
+//! pattern, lowest-rate) group, checkpoint the warmed network
+//! ([`hetero_if::sweep::warm_checkpoint`]) and fork every remaining point
+//! from the restored state — the points are keyed under a distinct
 //! `warm@<rate0>/w<warmup>` variant because warm-started results are an
 //! approximation of, not identical to, cold runs.
 //!
@@ -34,14 +36,16 @@ use hetero_estimate::{error_bound_pct, EstimateRequest, Estimator};
 use hetero_if::cache::{
     engine_point, phase_point, CacheKey, CacheSource, CachedPoint, PointDesc, ResultCache,
 };
-use hetero_if::sim::{run, run_until};
+use hetero_if::sim::run;
+use hetero_if::sweep::warm_checkpoint;
 use simkit::json::Json;
 use simkit::metrics::{MetricId, MetricsRegistry, MetricsSlice, MetricsSnapshot};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Where a served point came from, in wire vocabulary.
@@ -54,20 +58,23 @@ fn source_label(src: CacheSource) -> &'static str {
 }
 
 /// One in-flight computation: waiters block on the condvar until the
-/// leader publishes the point.
+/// leader settles it — with the point, or with `None` if the leader's
+/// compute unwound.
 #[derive(Debug, Default)]
 struct InFlight {
-    slot: Mutex<Option<CachedPoint>>,
+    slot: Mutex<Option<Option<CachedPoint>>>,
     ready: Condvar,
 }
 
 impl InFlight {
-    fn publish(&self, point: CachedPoint) {
-        *self.slot.lock().expect("in-flight slot") = Some(point);
+    fn settle(&self, point: Option<CachedPoint>) {
+        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(point);
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> CachedPoint {
+    /// Blocks until the leader settles: the point, or `None` when the
+    /// leader gave up and the caller should retry.
+    fn wait(&self) -> Option<CachedPoint> {
         let mut slot = self.slot.lock().expect("in-flight slot");
         loop {
             if let Some(p) = slot.as_ref() {
@@ -75,6 +82,26 @@ impl InFlight {
             }
             slot = self.ready.wait(slot).expect("in-flight wait");
         }
+    }
+}
+
+/// A leader's registered compute claim. Dropping it removes the claim
+/// from the in-flight table and settles the waiters with `point` — still
+/// `None` if the compute panicked, so they retry instead of hanging.
+struct Claim<'a> {
+    table: &'a Mutex<HashMap<CacheKey, Arc<InFlight>>>,
+    key: CacheKey,
+    entry: Arc<InFlight>,
+    point: Option<CachedPoint>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.table
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
+        self.entry.settle(self.point.take());
     }
 }
 
@@ -250,33 +277,39 @@ impl SweepService {
         compute: impl FnOnce() -> CachedPoint,
     ) -> (CachedPoint, &'static str) {
         self.count(self.ids.points, 1);
-        // Fast path: cache hit without touching the in-flight table.
-        if let Some((p, src)) = self.cache.lock().expect("result cache").lookup(&key) {
-            self.count(self.hit_id(src), 1);
-            return (p, source_label(src));
-        }
-        let waiter = {
-            let mut inflight = self.inflight.lock().expect("in-flight table");
-            // Re-check under the in-flight lock: a leader that finished
-            // between our lookup and here already cached the point (its
-            // claim is gone, so without this check we would recompute).
-            if let Some((p, src)) = self.cache.lock().expect("result cache").lookup(&key) {
-                self.count(self.hit_id(src), 1);
-                return (p, source_label(src));
+        let mut claim = loop {
+            // Fast path: cache hit without touching the in-flight table.
+            if let Some(hit) = self.cache_hit(&key) {
+                return hit;
             }
-            match inflight.get(&key) {
-                Some(entry) => Some(Arc::clone(entry)),
-                None => {
-                    inflight.insert(key, Arc::new(InFlight::default()));
-                    None
+            let waiter = {
+                let mut inflight = self.inflight.lock().expect("in-flight table");
+                // Re-check under the in-flight lock: a leader that finished
+                // between our lookup and here already cached the point (its
+                // claim is gone, so without this check we would recompute).
+                if let Some(hit) = self.cache_hit(&key) {
+                    return hit;
                 }
+                match inflight.get(&key) {
+                    Some(entry) => Arc::clone(entry),
+                    None => {
+                        let entry = Arc::new(InFlight::default());
+                        inflight.insert(key, Arc::clone(&entry));
+                        break Claim {
+                            table: &self.inflight,
+                            key,
+                            entry,
+                            point: None,
+                        };
+                    }
+                }
+            };
+            if let Some(p) = waiter.wait() {
+                self.count(self.ids.dedup_joins, 1);
+                return (p, "dedup");
             }
+            // The leader's compute panicked: race to claim the key afresh.
         };
-        if let Some(entry) = waiter {
-            let p = entry.wait();
-            self.count(self.ids.dedup_joins, 1);
-            return (p, "dedup");
-        }
         // We hold the claim: compute outside every lock.
         let point = compute();
         {
@@ -289,14 +322,16 @@ impl SweepService {
             self.sync_cache_error_counters(store_errors, corrupt);
         }
         self.count(self.ids.computed, 1);
-        let entry = self
-            .inflight
-            .lock()
-            .expect("in-flight table")
-            .remove(&key)
-            .expect("the leader's claim is still registered");
-        entry.publish(point.clone());
+        claim.point = Some(point.clone());
+        drop(claim);
         (point, "computed")
+    }
+
+    /// A cache hit for `key`, counted and labelled by level.
+    fn cache_hit(&self, key: &CacheKey) -> Option<(CachedPoint, &'static str)> {
+        let (p, src) = self.cache.lock().expect("result cache").lookup(key)?;
+        self.count(self.hit_id(src), 1);
+        Some((p, source_label(src)))
     }
 
     fn hit_id(&self, src: CacheSource) -> MetricId {
@@ -326,36 +361,6 @@ impl SweepService {
         self.cached_point(desc.key(), || engine_point(desc))
     }
 
-    /// Runs `f(i)` for every index in `0..n` over the worker pool,
-    /// returning results in index order.
-    fn par_indexed<R: Send>(&self, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        let threads = self.workers.min(n.max(1));
-        if threads <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    *slots[i].lock().expect("par slot") = Some(f(i));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("par slot")
-                    .expect("every index was visited")
-            })
-            .collect()
-    }
-
     fn point_desc(job: &JobSpec, rate: f64) -> PointDesc {
         PointDesc::new(
             job.kind,
@@ -372,8 +377,8 @@ impl SweepService {
     /// Runs one engine job cold: every rate is an independent cached
     /// point, fanned out over the worker pool.
     fn run_cold_job(&self, job: &JobSpec) -> Vec<(CachedPoint, &'static str)> {
-        self.par_indexed(job.rates.len(), |i| {
-            self.point(&Self::point_desc(job, job.rates[i]))
+        simkit::par::map(&job.rates, self.workers, |&rate| {
+            self.point(&Self::point_desc(job, rate))
         })
     }
 
@@ -387,8 +392,7 @@ impl SweepService {
         job: &JobSpec,
         graph: &chiplet_traffic::PhaseGraph,
     ) -> Vec<(f64, CachedPoint, &'static str)> {
-        self.par_indexed(job.scales.len(), |i| {
-            let scale = job.scales[i];
+        simkit::par::map(&job.scales, self.workers, |&scale| {
             let mut scaled = graph.clone().with_compute_scale(scale);
             let desc = PointDesc::new(
                 job.kind,
@@ -431,51 +435,50 @@ impl SweepService {
         // actually misses the cache — a fully-hot warm job forks nothing.
         let config = job.config();
         let build = || job.kind.build(job.geom, config, job.profile);
-        let blob: Mutex<Option<Option<Vec<u8>>>> = Mutex::new(None);
-        let warm_blob = || -> Option<Vec<u8>> {
-            let mut slot = blob.lock().expect("warm checkpoint slot");
-            if slot.is_none() {
-                let mut net = build();
-                let nodes: Vec<NodeId> = (0..job.geom.nodes()).map(NodeId).collect();
-                let mut w =
-                    SyntheticWorkload::new(nodes, job.pattern, rate0, job.packet_len, config.seed);
-                let aborted = run_until(&mut net, &mut w, job.spec, job.spec.warmup).is_some();
-                *slot = Some(if aborted {
-                    None
-                } else {
+        let blob: OnceCell<Option<Vec<u8>>> = OnceCell::new();
+        let warm_blob = || {
+            blob.get_or_init(|| {
+                let blob = warm_checkpoint(
+                    build,
+                    job.pattern,
+                    rate0,
+                    job.packet_len,
+                    job.spec,
+                    config.seed,
+                );
+                if blob.is_some() {
                     self.count(self.ids.warm_forks, 1);
-                    Some(net.checkpoint())
-                });
-            }
-            slot.as_ref().expect("just filled").clone()
+                }
+                blob
+            })
         };
 
-        let mut aborted = false;
-        let mut points = Vec::with_capacity(descs.len());
         let computed_before = self.stats().computed;
-        for desc in &descs {
-            let (point, src) = self.cached_point(desc.key(), || match warm_blob() {
-                Some(blob) => {
-                    let mut net = build();
-                    net.restore(&blob)
-                        .expect("the warm checkpoint restores into an identically-built network");
-                    let nodes: Vec<NodeId> = (0..job.geom.nodes()).map(NodeId).collect();
-                    let mut w = SyntheticWorkload::new(
-                        nodes,
-                        job.pattern,
-                        desc.rate,
-                        job.packet_len,
-                        config.seed,
-                    );
-                    let out = run(&mut net, &mut w, job.spec);
-                    CachedPoint::from_outcome(desc.rate, &out)
-                }
-                None => engine_point(&Self::point_desc(job, desc.rate)),
-            });
-            aborted |= warm_blob_is_aborted(&blob);
-            points.push((point, src));
-        }
-        if aborted {
+        let points: Vec<_> = descs
+            .iter()
+            .map(|desc| {
+                self.cached_point(desc.key(), || match warm_blob() {
+                    Some(blob) => {
+                        let mut net = build();
+                        net.restore(blob).expect(
+                            "the warm checkpoint restores into an identically-built network",
+                        );
+                        let nodes: Vec<NodeId> = (0..job.geom.nodes()).map(NodeId).collect();
+                        let mut w = SyntheticWorkload::new(
+                            nodes,
+                            job.pattern,
+                            desc.rate,
+                            job.packet_len,
+                            config.seed,
+                        );
+                        let out = run(&mut net, &mut w, job.spec);
+                        CachedPoint::from_outcome(desc.rate, &out)
+                    }
+                    None => engine_point(&Self::point_desc(job, desc.rate)),
+                })
+            })
+            .collect();
+        if let Some(None) = blob.get() {
             // The warm-up wedged; the computed points above already fell
             // back to cold simulations (still keyed under the warm
             // variant, which is deterministic — an aborted warm-up is a
@@ -660,11 +663,6 @@ impl SweepService {
     }
 }
 
-/// Whether the lazily-built warm checkpoint was attempted and aborted.
-fn warm_blob_is_aborted(blob: &Mutex<Option<Option<Vec<u8>>>>) -> bool {
-    matches!(*blob.lock().expect("warm checkpoint slot"), Some(None))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,6 +774,32 @@ mod tests {
             "everyone else joined the in-flight compute or hit the cache"
         );
         assert_eq!(stats.points, THREADS as u64);
+    }
+
+    #[test]
+    fn panicked_compute_does_not_wedge_its_key() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let service = Arc::new(SweepService::new(None, 1).expect("service"));
+        let desc = SweepService::point_desc(&smoke_job(&[0.05], false), 0.05);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.cached_point(desc.key(), || panic!("compute failed"))
+        }));
+        assert!(panicked.is_err(), "the compute's panic reaches its caller");
+        // An identical request afterwards must claim the key afresh, not
+        // wait forever on the dead leader's claim.
+        let (tx, rx) = mpsc::channel();
+        let retry = Arc::clone(&service);
+        let request = std::thread::spawn(move || tx.send(retry.point(&desc).1));
+        let src = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the request after a panicked compute returned");
+        request
+            .join()
+            .expect("request thread")
+            .expect("receiver alive");
+        assert_eq!(src, "computed");
+        assert_eq!(service.stats().computed, 1);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   (progress snapshots, link-utilization timelines, CSV/JSONL sinks).
 //! * [`active`] — the [`active::ActiveSet`] bitset behind the engine's
 //!   skip-idle-components scheduler.
-//! * [`par`] — the leader-observable barrier ([`par::Gate`]) behind the
-//!   sharded parallel cycle loop.
+//! * [`par`] — the order-preserving worker pool ([`par::map`]) behind
+//!   every independent-job fan-out, and the leader-observable barrier
+//!   ([`par::Gate`]) behind the sharded parallel cycle loop.
 //! * [`metrics`] — the typed metrics registry: per-shard lock-free
 //!   slices folded deterministically at snapshot time, with Prometheus
 //!   and JSONL exporters.

@@ -1,4 +1,11 @@
-//! Synchronization primitives for the sharded parallel engine.
+//! Worker pools: an order-preserving parallel [`map`] over independent
+//! jobs, and the synchronization primitives for the sharded parallel
+//! engine.
+//!
+//! [`map`] is the one pool every independent-job fan-out uses (sweep
+//! points, experiment jobs, served points): workers claim items by an
+//! atomic index and the results come back in input order, so output never
+//! depends on the thread count.
 //!
 //! The sharded cycle loop runs two phases per cycle on a persistent set
 //! of workers, with the orchestrator doing serial work (stat merging,
@@ -15,6 +22,59 @@
 //! whole pool).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+/// Applies `f` to every item on a pool of up to `threads` scoped workers
+/// and returns the results in input order.
+///
+/// The output equals `items.iter().map(f).collect()` for any thread
+/// count. With `threads <= 1` (or fewer than two items) it *is* that
+/// sequential map: no thread is spawned. A panic in `f` reaches the caller
+/// as a panic once the other workers have drained the remaining items.
+///
+/// # Examples
+///
+/// ```
+/// let squares = simkit::par::map(&[1, 2, 3, 4], 3, |x| x * x);
+/// assert_eq!(squares, [1, 4, 9, 16]);
+/// ```
+pub fn map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            break done;
+                        };
+                        done.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => {
+                    for (i, r) in done {
+                        slots[i] = Some(r);
+                    }
+                }
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item was mapped"))
+        .collect()
+}
 
 /// Iterations of busy-spinning before a waiter starts yielding.
 const SPIN_LIMIT: u32 = 64;
@@ -130,6 +190,33 @@ impl Drop for PanicSignal<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn map_preserves_order() {
+        let items: Vec<u32> = (0..37).collect();
+        let expect: Vec<u32> = items.iter().map(|x| x * x).collect();
+        for threads in [1, 2, 5, 64] {
+            let got = map(&items, threads, |x| x * x);
+            assert_eq!(got, expect, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn map_panic_reaches_the_caller() {
+        let items: Vec<u32> = (0..16).collect();
+        let result = std::panic::catch_unwind(|| {
+            map(&items, 4, |&x| {
+                assert_ne!(x, 5, "item 5 fails");
+                x
+            })
+        });
+        let panic = result.expect_err("the failing item panics the map");
+        let message = panic.downcast_ref::<String>().map(String::as_str);
+        assert!(
+            message.is_some_and(|m| m.contains("item 5 fails")),
+            "{message:?}"
+        );
+    }
 
     #[test]
     fn two_phase_protocol_orders_leader_and_workers() {

@@ -19,7 +19,7 @@
 use hetero_chiplet::heterosys::presets::NetworkKind;
 use hetero_chiplet::heterosys::scheduler::SchedulingProfile;
 use hetero_chiplet::heterosys::sim::RunSpec;
-use hetero_chiplet::heterosys::sweep::{latency_sweep_parallel, latency_sweep_warm_start};
+use hetero_chiplet::heterosys::sweep::{latency_sweep, latency_sweep_warm_start};
 use hetero_chiplet::heterosys::SimConfig;
 use hetero_chiplet::topo::Geometry;
 use hetero_chiplet::traffic::TrafficPattern;
@@ -51,7 +51,7 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let cold = latency_sweep_parallel(
+    let cold = latency_sweep(
         build,
         TrafficPattern::Uniform,
         &rates,

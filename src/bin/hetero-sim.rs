@@ -20,9 +20,7 @@ use chiplet_traffic::{
 use hetero_estimate::{EstimateRequest, Estimator};
 use hetero_if::presets::NetworkKind;
 use hetero_if::sim::{run_probed, run_until, RunOutcome, RunSpec};
-use hetero_if::sweep::{
-    default_rate_ladder, latency_sweep_warm_start, preset_sweep_parallel, SweepPoint,
-};
+use hetero_if::sweep::{default_rate_ladder, latency_sweep, latency_sweep_warm_start, SweepPoint};
 use hetero_if::{Network, SchedulingProfile, SimConfig, SimResults};
 use simkit::codec::{ByteReader, ByteWriter, LoadState, SaveState};
 use simkit::probe::{LinkUtilProbe, ProgressProbe};
@@ -584,9 +582,10 @@ fn main() {
     );
     if args.sweep {
         let rates = default_rate_ladder();
+        let build = || args.network.build(geom, config, args.policy);
         let (points, saved): (Vec<SweepPoint>, Cycle) = if args.warm_start {
             let warm = latency_sweep_warm_start(
-                || args.network.build(geom, config, args.policy),
+                build,
                 args.pattern,
                 &rates,
                 config.packet_len,
@@ -596,14 +595,13 @@ fn main() {
             );
             (warm.points, warm.warmup_cycles_saved)
         } else {
-            let points = preset_sweep_parallel(
-                args.network,
-                geom,
-                config,
-                args.policy,
+            let points = latency_sweep(
+                build,
                 args.pattern,
                 &rates,
+                config.packet_len,
                 spec,
+                config.seed,
                 args.threads,
             );
             (points, 0)

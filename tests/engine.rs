@@ -4,7 +4,7 @@
 
 use hetero_chiplet::heterosys::presets::NetworkKind;
 use hetero_chiplet::heterosys::sim::{run, run_probed, RunSpec};
-use hetero_chiplet::heterosys::sweep::preset_sweep_parallel;
+use hetero_chiplet::heterosys::sweep::latency_sweep;
 use hetero_chiplet::heterosys::{SchedulingProfile, SimConfig, SimResults};
 use hetero_chiplet::sim::probe::{
     CsvDeliverySink, JsonlDeliverySink, LinkUtilProbe, Probe, ProgressProbe,
@@ -134,15 +134,15 @@ fn run_and_run_probed_agree() {
 fn parallel_sweep_is_bit_identical_to_sequential() {
     let geom = Geometry::new(2, 2, 2, 2);
     let rates = [0.05, 0.15, 0.3, 0.6, 1.0, 1.6];
+    let config = SimConfig::default();
     let sweep = |threads| {
-        preset_sweep_parallel(
-            NetworkKind::HeteroPhyFull,
-            geom,
-            SimConfig::default(),
-            SchedulingProfile::balanced(),
+        latency_sweep(
+            || NetworkKind::HeteroPhyFull.build(geom, config, SchedulingProfile::balanced()),
             TrafficPattern::Uniform,
             &rates,
+            config.packet_len,
             RunSpec::smoke(),
+            config.seed,
             threads,
         )
     };

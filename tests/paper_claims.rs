@@ -4,7 +4,7 @@
 
 use hetero_chiplet::heterosys::presets::NetworkKind;
 use hetero_chiplet::heterosys::sim::{run, RunSpec};
-use hetero_chiplet::heterosys::sweep::{preset_sweep, saturation_rate};
+use hetero_chiplet::heterosys::sweep::{latency_sweep, saturation_rate};
 use hetero_chiplet::heterosys::{SchedulingProfile, SimConfig, SimResults};
 use hetero_chiplet::topo::{Geometry, NodeId};
 use hetero_chiplet::traffic::{SyntheticWorkload, TrafficPattern};
@@ -61,15 +61,16 @@ fn hetero_phy_has_best_low_load_latency() {
 fn hetero_phy_saturates_later_than_mesh_on_bit_complement() {
     let geom = Geometry::new(4, 4, 2, 2);
     let rates = [0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8, 1.0];
-    let sat = |kind| {
-        let pts = preset_sweep(
-            kind,
-            geom,
-            SimConfig::default(),
-            SchedulingProfile::balanced(),
+    let config = SimConfig::default();
+    let sat = |kind: NetworkKind| {
+        let pts = latency_sweep(
+            || kind.build(geom, config, SchedulingProfile::balanced()),
             TrafficPattern::BitComplement,
             &rates,
+            config.packet_len,
             spec(),
+            config.seed,
+            1,
         );
         saturation_rate(&pts).unwrap_or(0.0)
     };
