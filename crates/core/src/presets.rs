@@ -5,7 +5,7 @@ use crate::network::Network;
 use crate::scheduler::SchedulingProfile;
 use chiplet_topo::routing::HypercubeRouting;
 use chiplet_topo::routing::{Algorithm1, NegativeFirstMesh, Routing, TorusAdaptive};
-use chiplet_topo::{build, Geometry};
+use chiplet_topo::{build, ChipletId, Geometry};
 
 /// The networks compared in the evaluation (§8.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,14 +105,50 @@ impl NetworkKind {
         config
     }
 
+    /// Checks that this preset can be built on `geom`, naming the problem
+    /// when it cannot: every system needs at least two nodes, and the
+    /// hypercube presets need a power-of-two chiplet count of at least 2
+    /// whose chiplet rim has a node per hypercube dimension. Request
+    /// parsers call this so a geometry the topology builders would panic
+    /// on is rejected up front.
+    pub fn check_geometry(self, geom: Geometry) -> Result<(), String> {
+        if geom.nodes() < 2 {
+            return Err(format!(
+                "{self} needs at least two nodes, got {}",
+                geom.nodes()
+            ));
+        }
+        if matches!(
+            self,
+            NetworkKind::UniformSerialHypercube
+                | NetworkKind::HeteroChannelFull
+                | NetworkKind::HeteroChannelHalf
+        ) {
+            let chiplets = geom.chiplets();
+            if chiplets < 2 || !chiplets.is_power_of_two() {
+                return Err(format!(
+                    "{self} needs a power-of-two chiplet count of at least 2, got {chiplets}"
+                ));
+            }
+            let dims = chiplets.trailing_zeros() as usize;
+            let rim = geom.perimeter_nodes(ChipletId(0)).len();
+            if rim < dims {
+                return Err(format!(
+                    "{self} needs {dims} rim nodes per chiplet for its hypercube \
+                     dimensions, got {rim}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// The link graph this preset simulates on `geom` (without the engine
     /// around it — topology-only consumers such as the estimation
     /// subsystem use this to avoid paying for network assembly).
     ///
     /// # Panics
     ///
-    /// Panics for hypercube presets when the chiplet count is not a power
-    /// of two.
+    /// Panics on geometries [`NetworkKind::check_geometry`] rejects.
     pub fn topology(self, geom: Geometry) -> chiplet_topo::SystemTopology {
         match self {
             NetworkKind::UniformParallelMesh => build::parallel_mesh(geom),
@@ -132,8 +168,7 @@ impl NetworkKind {
     ///
     /// # Panics
     ///
-    /// Panics for hypercube presets when the chiplet count is not a power
-    /// of two.
+    /// Panics on geometries [`NetworkKind::check_geometry`] rejects.
     pub fn build(self, geom: Geometry, config: SimConfig, profile: SchedulingProfile) -> Network {
         let config = self.effective_config(config, profile);
         let vcs = config.vcs;
@@ -243,6 +278,50 @@ mod tests {
             let net = kind.build(geom, SimConfig::default(), SchedulingProfile::balanced());
             assert_eq!(net.topology().geometry().nodes(), 16, "{kind}");
         }
+    }
+
+    #[test]
+    fn check_geometry_rejects_what_the_builders_panic_on() {
+        // Multi-node geometries are rejected exactly when the builder
+        // panics; single-node ones build but cannot be estimated.
+        let mut rejected = 0;
+        for dims in 0..81u16 {
+            let d = |i: u32| dims / 3u16.pow(i) % 3 + 1;
+            let geom = Geometry::new(d(0), d(1), d(2), d(3));
+            for kind in crate::golden::ALL_KINDS {
+                let built = std::panic::catch_unwind(|| {
+                    kind.build(geom, SimConfig::default(), SchedulingProfile::balanced())
+                });
+                match kind.check_geometry(geom) {
+                    Ok(()) => assert!(built.is_ok(), "{kind} on {geom:?} passed but panicked"),
+                    Err(e) => {
+                        assert!(
+                            built.is_err() || geom.nodes() < 2,
+                            "{kind} on {geom:?} builds: {e}"
+                        );
+                        rejected += 1;
+                    }
+                }
+            }
+        }
+        assert!(rejected > 0);
+        // Three well-formed serve requests that used to panic in compute.
+        let reject = |kind: NetworkKind, g: [u16; 4], needle: &str| {
+            let e = kind
+                .check_geometry(Geometry::new(g[0], g[1], g[2], g[3]))
+                .expect_err(needle);
+            assert!(e.contains(needle), "{e:?} should mention {needle:?}");
+        };
+        for kind in crate::golden::ALL_KINDS {
+            reject(kind, [1, 1, 1, 1], "two nodes");
+        }
+        reject(NetworkKind::HeteroChannelFull, [3, 3, 2, 2], "power-of-two");
+        reject(
+            NetworkKind::UniformSerialHypercube,
+            [3, 1, 2, 2],
+            "power-of-two",
+        );
+        reject(NetworkKind::HeteroChannelHalf, [4, 4, 1, 1], "rim nodes");
     }
 
     #[test]

@@ -10,18 +10,22 @@
 //! — per-link loads under injection rate `r` are `r * unit_load`.
 
 use crate::workload::{load_bucket, ClassKey, LinkWorkload};
-use chiplet_topo::weight::{shortest_path_dag, PathDag};
+use chiplet_topo::weight::PathDag;
 use chiplet_topo::{Link, LinkClass, LinkId, LinkKind, NodeId, SystemKind, SystemTopology};
 use chiplet_traffic::TrafficPattern;
 use hetero_if::{Network, SchedulingProfile, SimConfig};
 
+/// Cost of a direct hop in the shortest-path DAGs: hops are priced in
+/// exact 1/64-hop units, so equal-length routes tie exactly.
+const HOP: u32 = 64;
+
 /// Tie-break bias against wraparound and express links: the engine's
 /// adaptive routers prefer direct mesh moves when a long-reach link saves
 /// no hops, while an unbiased shortest-path DAG would split such ties
-/// half onto the 20-cycle serial wrap. Small enough (`1/64` per hop) to
-/// never override a genuinely shorter long-reach route on any feasible
+/// half onto the 20-cycle serial wrap. Small enough (one 1/64-hop unit
+/// per hop) to never override a genuinely shorter long-reach route on any feasible
 /// diameter.
-const LONG_REACH_TIE_BIAS: f64 = 1.0 / 64.0;
+const LONG_REACH_TIE_BIAS: u32 = 1;
 
 /// Share of a *tied* Eq. 5 pair (`#H_P == w · #H_S`) routed over the
 /// serial hypercube tier. Algorithm 1 resolves ties to the mesh at the
@@ -31,11 +35,11 @@ const LONG_REACH_TIE_BIAS: f64 = 1.0 / 64.0;
 /// onto it (fitted against per-link flit counters; see EXPERIMENTS.md).
 const TIE_DIVERSION: f64 = 0.04;
 
-/// Unit hop cost with the long-reach tie bias applied.
-fn hop_cost(link: &Link) -> f64 {
+/// Hop cost with the long-reach tie bias applied, in 1/64-hop units.
+fn hop_cost(link: &Link) -> u32 {
     match link.kind {
-        LinkKind::Wrap { .. } | LinkKind::Express { .. } => 1.0 + LONG_REACH_TIE_BIAS,
-        _ => 1.0,
+        LinkKind::Wrap { .. } | LinkKind::Express { .. } => HOP + LONG_REACH_TIE_BIAS,
+        _ => HOP,
     }
 }
 
@@ -183,6 +187,7 @@ impl Decomposition {
             delta: vec![0.0; n],
         };
 
+        let mut dag = PathDag::default();
         let mut row = vec![0.0f64; n];
         let mut row_mesh = vec![0.0f64; n];
         let mut row_serial = vec![0.0f64; n];
@@ -224,16 +229,16 @@ impl Decomposition {
                     row_mesh[d] = row[d] * mesh_share;
                     row_serial[d] = row[d] * serial_share;
                 }
-                let mesh = shortest_path_dag(topo, src, |l| {
+                dag.rebuild(topo, src, |l| {
                     (!matches!(l.kind, LinkKind::Hypercube { .. })).then_some(hop_cost(l))
                 });
-                acc.push(&mesh, s, &row_mesh);
-                let serial = shortest_path_dag(topo, src, |l| {
+                acc.push(&dag, s, &row_mesh);
+                dag.rebuild(topo, src, |l| {
                     (l.class != LinkClass::Parallel).then_some(hop_cost(l))
                 });
-                acc.push(&serial, s, &row_serial);
+                acc.push(&dag, s, &row_serial);
             } else {
-                let dag = shortest_path_dag(topo, NodeId(s as u32), |l| Some(hop_cost(l)));
+                dag.rebuild(topo, NodeId(s as u32), |l| Some(hop_cost(l)));
                 acc.push(&dag, s, &row);
             }
         }
@@ -362,7 +367,7 @@ impl Accumulator<'_> {
         }
         for &v in dag.order.iter().rev() {
             let v = v.index();
-            let w_term = if v != src && row[v] > 0.0 && dag.dist[v].is_finite() {
+            let w_term = if v != src && row[v] > 0.0 {
                 self.eject_unit[v] += row[v];
                 self.ser_num += row[v] * self.invb[v].max(self.inv_inj).max(self.inv_eject);
                 row[v]

@@ -242,6 +242,7 @@ fn parse_job(v: &Json) -> Result<JobSpec, ApiError> {
         Some(g) => parse_geom(g)?,
         None => Geometry::new(2, 2, 2, 2),
     };
+    kind.check_geometry(geom).map_err(err)?;
     let workload = match v.get("workload").map(|w| w.as_str()) {
         None => None,
         Some(None) => return Err(err("workload must be a string")),
@@ -435,6 +436,27 @@ mod tests {
                 "error {:?} for {body:?} should mention {needle:?}",
                 e.0
             );
+        }
+    }
+
+    #[test]
+    fn unbuildable_geometries_are_rejected_on_both_backends() {
+        for backend in ["engine", "analytical"] {
+            for (preset, geom, needle) in [
+                ("uni-parallel-mesh", "[1, 1, 1, 1]", "two nodes"),
+                ("hetero-channel-full", "[3, 3, 2, 2]", "power-of-two"),
+                ("uni-serial-hypercube", "[3, 1, 2, 2]", "power-of-two"),
+            ] {
+                let body = format!(
+                    r#"{{"jobs": [{{"preset": "{preset}", "geom": {geom}, "rates": [0.02], "backend": "{backend}"}}]}}"#
+                );
+                let e = BatchRequest::parse(&body).expect_err(&body);
+                assert!(
+                    e.0.contains(needle) && e.0.contains(preset),
+                    "error {:?} for {body:?} should name {preset:?} and {needle:?}",
+                    e.0
+                );
+            }
         }
     }
 

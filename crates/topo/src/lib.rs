@@ -44,4 +44,4 @@ pub use coord::{ChipletId, Coord, Geometry, NodeId};
 pub use link::{Link, LinkClass, LinkId, LinkKind, MeshDir};
 pub use routing::{Candidate, RouteState, RouteTable, Routing};
 pub use system::{build, SystemKind, SystemTopology};
-pub use weight::{shortest_path_dag, CostWeights, LinkMetrics, PathDag};
+pub use weight::{CostWeights, LinkMetrics, PathDag};

@@ -153,93 +153,136 @@ pub fn path_length(
 ///
 /// Where [`weighted_shortest_path`] returns *one* minimal path, this keeps
 /// *every* minimal predecessor, so analysis passes can split flow evenly
-/// over all minimal routes (the way adaptive routing spreads load over its
-/// productive candidates). Built by [`shortest_path_dag`].
-#[derive(Debug, Clone)]
+/// over all minimal routes (the way adaptive routers spread load over
+/// their productive candidates). It is a reusable workspace:
+/// [`PathDag::rebuild`] overwrites every field in place, so one `PathDag`
+/// serves every source of a pass without reallocating.
+#[derive(Debug, Clone, Default)]
 pub struct PathDag {
-    /// Minimal Eq. 4 path length from the source, `f64::INFINITY` when
-    /// unreachable.
-    pub dist: Vec<f64>,
+    /// Minimal Eq. 4 path length from the source in integer cost units,
+    /// [`PathDag::UNREACHABLE`] when unreachable.
+    pub dist: Vec<u64>,
     /// Per node, every incoming link that lies on some minimal path.
     pub preds: Vec<Vec<crate::link::LinkId>>,
     /// Number of distinct minimal paths from the source (as `f64`: path
     /// counts grow combinatorially with system size).
     pub sigma: Vec<f64>,
-    /// Reachable nodes in non-decreasing distance order (the source
-    /// first) — a topological order of the minimal-path DAG.
+    /// Reachable nodes in ascending `(distance, node id)` order (the
+    /// source first) — a topological order of the minimal-path DAG.
     pub order: Vec<NodeId>,
+    /// Dial's bucket queue: slot `d % ring.len()` holds the nodes whose
+    /// tentative distance is `d`. The length is a power of two above the
+    /// largest link cost seen, so pending distances never wrap onto the
+    /// slot being settled. Empty between builds.
+    ring: Vec<Vec<NodeId>>,
 }
 
-/// Builds the [`PathDag`] of minimal-cost paths from `src` under a per-link
-/// cost function (Eq. 3/4 when the closure applies [`CostWeights::cost`]).
-///
-/// `cost` returns `None` to exclude a link (subnetwork filtering, e.g. the
-/// Eq. 5 mesh-vs-hypercube split); links currently marked down in `topo`
-/// are always excluded. Ties within `1e-9` relative cost are treated as
-/// equal-length alternatives and all retained.
-pub fn shortest_path_dag(
-    topo: &SystemTopology,
-    src: NodeId,
-    cost: impl Fn(&crate::link::Link) -> Option<f64>,
-) -> PathDag {
-    let n = topo.geometry().nodes() as usize;
-    let mut dist = vec![f64::INFINITY; n];
-    let mut preds: Vec<Vec<crate::link::LinkId>> = vec![Vec::new(); n];
-    let mut heap = BinaryHeap::new();
-    dist[src.index()] = 0.0;
-    heap.push(HeapEntry {
-        cost: 0.0,
-        node: src,
-    });
-    let mut order = Vec::with_capacity(n);
-    let mut settled = vec![false; n];
-    while let Some(HeapEntry { cost: c0, node }) = heap.pop() {
-        if settled[node.index()] {
-            continue;
+impl PathDag {
+    /// The [`PathDag::dist`] of a node the source cannot reach.
+    pub const UNREACHABLE: u64 = u64::MAX;
+
+    /// Rebuilds the DAG of minimal-cost paths from `src` under a per-link
+    /// integer cost (Eq. 3/4 in fixed-point units), in place.
+    ///
+    /// `cost` returns `None` to exclude a link (subnetwork filtering, e.g.
+    /// the Eq. 5 mesh-vs-hypercube split); links currently marked down in
+    /// `topo` are always excluded. Costs are exact, so equal-length
+    /// alternatives are exact ties and all are retained.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cost` returns `Some(0)`: every hop must cost at least
+    /// one unit.
+    pub fn rebuild(
+        &mut self,
+        topo: &SystemTopology,
+        src: NodeId,
+        cost: impl Fn(&crate::link::Link) -> Option<u32>,
+    ) {
+        while let Err(w) = self.settle(topo, src, &cost) {
+            // A cost that does not fit the ring: grow it and start over.
+            self.ring.iter_mut().for_each(Vec::clear);
+            self.ring
+                .resize_with((w as usize + 1).next_power_of_two(), Vec::new);
         }
-        settled[node.index()] = true;
-        order.push(node);
-        for &lid in topo.out_links(node) {
-            if topo.is_link_down(lid) {
+        // Minimal-path counts in topological (distance) order.
+        self.sigma.clear();
+        self.sigma.resize(self.dist.len(), 0.0);
+        self.sigma[src.index()] = 1.0;
+        for &v in &self.order[1..] {
+            let mut s = 0.0;
+            for &lid in &self.preds[v.index()] {
+                s += self.sigma[topo.link(lid).src.index()];
+            }
+            self.sigma[v.index()] = s;
+        }
+    }
+
+    /// Dial's algorithm: settles nodes bucket by bucket, each bucket in
+    /// ascending node id, filling `dist`, `preds` and `order`. Fails with
+    /// the offending cost when one does not fit the ring.
+    fn settle(
+        &mut self,
+        topo: &SystemTopology,
+        src: NodeId,
+        cost: &impl Fn(&crate::link::Link) -> Option<u32>,
+    ) -> Result<(), u32> {
+        let n = topo.geometry().nodes() as usize;
+        self.dist.clear();
+        self.dist.resize(n, Self::UNREACHABLE);
+        self.preds.resize_with(n, Vec::new);
+        self.preds.iter_mut().for_each(Vec::clear);
+        self.order.clear();
+        if self.ring.is_empty() {
+            self.ring.push(Vec::new());
+        }
+        let mask = self.ring.len() as u64 - 1;
+        self.dist[src.index()] = 0;
+        self.ring[0].push(src);
+        let mut pending = 1;
+        let mut d = 0u64;
+        while pending > 0 {
+            let slot = (d & mask) as usize;
+            if self.ring[slot].is_empty() {
+                d += 1;
                 continue;
             }
-            let link = topo.link(lid);
-            let Some(w) = cost(link) else { continue };
-            let c = c0 + w;
-            let d = &mut dist[link.dst.index()];
-            let tol = 1e-9 * c.max(1.0);
-            if c < *d - tol {
-                *d = c;
-                preds[link.dst.index()].clear();
-                preds[link.dst.index()].push(lid);
-                heap.push(HeapEntry {
-                    cost: c,
-                    node: link.dst,
-                });
-            } else if (c - *d).abs() <= tol && !settled[link.dst.index()] {
-                preds[link.dst.index()].push(lid);
+            let mut bucket = std::mem::take(&mut self.ring[slot]);
+            pending -= bucket.len();
+            bucket.sort_unstable();
+            for &u in &bucket {
+                if self.dist[u.index()] != d {
+                    continue; // stale: settled earlier at a shorter distance
+                }
+                self.order.push(u);
+                for &lid in topo.out_links(u) {
+                    if topo.is_link_down(lid) {
+                        continue;
+                    }
+                    let link = topo.link(lid);
+                    let Some(w) = cost(link) else { continue };
+                    assert!(w > 0, "path-DAG link costs must be positive");
+                    if u64::from(w) > mask {
+                        return Err(w);
+                    }
+                    let c = d + u64::from(w);
+                    let v = link.dst.index();
+                    if c < self.dist[v] {
+                        self.dist[v] = c;
+                        self.preds[v].clear();
+                        self.preds[v].push(lid);
+                        self.ring[(c & mask) as usize].push(link.dst);
+                        pending += 1;
+                    } else if c == self.dist[v] {
+                        self.preds[v].push(lid);
+                    }
+                }
             }
+            bucket.clear();
+            self.ring[slot] = bucket;
+            d += 1;
         }
-    }
-    // Minimal-path counts in topological (distance) order.
-    let mut sigma = vec![0.0; n];
-    sigma[src.index()] = 1.0;
-    for &v in &order {
-        for &lid in &preds[v.index()] {
-            let u = topo.link(lid).src;
-            if u != v {
-                sigma[v.index()] += sigma[u.index()];
-            }
-        }
-        if v == src {
-            sigma[v.index()] = 1.0;
-        }
-    }
-    PathDag {
-        dist,
-        preds,
-        sigma,
-        order,
+        Ok(())
     }
 }
 
@@ -438,9 +481,10 @@ mod tests {
         // the same.
         let g = Geometry::new(2, 2, 2, 2);
         let t = build::parallel_mesh(g);
-        let dag = shortest_path_dag(&t, g.node_at(0, 0), |_| Some(1.0));
+        let mut dag = PathDag::default();
+        dag.rebuild(&t, g.node_at(0, 0), |_| Some(1));
         let far = g.node_at(3, 3);
-        assert_eq!(dag.dist[far.index()], 6.0);
+        assert_eq!(dag.dist[far.index()], 6);
         assert_eq!(dag.sigma[far.index()], 20.0);
         // Every node is reachable and the order starts at the source.
         assert_eq!(dag.order.len(), 16);
@@ -455,9 +499,10 @@ mod tests {
         let t = build::parallel_mesh(g);
         let src = g.node_at(0, 0);
         // Excluding every interface link cuts the second chiplet off.
-        let dag = shortest_path_dag(&t, src, |l| (l.class == LinkClass::OnChip).then_some(1.0));
-        assert!(dag.dist[g.node_at(1, 0).index()].is_finite());
-        assert!(dag.dist[g.node_at(2, 0).index()].is_infinite());
+        let mut dag = PathDag::default();
+        dag.rebuild(&t, src, |l| (l.class == LinkClass::OnChip).then_some(1));
+        assert_eq!(dag.dist[g.node_at(1, 0).index()], 1);
+        assert_eq!(dag.dist[g.node_at(2, 0).index()], PathDag::UNREACHABLE);
         assert!(dag.preds[g.node_at(2, 0).index()].is_empty());
     }
 
@@ -468,18 +513,61 @@ mod tests {
         let table = MetricsTable::default();
         let w = CostWeights::balanced();
         let src = g.node_at(0, 0);
-        let dag = shortest_path_dag(&t, src, |l| Some(w.cost(table.of(l.class))));
+        // Balanced on-chip and serial costs (2.32 and 28.18) in exact
+        // hundredths.
+        let mut dag = PathDag::default();
+        dag.rebuild(&t, src, |l| {
+            Some((w.cost(table.of(l.class)) * 100.0).round() as u32)
+        });
         for id in 0..g.nodes() {
             let dst = NodeId(id);
             let single = weighted_shortest_path(&t, &table, &w, src, dst)
                 .map(|(len, _)| len)
                 .unwrap();
+            let dist = dag.dist[dst.index()] as f64 / 100.0;
             assert!(
-                (dag.dist[dst.index()] - single).abs() < 1e-6,
-                "{dst}: dag {} vs dijkstra {single}",
-                dag.dist[dst.index()]
+                (dist - single).abs() < 1e-6,
+                "{dst}: dag {dist} vs dijkstra {single}"
             );
             assert!(dag.sigma[dst.index()] >= 1.0);
+        }
+    }
+
+    #[test]
+    fn reused_workspace_matches_fresh_builds() {
+        // One workspace rebuilt from every source, rotating through the
+        // hetero-channel mesh-tier and serial-tier filters (different
+        // costs and predecessor sets) and an on-chip-only filter (which
+        // leaves the other chiplets unreached), must equal a fresh build
+        // every time: no stale preds, no entries left in the bucket ring.
+        use crate::link::{Link, LinkKind};
+        let g = Geometry::new(4, 2, 2, 3);
+        let t = build::hetero_channel(g);
+        let filters: [fn(&Link) -> Option<u32>; 3] = [
+            |l| (!matches!(l.kind, LinkKind::Hypercube { .. })).then_some(64),
+            |l| match l.class {
+                LinkClass::Parallel => None,
+                LinkClass::OnChip => Some(64),
+                _ => Some(65),
+            },
+            |l| (l.class == LinkClass::OnChip).then_some(1),
+        ];
+        let mut dag = PathDag::default();
+        let mut step = 0;
+        for id in 0..g.nodes() {
+            let src = NodeId(id);
+            for _ in 0..2 {
+                let filter = filters[step % filters.len()];
+                step += 1;
+                dag.rebuild(&t, src, filter);
+                let mut fresh = PathDag::default();
+                fresh.rebuild(&t, src, filter);
+                assert_eq!(dag.dist, fresh.dist, "{src} step {step}");
+                assert_eq!(dag.preds, fresh.preds, "{src} step {step}");
+                assert_eq!(dag.sigma, fresh.sigma, "{src} step {step}");
+                assert_eq!(dag.order, fresh.order, "{src} step {step}");
+                assert!(dag.ring.iter().all(Vec::is_empty), "{src}: undrained ring");
+            }
         }
     }
 

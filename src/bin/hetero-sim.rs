@@ -164,7 +164,7 @@ fn usage() -> ! {
 
 fn parse_pair(s: &str) -> Option<(u16, u16)> {
     let (a, b) = s.split_once(['x', 'X'])?;
-    Some((a.parse().ok()?, b.parse().ok()?))
+    Some((a.parse().ok()?, b.parse().ok()?)).filter(|&(a, b)| a > 0 && b > 0)
 }
 
 fn parse() -> Args {
@@ -437,6 +437,18 @@ fn run_with_probes(
 fn main() {
     let args = parse();
     let geom = Geometry::new(args.chiplets.0, args.chiplets.1, args.chip.0, args.chip.1);
+    // --calibrate runs every preset on the geometry.
+    let kinds = if args.calibrate {
+        &hetero_if::golden::ALL_KINDS[..]
+    } else {
+        std::slice::from_ref(&args.network)
+    };
+    for kind in kinds {
+        if let Err(e) = kind.check_geometry(geom) {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    }
     let mut config = SimConfig::default().with_seed(args.seed);
     config.packet_len = args.packet_len;
     if let Some(n) = args.shard_threads {

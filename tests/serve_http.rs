@@ -105,3 +105,27 @@ fn metrics_endpoint_counts_cache_hits() {
         "{metrics}"
     );
 }
+
+/// Geometries a preset cannot build are a 400 on either backend, and a
+/// rejected request leaves the server answering.
+#[test]
+fn unbuildable_geometries_are_a_400_and_do_not_wedge_the_server() {
+    let addr = spawn_server();
+    for backend in ["engine", "analytical"] {
+        for (preset, geom) in [
+            ("uni-parallel-mesh", "[1, 1, 1, 1]"),
+            ("hetero-channel-full", "[3, 3, 2, 2]"),
+            ("uni-serial-hypercube", "[3, 1, 2, 2]"),
+        ] {
+            let body = format!(
+                r#"{{"jobs": [{{"preset": "{preset}", "geom": {geom}, "rates": [0.02], "backend": "{backend}"}}]}}"#
+            );
+            let (status, resp) = http::request(addr, "POST", "/v1/batch", &body).expect("batch");
+            assert_eq!(status, 400, "{body}: {resp}");
+            assert!(resp.contains(preset), "{resp}");
+        }
+    }
+    let body = r#"{"jobs": [{"preset": "uni-parallel-mesh", "rates": [0.02], "spec": "smoke"}]}"#;
+    let (status, resp) = http::request(addr, "POST", "/v1/batch", body).expect("batch");
+    assert_eq!(status, 200, "{resp}");
+}
