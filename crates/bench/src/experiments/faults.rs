@@ -17,9 +17,8 @@ use chiplet_phy::PhyKind;
 use chiplet_topo::{Geometry, NodeId};
 use chiplet_traffic::{SyntheticWorkload, TrafficPattern};
 use hetero_if::presets::NetworkKind;
-use hetero_if::sim::{run, run_probed, RunOutcome};
+use hetero_if::sim::{run, run_timeline, RunOutcome};
 use hetero_if::{SchedulingProfile, SimConfig};
-use simkit::probe::ProgressProbe;
 
 /// The swept raw serial-wire bit error rates (BER 0 measures the armed
 /// retry layer's overhead in isolation).
@@ -130,13 +129,11 @@ pub fn fig19_failover(opts: &Opts) -> Report {
             );
             net.set_fault_script(FaultScript::single_phy_failure(fail_at, PhyKind::Parallel));
             let mut w = workload(geom, 7);
-            let mut probe = ProgressProbe::new(bin);
-            let out = run_probed(&mut net, &mut w, spec, &mut [&mut probe]);
+            let (out, samples) = run_timeline(&mut net, &mut w, spec, bin);
             r_note(kind, &out);
-            probe
-                .snapshots()
+            samples
                 .iter()
-                .map(|&(cycle, ref s)| (cycle, s.delivered_flits))
+                .map(|s| (s.cycle, s.delivered_flits))
                 .collect()
         },
     );

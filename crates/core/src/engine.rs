@@ -14,8 +14,8 @@
 //!    Credits for other shards' links are posted back through the credit
 //!    mailbox, replayed at the top of the next cycle's phase 1.
 //! 3. **Merge**: the orchestrator folds every shard's buffered
-//!    observations (deliveries, link events, flit hops) into the
-//!    [`Collector`] and attached probes in a canonical order, frees
+//!    observations (deliveries, link events, trace events) into the
+//!    [`Collector`] and the trace ring in a canonical order, frees
 //!    delivered packet descriptors, and advances the clock.
 //!
 //! With one shard this degenerates to exactly the serial staged engine.
@@ -39,10 +39,11 @@ use chiplet_topo::routing::Routing;
 use chiplet_topo::{LinkId, SystemTopology};
 use chiplet_traffic::PacketRequest;
 use simkit::metrics::{MetricsRegistry, MetricsSnapshot};
-use simkit::probe::{LinkEvent, Probe};
-use simkit::trace::{TraceBuf, TraceEvent, TraceFilter, TraceRing, Tracer};
+use simkit::trace::{
+    LinkEvent, TraceBuf, TraceEvent, TraceFilter, TraceKind, TraceRing, Tracer, NO_PID,
+};
 use simkit::Cycle;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, RwLock};
 
 /// The immutable system description a stage executes against, borrowed
@@ -88,10 +89,6 @@ pub(crate) struct Hub {
     /// scripts fire repeatedly) do not allocate.
     pub fault_links: Vec<LinkId>,
     pub fault_emitted: Vec<(u32, LinkEvent)>,
-    /// Merge scratch: link events as `(link, per-shard seq, event)`.
-    ev_scratch: Vec<(u32, u32, LinkEvent)>,
-    /// Merge scratch: flit hops as `(link, per-shard seq, is_head)`.
-    hop_scratch: Vec<(u32, u32, bool)>,
     /// Merge scratch: deliveries as `(per-shard seq, delivery)`.
     del_scratch: Vec<(u32, Delivery)>,
     /// The bounded trace store (`None` unless tracing is enabled).
@@ -125,14 +122,39 @@ impl Hub {
             script_pos: 0,
             fault_links: Vec::new(),
             fault_emitted: Vec::new(),
-            ev_scratch: Vec::new(),
-            hop_scratch: Vec::new(),
             del_scratch: Vec::new(),
             trace: None,
             trace_scratch: Vec::new(),
             metrics: None,
             barrier_wait_ns: 0,
             observe_barriers: false,
+        }
+    }
+
+    /// The earliest cycle ≥ now at which `engine` can make progress or
+    /// the next unapplied fault-script event fires, or [`Cycle::MAX`] if
+    /// nothing is scheduled. Called only between cycles.
+    pub fn next_event(&self, engine: &ShardedEngine) -> Cycle {
+        let now = engine.now();
+        let at = engine.next_event(now);
+        match self.script.events().get(self.script_pos) {
+            Some(tf) => at.min(tf.at.max(now)),
+            None => at,
+        }
+    }
+
+    /// Opens the measurement window at the current cycle and traces the
+    /// warm-up → measure phase change.
+    pub fn start_measurement(&mut self, engine: &ShardedEngine) {
+        engine.start_measurement();
+        if let Some(ring) = self.trace.as_mut() {
+            ring.push(TraceEvent {
+                cycle: engine.now(),
+                kind: TraceKind::Phase,
+                pid: NO_PID,
+                a: 1, // warm-up → measure
+                b: 0,
+            });
         }
     }
 }
@@ -163,9 +185,6 @@ pub(crate) struct ShardedEngine {
     /// Packets created at or after this cycle count toward the measured
     /// statistics (warm-up exclusion).
     pub measure_from: AtomicU64,
-    /// Whether media stages record per-flit hop observations (only when
-    /// probes are attached; reread by workers every cycle).
-    pub record_hops: AtomicBool,
 }
 
 impl ShardedEngine {
@@ -217,7 +236,6 @@ impl ShardedEngine {
             mail: Mail::new(ns),
             now: AtomicU64::new(0),
             measure_from: AtomicU64::new(0),
-            record_hops: AtomicBool::new(false),
             part,
         }
     }
@@ -370,89 +388,60 @@ impl ShardedEngine {
     /// Runs one simulation cycle on the calling thread: both phases over
     /// every shard in order, then the merge. Uses `get_mut` throughout,
     /// so the serial path pays nothing for the locks.
-    pub fn step_serial(
-        &mut self,
-        ctx: &EngineCtx<'_>,
-        hub: &mut Hub,
-        probes: &mut [&mut dyn Probe],
-    ) {
+    pub fn step_serial(&mut self, ctx: &EngineCtx<'_>, hub: &mut Hub) {
         let now = self.now.load(Relaxed);
-        let record_hops = !probes.is_empty();
         let measure_from = self.measure_from.load(Relaxed);
         let ns = self.part.nshards as usize;
         {
             let store = &*self.store.get_mut().expect("store lock poisoned");
             for sid in 0..ns {
                 let sh = self.shards[sid].get_mut().expect("shard lock poisoned");
-                sh.phase1(ctx, now, store, &self.mail, record_hops, &self.part);
+                sh.phase1(ctx, now, store, &self.mail, &self.part);
             }
             for sid in 0..ns {
                 let sh = self.shards[sid].get_mut().expect("shard lock poisoned");
                 sh.phase2(ctx, now, store, &self.mail, measure_from, &self.part);
             }
         }
-        if self.merge(hub, now, probes) {
+        if self.merge(hub) {
             hub.last_activity = now;
         }
         self.now.store(now + 1, Relaxed);
     }
 
     /// Folds every shard's buffered observations into the collector and
-    /// probes, frees delivered descriptors, and clears the buffers.
-    /// Returns whether any shard reported activity this cycle.
+    /// the trace ring, frees delivered descriptors, and clears the
+    /// buffers. Returns whether any shard reported activity this cycle.
     ///
-    /// Runs with every shard at rest (between cycles). The merge order is
-    /// canonical — ascending link id for link events and hops, ascending
-    /// destination node for deliveries, each tie-broken by the producing
-    /// shard's emission sequence — which is exactly the serial engine's
-    /// emission order, independent of shard count and worker scheduling.
-    /// Freeing descriptors in that same order keeps the store's slot
-    /// freelist (and therefore future [`PacketId`] assignment)
-    /// bit-identical to the serial engine.
-    pub fn merge(&self, hub: &mut Hub, now: Cycle, probes: &mut [&mut dyn Probe]) -> bool {
+    /// Runs with every shard at rest (between cycles). Link events only
+    /// bump counters, so their order is immaterial. Deliveries merge in
+    /// a canonical order — ascending destination node, tie-broken by the
+    /// producing shard's emission sequence — which is exactly the serial
+    /// engine's emission order, independent of shard count and worker
+    /// scheduling. Freeing descriptors in that same order keeps the
+    /// store's slot freelist (and therefore future [`PacketId`]
+    /// assignment) bit-identical to the serial engine.
+    pub fn merge(&self, hub: &mut Hub) -> bool {
         let mut guards: Vec<_> = self
             .shards
             .iter()
             .map(|s| s.lock().expect("shard lock poisoned"))
             .collect();
-        hub.ev_scratch.clear();
-        hub.hop_scratch.clear();
         hub.del_scratch.clear();
         for g in guards.iter() {
-            for (seq, &(li, ev)) in g.link_events.iter().enumerate() {
-                hub.ev_scratch.push((li, seq as u32, ev));
-            }
-            for (seq, &(li, head)) in g.flit_hops.iter().enumerate() {
-                hub.hop_scratch.push((li, seq as u32, head));
+            for &ev in &g.link_events {
+                hub.collector.on_link_event(ev);
             }
             for (seq, d) in g.deliveries.iter().enumerate() {
                 hub.del_scratch.push((seq as u32, *d));
             }
         }
-        hub.ev_scratch
-            .sort_unstable_by_key(|&(li, seq, _)| (li, seq));
-        hub.hop_scratch
-            .sort_unstable_by_key(|&(li, seq, _)| (li, seq));
         hub.del_scratch
             .sort_unstable_by_key(|&(seq, d)| (d.node, seq));
-        for &(li, _, ev) in hub.ev_scratch.iter() {
-            hub.collector.on_link_event(now, li, ev);
-            for p in probes.iter_mut() {
-                p.on_link_event(now, li, ev);
-            }
-        }
-        for &(li, _, head) in hub.hop_scratch.iter() {
-            for p in probes.iter_mut() {
-                p.on_flit_hop(now, li, head);
-            }
-        }
         if !hub.del_scratch.is_empty() {
             let mut store = self.store.write().expect("store lock poisoned");
             for &(_, d) in hub.del_scratch.iter() {
                 hub.collector.on_packet_delivered(&d.ev);
-                for p in probes.iter_mut() {
-                    p.on_packet_delivered(&d.ev);
-                }
                 store.free(d.pid);
             }
         }
@@ -493,7 +482,6 @@ impl ShardedEngine {
                 g.active_cycles += 1;
             }
             g.link_events.clear();
-            g.flit_hops.clear();
             g.deliveries.clear();
             g.tracer.clear();
         }

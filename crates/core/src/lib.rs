@@ -38,7 +38,7 @@
 //! * [`scheduler`] — the §5.3 scheduling profiles;
 //! * [`presets`] — the evaluated network kinds and system scales;
 //! * [`sim`] — warm-up/measure/drain driver with a deadlock watchdog and
-//!   probe attachment ([`sim::run_probed`]);
+//!   an optional progress timeline ([`sim::run_timeline`]);
 //! * [`sweep`] — injection-rate sweeps (latency–throughput curves),
 //!   sequential or multi-threaded ([`sweep::latency_sweep`]);
 //! * fault model — [`SimConfig::with_ber`] arms BER-driven corruption and

@@ -22,17 +22,64 @@ use chiplet_topo::routing::Routing;
 use chiplet_topo::{LinkClass, LinkId, SystemTopology};
 use chiplet_traffic::PacketRequest;
 use simkit::metrics::{MetricKind, MetricsRegistry, MetricsSnapshot};
-use simkit::probe::{DeliveryEvent, LinkEvent, Probe};
 use simkit::stats::{Histogram, Running};
-use simkit::trace::{link_event_code, TraceEvent, TraceFilter, TraceKind, TraceRing, NO_PID};
+use simkit::trace::{
+    link_event_code, LinkEvent, TraceEvent, TraceFilter, TraceKind, TraceRing, NO_PID,
+};
 use simkit::{Cycle, SimRng};
 use std::sync::RwLock;
 
+/// Everything known about one delivered packet, reported to the
+/// [`Collector`] at the cycle its tail flit ejects.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct DeliveryEvent {
+    /// Delivery cycle (tail ejection).
+    pub now: Cycle,
+    /// Cycle the packet was created (entered its source queue).
+    pub created: Cycle,
+    /// Cycle its head flit entered the network.
+    pub injected: Cycle,
+    /// Head-flit hop count.
+    pub hops: u32,
+    /// Packet length in flits.
+    pub len: u16,
+    /// Whether the packet was high-priority.
+    pub high_priority: bool,
+    /// Whether it fell back to the baseline (escape) subnetwork.
+    pub baseline_locked: bool,
+    /// Whether it was created inside the measurement window.
+    pub measured: bool,
+    /// Workload phase tag (0 = untagged traffic).
+    pub tag: u16,
+    /// On-chip traversal energy, pJ.
+    pub onchip_pj: f64,
+    /// Parallel-interface traversal energy, pJ.
+    pub parallel_pj: f64,
+    /// Serial-interface traversal energy, pJ.
+    pub serial_pj: f64,
+}
+
+impl DeliveryEvent {
+    /// Creation → delivery latency in cycles.
+    pub fn latency(&self) -> Cycle {
+        self.now - self.created
+    }
+
+    /// Injection → delivery latency in cycles.
+    pub fn net_latency(&self) -> Cycle {
+        self.now - self.injected
+    }
+
+    /// Total traversal energy, pJ.
+    pub fn total_pj(&self) -> f64 {
+        self.onchip_pj + self.parallel_pj + self.serial_pj
+    }
+}
+
 /// Statistics accumulated over delivered packets.
 ///
-/// The collector is itself a [`Probe`]: the engine reports every packet
-/// delivery to it exactly as it does to any externally attached probe,
-/// and the collector folds the event into its running statistics.
+/// The engine folds every packet delivery and link-integrity event into
+/// it at the end of each cycle, in the serial engine's order.
 #[derive(Debug, Default, Clone)]
 pub struct Collector {
     /// Total (creation → delivery) packet latency.
@@ -107,8 +154,9 @@ pub struct TagStats {
     pub flit_hops: u64,
 }
 
-impl Probe for Collector {
-    fn on_link_event(&mut self, _now: Cycle, _link: u32, ev: LinkEvent) {
+impl Collector {
+    /// Counts one link-integrity event.
+    pub(crate) fn on_link_event(&mut self, ev: LinkEvent) {
         match ev {
             LinkEvent::Corrupt => self.corrupted_flits += 1,
             LinkEvent::Retransmit => self.retransmitted_flits += 1,
@@ -122,7 +170,8 @@ impl Probe for Collector {
         }
     }
 
-    fn on_packet_delivered(&mut self, ev: &DeliveryEvent) {
+    /// Folds one packet delivery into the running statistics.
+    pub(crate) fn on_packet_delivered(&mut self, ev: &DeliveryEvent) {
         self.delivered_packets += 1;
         self.delivered_flits += ev.len as u64;
         if ev.tag != 0 {
@@ -409,16 +458,7 @@ impl Network {
     /// Starts the measurement window: packets created from now on are
     /// recorded in the measured statistics.
     pub fn start_measurement(&mut self) {
-        self.engine.start_measurement();
-        if let Some(ring) = self.hub.trace.as_mut() {
-            ring.push(TraceEvent {
-                cycle: self.engine.now(),
-                kind: TraceKind::Phase,
-                pid: NO_PID,
-                a: 1, // warm-up → measure
-                b: 0,
-            });
-        }
+        self.hub.start_measurement(&self.engine);
     }
 
     /// Turns the metrics layer on: registers the hot-path metrics (per-
@@ -488,116 +528,37 @@ impl Network {
         };
         let c = &self.hub.collector;
         let counter = MetricKind::Counter;
-        snap.push_scalar("cycles_total", &[], counter, false, self.engine.now());
-        snap.push_scalar(
-            "packets_delivered_total",
-            &[],
-            counter,
-            false,
-            c.delivered_packets,
-        );
-        snap.push_scalar(
-            "flits_delivered_total",
-            &[],
-            counter,
-            false,
-            c.delivered_flits,
-        );
-        snap.push_scalar(
-            "packets_measured_total",
-            &[],
-            counter,
-            false,
-            c.measured_packets,
-        );
-        snap.push_scalar(
-            "flits_measured_total",
-            &[],
-            counter,
-            false,
-            c.measured_flits,
-        );
-        snap.push_scalar(
-            "packets_baseline_locked_total",
-            &[],
-            counter,
-            false,
-            c.locked_packets,
-        );
-        snap.push_scalar(
-            "flits_corrupted_total",
-            &[],
-            counter,
-            false,
-            c.corrupted_flits,
-        );
-        snap.push_scalar(
-            "flits_retransmitted_total",
-            &[],
-            counter,
-            false,
-            c.retransmitted_flits,
-        );
-        snap.push_scalar("retry_naks_total", &[], counter, false, c.retry_naks);
-        snap.push_scalar(
-            "retry_timeouts_total",
-            &[],
-            counter,
-            false,
-            c.retry_timeouts,
-        );
-        snap.push_scalar("failovers_total", &[], counter, false, c.failovers);
-        snap.push_scalar(
-            "faults_applied_total",
-            &[],
-            counter,
-            false,
-            c.faults_applied,
-        );
+        for (name, value) in [
+            ("cycles_total", self.engine.now()),
+            ("packets_delivered_total", c.delivered_packets),
+            ("flits_delivered_total", c.delivered_flits),
+            ("packets_measured_total", c.measured_packets),
+            ("flits_measured_total", c.measured_flits),
+            ("packets_baseline_locked_total", c.locked_packets),
+            ("flits_corrupted_total", c.corrupted_flits),
+            ("flits_retransmitted_total", c.retransmitted_flits),
+            ("retry_naks_total", c.retry_naks),
+            ("retry_timeouts_total", c.retry_timeouts),
+            ("failovers_total", c.failovers),
+            ("faults_applied_total", c.faults_applied),
+        ] {
+            snap.push_scalar(name, &[], counter, false, value);
+        }
         // Per-phase attribution: emitted only when tagged traffic ran, so
         // untagged runs keep their metric lines byte-identical.
-        for (tag, s) in c.by_tag.iter().enumerate() {
-            if tag == 0 {
-                continue;
-            }
+        for (tag, s) in c.by_tag.iter().enumerate().skip(1) {
             let label = tag.to_string();
             let phase = [("phase", label.as_str())];
-            snap.push_scalar(
-                "phase_packets_delivered_total",
-                &phase,
-                counter,
-                false,
-                s.delivered,
-            );
-            snap.push_scalar(
-                "phase_packets_measured_total",
-                &phase,
-                counter,
-                false,
-                s.packets,
-            );
-            snap.push_scalar(
-                "phase_flits_measured_total",
-                &phase,
-                counter,
-                false,
-                s.flits,
-            );
-            snap.push_scalar(
-                "phase_latency_cycles_total",
-                &phase,
-                counter,
-                false,
-                s.latency_cycles,
-            );
-            snap.push_scalar(
-                "phase_energy_pj_total",
-                &phase,
-                counter,
-                false,
-                s.energy_pj.round() as u64,
-            );
-            snap.push_scalar("phase_flit_hops_total", &phase, counter, false, s.flit_hops);
+            for (name, value) in [
+                ("phase_packets_delivered_total", s.delivered),
+                ("phase_packets_measured_total", s.packets),
+                ("phase_flits_measured_total", s.flits),
+                ("phase_latency_cycles_total", s.latency_cycles),
+                ("phase_energy_pj_total", s.energy_pj.round() as u64),
+                ("phase_flit_hops_total", s.flit_hops),
+            ] {
+                snap.push_scalar(name, &phase, counter, false, value);
+            }
         }
         for (li, n) in self.engine.link_flits().iter().enumerate() {
             let label = li.to_string();
@@ -684,12 +645,7 @@ impl Network {
     /// link and credit traffic contributes its earliest due) combined
     /// with the next unapplied fault-script event.
     pub fn next_event(&mut self) -> Cycle {
-        let now = self.engine.now();
-        let mut at = self.engine.next_event(now);
-        if let Some(tf) = self.hub.script.events().get(self.hub.script_pos) {
-            at = at.min(tf.at.max(now));
-        }
-        at
+        self.hub.next_event(&self.engine)
     }
 
     /// Advances the clock one cycle without simulating it. Sound only
@@ -700,32 +656,15 @@ impl Network {
         self.engine.tick_idle();
     }
 
-    /// Runs one simulation cycle.
-    pub fn step(&mut self) {
-        self.step_probed(&mut []);
-    }
-
     /// Runs one simulation cycle on the calling thread (both phases over
-    /// every shard in order — any shard count), reporting deliveries and
-    /// flit hops to `probes` (in addition to the built-in [`Collector`]).
-    ///
-    /// Probes are passive: attaching any combination of them leaves the
-    /// simulated behavior bit-identical.
-    pub fn step_probed(&mut self, probes: &mut [&mut dyn Probe]) {
-        while self.hub.script_pos < self.hub.script.events().len()
-            && self.hub.script.events()[self.hub.script_pos].at <= self.engine.now()
-        {
-            let tf = self.hub.script.events()[self.hub.script_pos];
-            self.hub.script_pos += 1;
-            apply_fault(
-                &self.topo,
-                self.routing.as_ref(),
-                &self.engine,
-                &mut self.hub,
-                tf,
-                probes,
-            );
-        }
+    /// every shard in order — any shard count).
+    pub fn step(&mut self) {
+        apply_due_faults(
+            &self.topo,
+            self.routing.as_ref(),
+            &self.engine,
+            &mut self.hub,
+        );
         let topo = &*self.topo.get_mut().expect("topology lock poisoned");
         let ctx = EngineCtx {
             topo,
@@ -737,7 +676,29 @@ impl Network {
             outport_links: &self.outport_links,
             inport_links: &self.inport_links,
         };
-        self.engine.step_serial(&ctx, &mut self.hub, probes);
+        self.engine.step_serial(&ctx, &mut self.hub);
+    }
+}
+
+/// Applies every scripted fault due at or before the current cycle, in
+/// script order.
+///
+/// A free function over the shared pieces so both drivers can call it:
+/// the serial path from [`Network::step`], the parallel path from
+/// the pool leader between cycles (every shard is locked up front, which
+/// is free — the workers are parked whenever this runs).
+pub(crate) fn apply_due_faults(
+    topo: &RwLock<SystemTopology>,
+    routing: &dyn Routing,
+    engine: &ShardedEngine,
+    hub: &mut Hub,
+) {
+    while let Some(&tf) = hub.script.events().get(hub.script_pos) {
+        if tf.at > engine.now() {
+            break;
+        }
+        hub.script_pos += 1;
+        apply_fault(topo, routing, engine, hub, tf);
     }
 }
 
@@ -746,18 +707,12 @@ impl Network {
 /// and retry-guarded links are blocked, unblocked, burst or lane-capped;
 /// hard failures additionally filter the routing tables where the
 /// topology allows (the mesh escape network must survive).
-///
-/// A free function over the shared pieces so both drivers can call it:
-/// the serial path from [`Network::step_probed`], the parallel path from
-/// the pool leader between cycles (every shard is locked up front, which
-/// is free — the workers are parked whenever this runs).
-pub(crate) fn apply_fault(
+fn apply_fault(
     topo: &RwLock<SystemTopology>,
     routing: &dyn Routing,
     engine: &ShardedEngine,
     hub: &mut Hub,
     tf: TimedFault,
-    probes: &mut [&mut dyn Probe],
 ) {
     let hard = matches!(
         tf.event,
@@ -895,13 +850,8 @@ pub(crate) fn apply_fault(
                 .insert(id.index());
         }
     }
-    for &(li, ev) in &emitted {
-        hub.collector.on_link_event(now, li, ev);
-    }
-    for p in probes.iter_mut() {
-        for &(li, ev) in &emitted {
-            p.on_link_event(now, li, ev);
-        }
+    for &(_, ev) in &emitted {
+        hub.collector.on_link_event(ev);
     }
     if let Some(ring) = hub.trace.as_mut() {
         // One event for the scripted fault itself, then one per link
@@ -1112,28 +1062,24 @@ mod tests {
     }
 
     #[test]
-    fn attached_probes_observe_the_run() {
-        use simkit::probe::{LinkUtilProbe, ProgressProbe};
-        let mut net = small_net(SystemKind::ParallelMesh);
-        let g = *net.topology().geometry();
-        net.offer(PacketRequest::new(g.node_at(0, 0), g.node_at(3, 3), 16));
-        let mut links = LinkUtilProbe::new(net.topology().links().len(), 16);
-        let mut progress = ProgressProbe::new(1);
-        let mut cycles = 0;
-        while net.live_packets() > 0 {
-            net.step_probed(&mut [&mut links, &mut progress]);
-            cycles += 1;
-            assert!(cycles < 500);
-        }
-        // The link probe saw exactly the flit-hops the network counted.
-        assert_eq!(links.totals(), net.link_flits());
-        assert_eq!(
-            links.totals().iter().sum::<u64>(),
-            links.bins().iter().sum::<u64>()
-        );
-        // ProgressProbe::on_cycle is driven by the run loop, not step();
-        // here we only check it stayed silent without on_cycle calls.
-        assert!(progress.snapshots().is_empty());
+    fn delivery_event_derived_metrics() {
+        let e = DeliveryEvent {
+            now: 100,
+            created: 60,
+            injected: 70,
+            hops: 5,
+            len: 16,
+            high_priority: false,
+            baseline_locked: false,
+            measured: true,
+            tag: 0,
+            onchip_pj: 10.0,
+            parallel_pj: 20.0,
+            serial_pj: 0.0,
+        };
+        assert_eq!(e.latency(), 40);
+        assert_eq!(e.net_latency(), 30);
+        assert!((e.total_pj() - 30.0).abs() < 1e-12);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! release B ──────────────────────▶ phase 2 (inject + route)
 //! phase 2 (shard 0)                 arrive back at gate A
 //! wait all at A
-//! merge stats/probes, advance clock (all workers parked)
+//! merge stats/traces, advance clock (all workers parked)
 //! ```
 //!
 //! The barrier between the phases is what makes cross-shard flit
@@ -25,22 +25,22 @@
 //! its destination router at the start of phase 2 — the same point in
 //! the cycle the serial media stage would have delivered it. All
 //! order-sensitive work (workload polling, fault scripting, stat and
-//! probe merging, packet-descriptor free) happens on the leader while
-//! every worker is parked, in an order that does not depend on worker
-//! scheduling — which is why a run at any thread count is bit-identical
-//! to the serial engine (the golden-trace matrix enforces this).
+//! trace merging, progress sampling, packet-descriptor free) happens on
+//! the leader while every worker is parked, in an order that does not
+//! depend on worker scheduling — which is why a run at any thread count
+//! is bit-identical to the serial engine (the golden-trace matrix
+//! enforces this).
 //!
 //! Shutdown is cooperative: a `stop` flag doubles as the gates' cancel
 //! signal, set on every exit path (normal completion, leader panic,
 //! worker panic) by a drop guard, so no thread is ever left parked.
 
 use crate::engine::{EngineCtx, Hub, ShardedEngine};
-use crate::network::{apply_fault, Collector, Network};
-use crate::sim::{drive, CycleDriver, RunOutcome, RunSpec};
+use crate::network::{apply_due_faults, Collector, Network};
+use crate::sim::{drive, CycleDriver, RunOutcome, RunSpec, Timeline};
 use chiplet_topo::SystemTopology;
 use chiplet_traffic::{PacketRequest, Workload};
 use simkit::par::{Gate, PanicSignal};
-use simkit::probe::Probe;
 use simkit::trace::{TraceEvent, TraceKind, NO_PID};
 use simkit::Cycle;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -83,15 +83,16 @@ impl Drop for StopOnDrop<'_> {
 }
 
 /// Runs the schedule with the cycle loop spread over the engine's shards.
-/// The workload and probes never leave the calling thread. A `halt_at`
-/// boundary (see [`crate::sim::run_until`]) returns `None` with the pool
-/// shut down cleanly and the engine parked at that cycle.
+/// The workload and the progress timeline never leave the calling
+/// thread. A `halt_at` boundary (see [`crate::sim::run_until`]) returns
+/// `None` with the pool shut down cleanly and the engine parked at that
+/// cycle.
 pub(crate) fn run_parallel(
     net: &mut Network,
     workload: &mut dyn Workload,
     spec: RunSpec,
-    probes: &mut [&mut dyn Probe],
     halt_at: Option<Cycle>,
+    timeline: Option<&mut Timeline>,
 ) -> Option<RunOutcome> {
     // Split the network into the worker-shared immutable description +
     // engine, and the leader-held mutable hub.
@@ -141,12 +142,11 @@ pub(crate) fn run_parallel(
                         inport_links,
                     };
                     let now = engine.now.load(Ordering::Relaxed);
-                    let record_hops = engine.record_hops.load(Ordering::Relaxed);
                     let measure_from = engine.measure_from.load(Ordering::Relaxed);
                     {
                         let store = engine.store.read().expect("store lock poisoned");
                         let mut sh = engine.shards[sid].lock().expect("shard lock poisoned");
-                        sh.phase1(&ctx, now, &store, &engine.mail, record_hops, &engine.part);
+                        sh.phase1(&ctx, now, &store, &engine.mail, &engine.part);
                     }
                     gates.b.arrive_and_wait(&gates.stop);
                     if gates.stop.load(Ordering::Acquire) {
@@ -177,7 +177,7 @@ pub(crate) fn run_parallel(
         // Establish the invariant every step relies on: all workers
         // parked at gate A before the leader's serial window opens.
         leader.sync(&gates.a);
-        drive(&mut leader, workload, spec, probes, halt_at)
+        drive(&mut leader, workload, spec, halt_at, timeline)
         // _stop_guard drops here, waking and terminating the pool; the
         // scope then joins every worker before returning.
     })
@@ -253,21 +253,11 @@ impl CycleDriver for Leader<'_> {
         self.engine.offer(req);
     }
 
-    fn step_probed(&mut self, probes: &mut [&mut dyn Probe]) {
-        while self.hub.script_pos < self.hub.script.events().len()
-            && self.hub.script.events()[self.hub.script_pos].at <= self.engine.now()
-        {
-            let tf = self.hub.script.events()[self.hub.script_pos];
-            self.hub.script_pos += 1;
-            // Safe to lock every shard: the pool is parked at gate A.
-            apply_fault(self.topo, self.routing, self.engine, self.hub, tf, probes);
-        }
+    fn step(&mut self) {
+        // Safe to lock every shard: the pool is parked at gate A.
+        apply_due_faults(self.topo, self.routing, self.engine, self.hub);
         let now = self.engine.now.load(Ordering::Relaxed);
         let measure_from = self.engine.measure_from.load(Ordering::Relaxed);
-        let record_hops = !probes.is_empty();
-        self.engine
-            .record_hops
-            .store(record_hops, Ordering::Relaxed);
         {
             let t = self.topo.read().expect("topology lock poisoned");
             let ctx = EngineCtx {
@@ -284,14 +274,7 @@ impl CycleDriver for Leader<'_> {
             {
                 let store = self.engine.store.read().expect("store lock poisoned");
                 let mut sh = self.engine.shards[0].lock().expect("shard lock poisoned");
-                sh.phase1(
-                    &ctx,
-                    now,
-                    &store,
-                    &self.engine.mail,
-                    record_hops,
-                    &self.engine.part,
-                );
+                sh.phase1(&ctx, now, &store, &self.engine.mail, &self.engine.part);
             }
             self.sync_observed(0, now);
             self.gates.b.release();
@@ -311,7 +294,7 @@ impl CycleDriver for Leader<'_> {
         }
         // Serial window again: fold per-shard observations in canonical
         // order and advance the clock.
-        if self.engine.merge(self.hub, now, probes) {
+        if self.engine.merge(self.hub) {
             self.hub.last_activity = now;
         }
         self.engine.now.store(now + 1, Ordering::Relaxed);
@@ -340,16 +323,7 @@ impl CycleDriver for Leader<'_> {
     }
 
     fn start_measurement(&mut self) {
-        self.engine.start_measurement();
-        if let Some(ring) = self.hub.trace.as_mut() {
-            ring.push(TraceEvent {
-                cycle: self.engine.now(),
-                kind: TraceKind::Phase,
-                pid: NO_PID,
-                a: 1, // warm-up → measure
-                b: 0,
-            });
-        }
+        self.hub.start_measurement(self.engine);
     }
 
     fn nodes(&self) -> u32 {
@@ -363,12 +337,7 @@ impl CycleDriver for Leader<'_> {
     fn next_event(&mut self) -> Cycle {
         // Serial window: the pool is parked at gate A, so locking every
         // shard (inside the engine's bound) is free and race-free.
-        let now = self.engine.now();
-        let mut at = self.engine.next_event(now);
-        if let Some(tf) = self.hub.script.events().get(self.hub.script_pos) {
-            at = at.min(tf.at.max(now));
-        }
-        at
+        self.hub.next_event(self.engine)
     }
 
     fn tick_idle(&mut self) {

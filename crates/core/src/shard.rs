@@ -30,6 +30,7 @@
 
 use crate::energy::EnergyModel;
 use crate::engine::EngineCtx;
+use crate::network::DeliveryEvent;
 use chiplet_noc::router::PipelineStage;
 use chiplet_noc::{
     CreditLine, DelayLine, Flit, FlitArena, FlitRef, PacketId, PacketInfo, PacketStore,
@@ -40,8 +41,7 @@ use chiplet_topo::routing::{RouteTable, Routing};
 use chiplet_topo::{LinkClass, LinkId, NodeId, SystemTopology};
 use simkit::codec::{ByteReader, ByteWriter, CodecError};
 use simkit::metrics::{MetricId, MetricsSlice};
-use simkit::probe::{DeliveryEvent, LinkEvent};
-use simkit::trace::{link_event_code, link_key, node_key, TraceKind, Tracer, NO_PID};
+use simkit::trace::{link_event_code, link_key, node_key, LinkEvent, TraceKind, Tracer, NO_PID};
 use simkit::{ActiveSet, Cycle, SimRng};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
@@ -351,7 +351,7 @@ pub(crate) struct Delivery {
     pub node: u32,
     /// The delivered packet (freed at merge).
     pub pid: PacketId,
-    /// The probe-facing event.
+    /// What the collector records for it.
     pub ev: DeliveryEvent,
 }
 
@@ -472,8 +472,7 @@ pub(crate) struct Shard {
     out_credits: Vec<Vec<CreditMsg>>,
     /// Order-sensitive observations, merged by the orchestrator.
     pub deliveries: Vec<Delivery>,
-    pub link_events: Vec<(u32, LinkEvent)>,
-    pub flit_hops: Vec<(u32, bool)>,
+    pub link_events: Vec<LinkEvent>,
     /// Structured trace events for this cycle ([`Tracer::Off`] unless the
     /// network enabled tracing; folded into the hub ring at merge).
     pub tracer: Tracer,
@@ -515,7 +514,6 @@ impl Shard {
             out_credits: (0..nshards).map(|_| Vec::new()).collect(),
             deliveries: Vec::new(),
             link_events: Vec::new(),
-            flit_hops: Vec::new(),
             tracer: Tracer::Off,
             metrics: None,
             activity: false,
@@ -532,7 +530,6 @@ impl Shard {
             && self.out_credits.iter().all(Vec::is_empty)
             && self.deliveries.is_empty()
             && self.link_events.is_empty()
-            && self.flit_hops.is_empty()
     }
 
     /// The earliest cycle ≥ `now` at which this shard can make progress,
@@ -569,7 +566,6 @@ impl Shard {
         now: Cycle,
         store: &PacketStore,
         mail: &Mail,
-        record_hops: bool,
         part: &Partition,
     ) {
         self.activity = false;
@@ -595,7 +591,7 @@ impl Shard {
             });
         }
         self.stage_credits(ctx, now);
-        self.stage_media(ctx, now, store, record_hops, part);
+        self.stage_media(ctx, now, store, part);
         for consumer in 0..part.nshards as usize {
             mail.flits
                 .append(sid, consumer, &mut self.out_flits[consumer]);
@@ -671,7 +667,6 @@ impl Shard {
         ctx: &EngineCtx<'_>,
         now: Cycle,
         store: &PacketStore,
-        record_hops: bool,
         part: &Partition,
     ) {
         let mut ids = std::mem::take(&mut self.ids);
@@ -688,7 +683,6 @@ impl Shard {
             arena,
             out_flits,
             link_events,
-            flit_hops,
             tracer,
             metrics,
             ..
@@ -699,134 +693,83 @@ impl Shard {
             let dst = link.dst.index();
             let dst_shard = part.node_shard[dst];
             let local = dst_shard == sid;
-            match media[li].as_mut().expect("stepping unowned medium") {
-                Medium::Plain { line, class } => {
-                    line.drain_ready(now, |fref| {
-                        let flit = arena.get(fref);
-                        link_flits[li] += 1;
-                        let info = store.get(flit.pid);
-                        match class {
-                            LinkClass::OnChip => {
-                                info.onchip_flits.fetch_add(1, Relaxed);
-                            }
-                            LinkClass::Parallel => {
-                                info.parallel_flits.fetch_add(1, Relaxed);
-                            }
-                            LinkClass::Serial => {
-                                info.serial_flits.fetch_add(1, Relaxed);
-                            }
-                            LinkClass::HeteroPhy => unreachable!(),
-                        }
-                        if flit.is_head() {
-                            info.hops.fetch_add(1, Relaxed);
-                        }
-                        if record_hops {
-                            flit_hops.push((li as u32, flit.is_head()));
-                        }
-                        tracer.emit(
-                            link_key(li as u32),
-                            now,
-                            TraceKind::Hop,
-                            flit.pid.0,
-                            li as u32,
-                            flit.is_head() as u32,
-                        );
-                        if local {
-                            routers[dst].receive(in_port, fref, flit.vc);
-                            active_routers.insert(dst);
-                        } else {
-                            let flit = arena.free(fref);
-                            out_flits[dst_shard as usize].push(FlitMsg {
-                                li: li as u32,
-                                flit,
-                            });
-                        }
+            let medium = media[li].as_mut().expect("stepping unowned medium");
+            {
+                let mut ev = |e: LinkEvent| {
+                    link_events.push(e);
+                    tracer.emit(
+                        link_key(li as u32),
+                        now,
+                        TraceKind::Link,
+                        NO_PID,
+                        li as u32,
+                        link_event_code(e),
+                    );
+                    if e == LinkEvent::Retransmit {
+                        // Recovery traffic is forward progress: it must
+                        // hold the deadlock watchdog off.
                         *activity = true;
+                    }
+                };
+                match &mut *medium {
+                    Medium::Plain { .. } => {}
+                    Medium::Guarded { line, .. } => {
+                        let lf = &mut faults.links[li];
+                        line.advance(now, arena, &mut || lf.draw(now), &mut ev);
+                    }
+                    Medium::Hetero(h) => h.advance_observed(now, &mut ev),
+                }
+            }
+            // Plain and retry-guarded links hand over arena handles.
+            let mut deliver = |fref: FlitRef, class: LinkClass| {
+                let flit = arena.get(fref);
+                link_flits[li] += 1;
+                let info = store.get(flit.pid);
+                match class {
+                    LinkClass::OnChip => {
+                        info.onchip_flits.fetch_add(1, Relaxed);
+                    }
+                    LinkClass::Parallel => {
+                        info.parallel_flits.fetch_add(1, Relaxed);
+                    }
+                    LinkClass::Serial => {
+                        info.serial_flits.fetch_add(1, Relaxed);
+                    }
+                    LinkClass::HeteroPhy => unreachable!(),
+                }
+                if flit.is_head() {
+                    info.hops.fetch_add(1, Relaxed);
+                }
+                tracer.emit(
+                    link_key(li as u32),
+                    now,
+                    TraceKind::Hop,
+                    flit.pid.0,
+                    li as u32,
+                    flit.is_head() as u32,
+                );
+                if local {
+                    routers[dst].receive(in_port, fref, flit.vc);
+                    active_routers.insert(dst);
+                } else {
+                    let flit = arena.free(fref);
+                    out_flits[dst_shard as usize].push(FlitMsg {
+                        li: li as u32,
+                        flit,
                     });
+                }
+                *activity = true;
+            };
+            match medium {
+                Medium::Plain { line, class } => {
+                    let class = *class;
+                    line.drain_ready(now, |fref| deliver(fref, class));
                 }
                 Medium::Guarded { line, class } => {
-                    {
-                        let lf = &mut faults.links[li];
-                        let mut corrupt = || lf.draw(now);
-                        let mut ev = |e: LinkEvent| {
-                            link_events.push((li as u32, e));
-                            tracer.emit(
-                                link_key(li as u32),
-                                now,
-                                TraceKind::Link,
-                                NO_PID,
-                                li as u32,
-                                link_event_code(e),
-                            );
-                            if e == LinkEvent::Retransmit {
-                                // Recovery traffic is forward progress: it
-                                // must hold the deadlock watchdog off.
-                                *activity = true;
-                            }
-                        };
-                        line.advance(now, arena, &mut corrupt, &mut ev);
-                    }
-                    line.drain_delivered(|fref| {
-                        let flit = arena.get(fref);
-                        link_flits[li] += 1;
-                        let info = store.get(flit.pid);
-                        match class {
-                            LinkClass::OnChip => {
-                                info.onchip_flits.fetch_add(1, Relaxed);
-                            }
-                            LinkClass::Parallel => {
-                                info.parallel_flits.fetch_add(1, Relaxed);
-                            }
-                            LinkClass::Serial => {
-                                info.serial_flits.fetch_add(1, Relaxed);
-                            }
-                            LinkClass::HeteroPhy => unreachable!(),
-                        }
-                        if flit.is_head() {
-                            info.hops.fetch_add(1, Relaxed);
-                        }
-                        if record_hops {
-                            flit_hops.push((li as u32, flit.is_head()));
-                        }
-                        tracer.emit(
-                            link_key(li as u32),
-                            now,
-                            TraceKind::Hop,
-                            flit.pid.0,
-                            li as u32,
-                            flit.is_head() as u32,
-                        );
-                        if local {
-                            routers[dst].receive(in_port, fref, flit.vc);
-                            active_routers.insert(dst);
-                        } else {
-                            let flit = arena.free(fref);
-                            out_flits[dst_shard as usize].push(FlitMsg {
-                                li: li as u32,
-                                flit,
-                            });
-                        }
-                        *activity = true;
-                    });
+                    let class = *class;
+                    line.drain_delivered(|fref| deliver(fref, class));
                 }
                 Medium::Hetero(h) => {
-                    {
-                        let mut ev = |e: LinkEvent| {
-                            link_events.push((li as u32, e));
-                            tracer.emit(
-                                link_key(li as u32),
-                                now,
-                                TraceKind::Link,
-                                NO_PID,
-                                li as u32,
-                                link_event_code(e),
-                            );
-                            if e == LinkEvent::Retransmit {
-                                *activity = true;
-                            }
-                        };
-                        h.advance_observed(now, &mut ev);
-                    }
                     while let Some((flit, kind)) = h.pop_delivered() {
                         link_flits[li] += 1;
                         let info = store.get(flit.pid);
@@ -844,9 +787,6 @@ impl Shard {
                         }
                         if flit.is_head() {
                             info.hops.fetch_add(1, Relaxed);
-                        }
-                        if record_hops {
-                            flit_hops.push((li as u32, flit.is_head()));
                         }
                         tracer.emit(
                             link_key(li as u32),
@@ -1207,7 +1147,7 @@ impl RouterEnv for ShardEnv<'_> {
     }
 }
 
-/// Builds the probe-facing summary of a packet at tail ejection.
+/// Builds the collector-facing summary of a packet at tail ejection.
 fn delivery_event(
     now: Cycle,
     info: &PacketInfo,

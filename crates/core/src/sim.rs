@@ -3,7 +3,6 @@
 use crate::network::{Collector, Network};
 use crate::results::SimResults;
 use chiplet_traffic::{PacketRequest, Workload};
-use simkit::probe::{CycleStats, Phase, Probe};
 use simkit::Cycle;
 
 /// How long to run each phase of a simulation.
@@ -90,6 +89,29 @@ pub struct RunOutcome {
     pub fault_stalled: bool,
 }
 
+/// One progress sample of a [`run_timeline`] run, read at the end of a
+/// sampled cycle.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sample {
+    /// The sampled cycle.
+    pub cycle: Cycle,
+    /// Packets alive anywhere (queued or in flight).
+    pub live: u64,
+    /// Packets waiting in source queues.
+    pub queued: u64,
+    /// Packets delivered so far (measured or not).
+    pub delivered_packets: u64,
+    /// Flits delivered so far.
+    pub delivered_flits: u64,
+}
+
+/// The progress sampler [`drive`] feeds: the sampling interval and the
+/// samples taken so far.
+pub(crate) struct Timeline {
+    every: Cycle,
+    samples: Vec<Sample>,
+}
+
 /// Runs `workload` on `net` according to `spec`.
 ///
 /// The workload is polled once per cycle through warm-up and measurement;
@@ -99,28 +121,35 @@ pub struct RunOutcome {
 ///
 /// If the deadlock watchdog fires, the run stops early with
 /// [`RunOutcome::deadlocked`] set instead of running out the clock.
-pub fn run(net: &mut Network, workload: &mut dyn Workload, spec: RunSpec) -> RunOutcome {
-    run_probed(net, workload, spec, &mut [])
-}
-
-/// Like [`run`], with observability probes attached.
-///
-/// Probes receive phase transitions, a per-cycle [`CycleStats`] snapshot,
-/// every packet delivery and every flit hop. They are passive: for any
-/// fixed network, workload and spec, the returned [`RunOutcome`] is
-/// bit-identical whatever probes are attached.
 ///
 /// Networks built with [`crate::SimConfig::shard_threads`] > 1 run their
 /// cycle loop on a persistent worker pool (one thread per shard); the
-/// workload and probes stay on the calling thread, and the outcome is
-/// bit-identical to the serial engine's.
-pub fn run_probed(
+/// workload stays on the calling thread, and the outcome is bit-identical
+/// to the serial engine's.
+pub fn run(net: &mut Network, workload: &mut dyn Workload, spec: RunSpec) -> RunOutcome {
+    dispatch(net, workload, spec, None, None).expect("a run without a halt point completes")
+}
+
+/// Like [`run`], and also samples the network's progress at the end of
+/// every cycle that is a multiple of `every` (clamped to at least 1),
+/// through warm-up, measurement and drain.
+///
+/// Sampling only reads counters, so the outcome is bit-identical to
+/// [`run`]'s, and idle-skip stays on: a skipped cycle is sampled like a
+/// stepped one.
+pub fn run_timeline(
     net: &mut Network,
     workload: &mut dyn Workload,
     spec: RunSpec,
-    probes: &mut [&mut dyn Probe],
-) -> RunOutcome {
-    dispatch(net, workload, spec, probes, None).expect("a run without a halt point completes")
+    every: Cycle,
+) -> (RunOutcome, Vec<Sample>) {
+    let mut timeline = Timeline {
+        every: every.max(1),
+        samples: Vec::new(),
+    };
+    let outcome = dispatch(net, workload, spec, None, Some(&mut timeline))
+        .expect("a run without a halt point completes");
+    (outcome, timeline.samples)
 }
 
 /// Like [`run`], but halts at the start of cycle `halt_at` — before that
@@ -148,43 +177,32 @@ pub fn run_until(
     spec: RunSpec,
     halt_at: Cycle,
 ) -> Option<RunOutcome> {
-    run_until_probed(net, workload, spec, &mut [], halt_at)
-}
-
-/// [`run_until`] with observability probes attached.
-pub fn run_until_probed(
-    net: &mut Network,
-    workload: &mut dyn Workload,
-    spec: RunSpec,
-    probes: &mut [&mut dyn Probe],
-    halt_at: Cycle,
-) -> Option<RunOutcome> {
-    dispatch(net, workload, spec, probes, Some(halt_at))
+    dispatch(net, workload, spec, Some(halt_at), None)
 }
 
 fn dispatch(
     net: &mut Network,
     workload: &mut dyn Workload,
     spec: RunSpec,
-    probes: &mut [&mut dyn Probe],
     halt_at: Option<Cycle>,
+    timeline: Option<&mut Timeline>,
 ) -> Option<RunOutcome> {
     if net.num_shards() > 1 {
-        crate::parallel::run_parallel(net, workload, spec, probes, halt_at)
+        crate::parallel::run_parallel(net, workload, spec, halt_at, timeline)
     } else {
-        drive(net, workload, spec, probes, halt_at)
+        drive(net, workload, spec, halt_at, timeline)
     }
 }
 
 /// One cycle-loop endpoint the driver can run: the serial [`Network`]
 /// itself, or the parallel pool leader ([`crate::parallel`]). Both expose
 /// the same observable surface, so the warm-up/measure/drain schedule,
-/// the watchdog and the probe protocol live in exactly one place —
+/// the watchdog and the progress sampler live in exactly one place —
 /// [`drive`] — whatever the execution backend.
 pub(crate) trait CycleDriver {
     fn now(&self) -> Cycle;
     fn offer(&mut self, req: PacketRequest);
-    fn step_probed(&mut self, probes: &mut [&mut dyn Probe]);
+    fn step(&mut self);
     fn live_packets(&self) -> usize;
     fn queued_packets(&self) -> usize;
     fn collector(&self) -> &Collector;
@@ -215,8 +233,8 @@ impl CycleDriver for Network {
     fn offer(&mut self, req: PacketRequest) {
         Network::offer(self, req);
     }
-    fn step_probed(&mut self, probes: &mut [&mut dyn Probe]) {
-        Network::step_probed(self, probes);
+    fn step(&mut self) {
+        Network::step(self);
     }
     fn live_packets(&self) -> usize {
         Network::live_packets(self)
@@ -259,13 +277,14 @@ impl CycleDriver for Network {
 /// run. On a fresh driver (`now == 0`) this is the classic schedule.
 /// `halt_at` stops the run at the start of that cycle (before its
 /// workload poll) and returns `None`; the driver is then parked at a
-/// between-cycles boundary.
+/// between-cycles boundary. A `timeline` is sampled at the end of each
+/// of its cycles, whether that cycle was stepped or skipped.
 pub(crate) fn drive<D: CycleDriver>(
     net: &mut D,
     workload: &mut dyn Workload,
     spec: RunSpec,
-    probes: &mut [&mut dyn Probe],
     halt_at: Option<Cycle>,
+    mut timeline: Option<&mut Timeline>,
 ) -> Option<RunOutcome> {
     let initial = net.now();
     if let Some(h) = halt_at {
@@ -288,9 +307,8 @@ pub(crate) fn drive<D: CycleDriver>(
     // offer or real step invalidates the cache. The workload is still
     // polled every cycle (its RNG draws are per-cycle) and the halt/
     // watchdog checks below run unchanged, so phase boundaries, halt
-    // points and watchdog aborts land on the identical cycles. Probes
-    // keep the per-cycle step so `on_cycle` timing stays exact.
-    let skip = net.skip_enabled() && probes.is_empty();
+    // points and watchdog aborts land on the identical cycles.
+    let skip = net.skip_enabled();
     let mut skip_until: Cycle = 0;
     // Ejection feedback for dependency-driven workloads: cumulative
     // per-tag delivered counts copied out of the collector once per cycle
@@ -300,14 +318,7 @@ pub(crate) fn drive<D: CycleDriver>(
     // for untagged workloads.
     let mut tag_scratch: Vec<u64> = Vec::new();
 
-    macro_rules! phase_change {
-        ($phase:expr) => {
-            for p in probes.iter_mut() {
-                p.on_phase_change(net.now(), $phase);
-            }
-        };
-    }
-    // One cycle: poll (optionally), step with probes, sample, watchdog.
+    // One cycle: poll (optionally), step or skip, sample, watchdog.
     macro_rules! cycle {
         ($poll:expr) => {{
             if $poll {
@@ -332,21 +343,22 @@ pub(crate) fn drive<D: CycleDriver>(
                 if net.now() < skip_until {
                     net.tick_idle();
                 } else {
-                    net.step_probed(probes);
+                    net.step();
                     skip_until = 0;
                 }
             } else {
-                net.step_probed(probes);
+                net.step();
             }
-            if !probes.is_empty() {
-                let stats = CycleStats {
-                    live_packets: net.live_packets() as u64,
-                    queued_packets: net.queued_packets() as u64,
-                    delivered_packets: net.collector().delivered_packets,
-                    delivered_flits: net.collector().delivered_flits,
-                };
-                for p in probes.iter_mut() {
-                    p.on_cycle(net.now() - 1, &stats);
+            if let Some(t) = timeline.as_deref_mut() {
+                let cycle = net.now() - 1;
+                if cycle.is_multiple_of(t.every) {
+                    t.samples.push(Sample {
+                        cycle,
+                        live: net.live_packets() as u64,
+                        queued: net.queued_packets() as u64,
+                        delivered_packets: net.collector().delivered_packets,
+                        delivered_flits: net.collector().delivered_flits,
+                    });
                 }
             }
             if net.live_packets() > 0 && net.idle_cycles() > spec.watchdog {
@@ -362,7 +374,6 @@ pub(crate) fn drive<D: CycleDriver>(
         }};
     }
 
-    phase_change!(Phase::Warmup);
     if initial <= spec.warmup {
         while net.now() < spec.warmup {
             if halt_at == Some(net.now()) {
@@ -382,7 +393,6 @@ pub(crate) fn drive<D: CycleDriver>(
         // the restored `measure_from` already marks the original start.
         net.start_measurement();
     }
-    phase_change!(Phase::Measure);
     let measure_start = if initial > spec.warmup {
         spec.warmup
     } else {
@@ -408,7 +418,6 @@ pub(crate) fn drive<D: CycleDriver>(
     // signal: everything offered but not yet delivered.
     let backlog = net.live_packets() as u64;
     let mut drained = net.live_packets() == 0;
-    phase_change!(Phase::Drain);
     if !(deadlocked || fault_stalled) {
         for _ in 0..spec.drain {
             if net.live_packets() == 0 && (!spec.drain_offers || workload.done()) {
@@ -547,45 +556,6 @@ mod tests {
         let mut w = SyntheticWorkload::new(nodes, TrafficPattern::Uniform, 0.02, 16, 7);
         let out = run(&mut n, &mut w, RunSpec::smoke());
         assert!(!out.deadlocked);
-        assert!(out.drained);
-    }
-
-    #[test]
-    fn probes_receive_phases_cycles_and_deliveries() {
-        #[derive(Default)]
-        struct Recorder {
-            phases: Vec<Phase>,
-            cycles: u64,
-            deliveries: u64,
-            flit_hops: u64,
-        }
-        impl Probe for Recorder {
-            fn on_phase_change(&mut self, _now: Cycle, phase: Phase) {
-                self.phases.push(phase);
-            }
-            fn on_cycle(&mut self, _now: Cycle, _stats: &CycleStats) {
-                self.cycles += 1;
-            }
-            fn on_packet_delivered(&mut self, _ev: &simkit::probe::DeliveryEvent) {
-                self.deliveries += 1;
-            }
-            fn on_flit_hop(&mut self, _now: Cycle, _link: u32, _is_head: bool) {
-                self.flit_hops += 1;
-            }
-        }
-        let geom = Geometry::new(2, 2, 2, 2);
-        let mut n = net(SystemKind::ParallelMesh, geom);
-        let nodes = (0..geom.nodes()).map(chiplet_topo::NodeId).collect();
-        let mut w = SyntheticWorkload::new(nodes, TrafficPattern::Uniform, 0.05, 16, 7);
-        let mut rec = Recorder::default();
-        let out = run_probed(&mut n, &mut w, RunSpec::smoke(), &mut [&mut rec]);
-        assert_eq!(
-            rec.phases,
-            vec![Phase::Warmup, Phase::Measure, Phase::Drain]
-        );
-        assert!(rec.cycles >= RunSpec::smoke().warmup + RunSpec::smoke().measure);
-        assert_eq!(rec.deliveries, n.collector().delivered_packets);
-        assert_eq!(rec.flit_hops, n.link_flits().iter().sum::<u64>());
         assert!(out.drained);
     }
 }

@@ -107,8 +107,8 @@ impl<T: Copy> DelayLine<T> {
     /// Delivers every flit whose time has arrived to `sink`, in order.
     ///
     /// Equivalent to looping [`Self::pop_ready`], as a single call site
-    /// for per-hop observability (the engine forwards each delivery to
-    /// its flit-hop probes).
+    /// for per-hop accounting (the engine counts and traces each
+    /// delivery as a flit hop).
     pub fn drain_ready(&mut self, now: Cycle, mut sink: impl FnMut(T)) {
         while let Some(flit) = self.pop_ready(now) {
             sink(flit);

@@ -27,7 +27,7 @@
 use crate::arena::{FlitArena, FlitRef};
 use crate::flit::Flit;
 use simkit::codec::{ByteReader, ByteWriter, CodecError, SaveState};
-use simkit::probe::LinkEvent;
+use simkit::trace::LinkEvent;
 use simkit::Cycle;
 use std::collections::VecDeque;
 

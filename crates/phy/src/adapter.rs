@@ -27,7 +27,7 @@
 use crate::policy::PhyPolicy;
 use chiplet_noc::{Flit, OrderClass, Priority};
 use simkit::codec::{ByteReader, ByteWriter, CodecError, LoadState, SaveState};
-use simkit::probe::LinkEvent;
+use simkit::trace::LinkEvent;
 use simkit::{Cycle, SimRng};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -310,15 +310,21 @@ fn parse_job(v: &Json) -> Result<JobSpec, ApiError> {
 /// Parses the `"workload"` field: `dnn:<spec>` generates the
 /// chiplet-mapped DNN phase graph over this geometry's nodes; inline
 /// `#hetero-phase-trace` text (as captured by `hetero-sim
-/// --capture-trace`) replays bit-identically. The server never reads
-/// files on the client's behalf.
+/// --capture-trace`) replays bit-identically, once its node ids are
+/// checked against the geometry. The server never reads files on the
+/// client's behalf.
 fn parse_workload(text: &str, geom: Geometry) -> Result<PhaseGraph, ApiError> {
     if let Some(rest) = text.strip_prefix("dnn:") {
         let spec = DnnSpec::parse(rest).map_err(|e| err(format!("bad dnn workload: {e}")))?;
         let nodes: Vec<NodeId> = (0..geom.nodes()).map(NodeId).collect();
         Ok(PhaseGraph::dnn(&spec, &nodes))
     } else if text.starts_with("#hetero-phase-trace") {
-        PhaseGraph::from_text(text).map_err(|e| err(format!("bad phase trace: {e}")))
+        let graph =
+            PhaseGraph::from_text(text).map_err(|e| err(format!("bad phase trace: {e}")))?;
+        graph
+            .check_nodes(geom.nodes())
+            .map_err(|e| err(format!("bad phase trace: {e}")))?;
+        Ok(graph)
     } else {
         Err(err(
             "workload must be dnn:<spec> or inline #hetero-phase-trace text",
@@ -458,6 +464,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn self_addressed_trace_event_is_rejected() {
+        let body = r##"{"jobs": [{"preset": "hetero-phy-full", "workload":
+            "#hetero-phase-trace v1\nphase a compute=0 deps=\nev 0,3,3,16,unordered,normal\n"}]}"##;
+        let e = BatchRequest::parse(body).expect_err(body);
+        assert!(e.0.contains("self-addressed"), "{}", e.0);
+    }
+
+    #[test]
+    fn out_of_range_trace_node_is_rejected() {
+        let body = r##"{"jobs": [{"preset": "hetero-phy-full", "workload":
+            "#hetero-phase-trace v1\nphase a compute=0 deps=\nev 0,0,99,16,unordered,normal\n"}]}"##;
+        let e = BatchRequest::parse(body).expect_err(body);
+        assert!(e.0.contains("16-node"), "{}", e.0);
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //!   every experiment is exactly reproducible.
 //! * [`stats`] — streaming statistics (mean/variance/min/max), histograms
 //!   and windowed rate meters used to report latency and throughput.
-//! * [`probe`] — the [`probe::Probe`] observer trait and ready-made probes
-//!   (progress snapshots, link-utilization timelines, CSV/JSONL sinks).
 //! * [`active`] — the [`active::ActiveSet`] bitset behind the engine's
 //!   skip-idle-components scheduler.
 //! * [`par`] — the order-preserving worker pool ([`par::map`]) behind
@@ -21,8 +19,10 @@
 //!   slices folded deterministically at snapshot time, with Prometheus
 //!   and JSONL exporters.
 //! * [`trace`] — cycle-attributed structured tracing: a zero-cost-when-
-//!   disabled [`trace::Tracer`], a bounded [`trace::TraceRing`], and
-//!   JSONL / Chrome `trace_event` exporters.
+//!   disabled [`trace::Tracer`], a bounded [`trace::TraceRing`],
+//!   JSONL / Chrome `trace_event` exporters, and the
+//!   [`trace::LinkEvent`] link-integrity events the retry and fault
+//!   machinery emits.
 //! * [`json`] — a dependency-free JSON tree, writer and parser used by the
 //!   bench harness so machine-read reports are emitted through a codec
 //!   instead of hand-rolled `format!` strings.
@@ -53,7 +53,6 @@ pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod par;
-pub mod probe;
 pub mod rng;
 pub mod stats;
 pub mod trace;
@@ -63,10 +62,9 @@ pub use codec::{ByteReader, ByteWriter, CodecError, LoadState, SaveState};
 pub use hash::Sha256;
 pub use metrics::{MetricId, MetricKind, MetricsRegistry, MetricsSlice, MetricsSnapshot};
 pub use par::Gate;
-pub use probe::{CycleStats, DeliveryEvent, LinkEvent, Phase, Probe};
 pub use rng::SimRng;
 pub use stats::{Histogram, Running, Windowed};
-pub use trace::{TraceEvent, TraceFilter, TraceKind, TraceRing, Tracer};
+pub use trace::{LinkEvent, TraceEvent, TraceFilter, TraceKind, TraceRing, Tracer};
 
 /// A simulated clock cycle count.
 ///

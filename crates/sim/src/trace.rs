@@ -65,7 +65,7 @@ pub enum TraceKind {
     /// `a` = link id, `b` = PHY lane (0 = parallel, 1 = serial).
     PhyDispatch = 6,
     /// A link-integrity event (corruption, NAK, retransmit, failover,
-    /// scripted up/down). `a` = link id, `b` = [`crate::probe::LinkEvent`]
+    /// scripted up/down). `a` = link id, `b` = [`LinkEvent`]
     /// code (see [`link_event_code`]).
     Link = 7,
     /// A scripted fault was applied. `a` = link id (or `u32::MAX` for
@@ -211,10 +211,41 @@ impl TraceFilter {
     }
 }
 
-/// Stable numeric code for a [`crate::probe::LinkEvent`], carried in the
-/// `b` field of [`TraceKind::Link`] events.
-pub fn link_event_code(ev: crate::probe::LinkEvent) -> u32 {
-    use crate::probe::LinkEvent as E;
+/// A link-integrity event observed on one directed link.
+///
+/// Emitted by the fault-injection and retry machinery: wire corruption,
+/// go-back-N recovery traffic, and scripted fault transitions. The
+/// engine counts them in its collector and traces them as
+/// [`TraceKind::Link`] events; the protocol state machines run
+/// identically whether anyone listens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LinkEvent {
+    /// A flit was corrupted on the wire (detected by the receiver's CRC).
+    Corrupt,
+    /// The receiver requested a go-back-N replay (NAK).
+    RetryNak,
+    /// The transmitter replayed one flit from its replay buffer.
+    Retransmit,
+    /// The transmitter's retry timeout expired and forced a replay.
+    RetryTimeout,
+    /// A scripted hard failure took one PHY of a link down.
+    PhyDown,
+    /// A scripted event restored a previously failed PHY.
+    PhyUp,
+    /// A scripted hard failure took a whole link down.
+    LinkDown,
+    /// A scripted event restored a previously downed link.
+    LinkUp,
+    /// A hetero-PHY adapter shifted traffic onto its surviving PHY.
+    Failover,
+    /// A scripted lane degrade reduced a link's bandwidth.
+    Degrade,
+}
+
+/// Stable numeric code for a [`LinkEvent`], carried in the `b` field of
+/// [`TraceKind::Link`] events.
+pub fn link_event_code(ev: LinkEvent) -> u32 {
+    use LinkEvent as E;
     match ev {
         E::Corrupt => 0,
         E::RetryNak => 1,

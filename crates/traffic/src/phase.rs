@@ -142,6 +142,19 @@ impl PhaseGraph {
         &self.phases
     }
 
+    /// Checks that every event names nodes of a `nodes`-node system.
+    ///
+    /// # Errors
+    ///
+    /// Names the first event whose source or destination is out of range.
+    pub fn check_nodes(&self, nodes: u32) -> Result<(), String> {
+        let reqs = self
+            .phases
+            .iter()
+            .flat_map(|p| p.events.iter().map(|(_, r)| r));
+        crate::trace::check_node_range(reqs, nodes)
+    }
+
     /// The tag stamped on phase `idx`'s packets (`idx + 1`; 0 is
     /// reserved for untagged traffic).
     pub fn tag_of(idx: usize) -> u16 {
@@ -378,9 +391,10 @@ impl PhaseGraph {
     /// # Errors
     ///
     /// Returns a [`ParseTraceError`] naming the offending line for a
-    /// missing/unsupported header, a malformed `phase`/`ev` line, an
-    /// `ev` before any `phase`, or a dependency index that is not an
-    /// earlier phase.
+    /// missing/unsupported header, a malformed `phase`/`ev` line, a
+    /// self-addressed `ev`, an `ev` before any `phase`, or a dependency
+    /// index that is not an earlier phase. Node ids are checked against
+    /// a system separately, by [`PhaseGraph::check_nodes`].
     pub fn from_text(s: &str) -> Result<Self, ParseTraceError> {
         let mut phases: Vec<PhaseSpec> = Vec::new();
         let mut saw_header = false;
@@ -448,6 +462,9 @@ impl PhaseGraph {
                 let t: Cycle = f[0].parse().map_err(|_| err("bad ev cycle".into()))?;
                 let src = NodeId(f[1].parse().map_err(|_| err("bad ev src".into()))?);
                 let dst = NodeId(f[2].parse().map_err(|_| err("bad ev dst".into()))?);
+                if src == dst {
+                    return Err(err("self-addressed ev".into()));
+                }
                 let len: u16 = f[3].parse().map_err(|_| err("bad ev len".into()))?;
                 if len == 0 {
                     return Err(err("zero-length packet".into()));
@@ -942,11 +959,29 @@ mod tests {
                 &format!("{PHASE_TRACE_HEADER}\nphase a compute=1 deps=\nev 0,0,1\n"),
                 "expected 6",
             ),
+            (
+                &format!(
+                    "{PHASE_TRACE_HEADER}\nphase a compute=1 deps=\nev 0,3,3,16,unordered,normal\n"
+                ),
+                "self-addressed",
+            ),
             ("", "empty input"),
         ] {
             let e = PhaseGraph::from_text(bad).unwrap_err();
             assert!(e.reason.contains(what), "'{bad}' -> {e}");
         }
+    }
+
+    #[test]
+    fn node_range_check_covers_every_phase() {
+        let g = PhaseGraph::from_text(&format!(
+            "{PHASE_TRACE_HEADER}\nphase a compute=1 deps=\nev 0,0,1,4,inorder,normal\n\
+             phase b compute=1 deps=0\nev 0,0,99,4,inorder,normal\n"
+        ))
+        .unwrap();
+        assert_eq!(g.check_nodes(100), Ok(()));
+        let e = g.check_nodes(16).unwrap_err();
+        assert!(e.contains("0 -> 99"), "{e}");
     }
 
     #[test]

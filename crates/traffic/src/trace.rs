@@ -118,6 +118,15 @@ impl TraceWorkload {
         self.events.last().map_or(0, |&(t, _)| t)
     }
 
+    /// Checks that every event names nodes of a `nodes`-node system.
+    ///
+    /// # Errors
+    ///
+    /// Names the first event whose source or destination is out of range.
+    pub fn check_nodes(&self, nodes: u32) -> Result<(), String> {
+        check_node_range(self.events.iter().map(|(_, r)| r), nodes)
+    }
+
     /// Rescales event times by `factor` (e.g. 0.5 halves all gaps — the
     /// "injection scale" axis of Figs. 13/15).
     ///
@@ -192,7 +201,9 @@ impl TraceWorkload {
     /// # Errors
     ///
     /// Returns [`ParseTraceError`] naming the offending line when a row is
-    /// malformed or the ordering is ambiguous as described above.
+    /// malformed or self-addressed, or the ordering is ambiguous as
+    /// described above. Node ids are checked against a system
+    /// separately, by [`TraceWorkload::check_nodes`].
     pub fn from_csv(s: &str) -> Result<Self, ParseTraceError> {
         let mut events = Vec::new();
         let mut cycles_seen: std::collections::HashSet<Cycle> = std::collections::HashSet::new();
@@ -215,6 +226,9 @@ impl TraceWorkload {
             let t: Cycle = f[0].parse().map_err(|_| err("bad cycle"))?;
             let src = NodeId(f[1].parse().map_err(|_| err("bad src"))?);
             let dst = NodeId(f[2].parse().map_err(|_| err("bad dst"))?);
+            if src == dst {
+                return Err(err("self-addressed packet"));
+            }
             let len: u16 = f[3].parse().map_err(|_| err("bad len"))?;
             if len == 0 {
                 return Err(err("zero-length packet"));
@@ -280,6 +294,29 @@ impl TraceWorkload {
         Self::from_csv(&s)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
+}
+
+/// The one node-range check for replayed traffic: every request's source
+/// and destination must be a node of a `nodes`-node system. Trace files
+/// carry raw node ids, so a trace captured on a larger system (or edited
+/// by hand) can name nodes the system being built does not have.
+///
+/// # Errors
+///
+/// Names the first request with an out-of-range endpoint.
+pub(crate) fn check_node_range<'a>(
+    reqs: impl IntoIterator<Item = &'a PacketRequest>,
+    nodes: u32,
+) -> Result<(), String> {
+    for r in reqs {
+        if r.src.0 >= nodes || r.dst.0 >= nodes {
+            return Err(format!(
+                "packet {} -> {} names a node outside this {nodes}-node system",
+                r.src.0, r.dst.0
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// A malformed trace row.
@@ -427,11 +464,23 @@ mod tests {
             ("1,1,2,0,inorder,normal", "zero-length packet"),
             ("1,1,2,3,sideways,normal", "bad class"),
             ("1,1,2,3,inorder,urgent", "bad priority"),
+            ("1,3,3,16,unordered,normal", "self-addressed"),
         ] {
             let e = TraceWorkload::from_csv(bad).unwrap_err();
             assert!(e.reason.contains(reason), "{bad} -> {e}");
             assert!(e.to_string().contains("trace line"));
         }
+    }
+
+    #[test]
+    fn node_range_check_names_the_offending_packet() {
+        let t =
+            TraceWorkload::from_csv("0,0,15,4,inorder,normal\n1,0,99,4,inorder,normal\n").unwrap();
+        assert_eq!(t.check_nodes(100), Ok(()));
+        let e = t.check_nodes(16).unwrap_err();
+        assert!(e.contains("0 -> 99") && e.contains("16-node"), "{e}");
+        let t = TraceWorkload::from_csv("0,16,1,4,inorder,normal\n").unwrap();
+        assert!(t.check_nodes(16).is_err());
     }
 
     #[test]

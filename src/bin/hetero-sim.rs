@@ -19,11 +19,10 @@ use chiplet_traffic::{
 };
 use hetero_estimate::{EstimateRequest, Estimator};
 use hetero_if::presets::NetworkKind;
-use hetero_if::sim::{run_probed, run_until, RunOutcome, RunSpec};
+use hetero_if::sim::{run, run_timeline, run_until, RunOutcome, RunSpec, Sample};
 use hetero_if::sweep::{default_rate_ladder, latency_sweep, latency_sweep_warm_start, SweepPoint};
 use hetero_if::{Network, SchedulingProfile, SimConfig, SimResults};
 use simkit::codec::{ByteReader, ByteWriter, LoadState, SaveState};
-use simkit::probe::{LinkUtilProbe, ProgressProbe};
 use simkit::{Cycle, TraceFilter};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -387,8 +386,8 @@ fn print_outcome(outcome: &RunOutcome) {
     }
 }
 
-/// Runs one simulation with the probe selected by `--probe` attached and
-/// prints the probe's report after the results.
+/// Runs one simulation and prints the report `--probe` selects after
+/// the results: a progress timeline, or the busiest links.
 fn run_with_probes(
     net: &mut Network,
     w: &mut dyn Workload,
@@ -396,28 +395,26 @@ fn run_with_probes(
     probe: ProbeKind,
 ) -> RunOutcome {
     match probe {
-        ProbeKind::None => run_probed(net, w, spec, &mut []),
+        ProbeKind::None => run(net, w, spec),
         ProbeKind::Progress => {
             let total = spec.warmup + spec.measure + spec.drain;
-            let mut progress = ProgressProbe::new((total / 20).max(1));
-            let outcome = run_probed(net, w, spec, &mut [&mut progress]);
+            let (outcome, samples) = run_timeline(net, w, spec, (total / 20).max(1));
             println!("\nprogress timeline:");
-            for line in progress.report() {
+            for line in progress_report(&samples) {
                 println!("  {line}");
             }
             outcome
         }
         ProbeKind::Links => {
-            let links = net.topology().links().len();
-            let mut util = LinkUtilProbe::new(links, ((spec.warmup + spec.measure) / 64).max(1));
-            let outcome = run_probed(net, w, spec, &mut [&mut util]);
+            let outcome = run(net, w, spec);
+            let link_flits = net.link_flits();
             let cycles = net.now().max(1);
-            println!("\nbusiest links (of {links}):");
+            println!("\nbusiest links (of {}):", link_flits.len());
             println!(
                 "  {:>6} {:>16} {:>10} {:>12}",
                 "link", "route", "flits", "flits/cycle"
             );
-            for (li, flits) in util.busiest(10) {
+            for (li, flits) in busiest_links(&link_flits, 10) {
                 let topo = net.topology();
                 let l = topo.link(LinkId(li));
                 println!(
@@ -432,6 +429,41 @@ fn run_with_probes(
             outcome
         }
     }
+}
+
+/// The progress table: one line per sample, with the delivered-flit rate
+/// over the interval since the previous sample.
+fn progress_report(samples: &[Sample]) -> Vec<String> {
+    let mut out = vec![format!(
+        "{:>10} {:>10} {:>10} {:>12} {:>12}",
+        "cycle", "live", "queued", "delivered", "flits/cycle"
+    )];
+    let mut prev: Option<&Sample> = None;
+    for s in samples {
+        let rate = prev.map_or(0.0, |p| {
+            (s.delivered_flits - p.delivered_flits) as f64 / (s.cycle - p.cycle) as f64
+        });
+        out.push(format!(
+            "{:>10} {:>10} {:>10} {:>12} {:>12.3}",
+            s.cycle, s.live, s.queued, s.delivered_packets, rate
+        ));
+        prev = Some(s);
+    }
+    out
+}
+
+/// The `k` links that carried the most flits, as `(link, flits)`:
+/// busiest first, ties by ascending link id, idle links left out.
+fn busiest_links(link_flits: &[u64], k: usize) -> Vec<(u32, u64)> {
+    let mut v: Vec<(u32, u64)> = link_flits
+        .iter()
+        .enumerate()
+        .filter(|&(_, &f)| f > 0)
+        .map(|(i, &f)| (i as u32, f))
+        .collect();
+    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    v.truncate(k);
+    v
 }
 
 fn main() {
@@ -650,6 +682,10 @@ fn main() {
                 std::process::exit(1);
             }
         };
+        if let Err(e) = trace.check_nodes(geom.nodes()) {
+            eprintln!("trace {path}: {e}");
+            std::process::exit(2);
+        }
         println!(
             "replaying {} events from {path} (horizon {} cycles)",
             trace.len(),
@@ -758,10 +794,15 @@ fn build_phase_graph(args: &Args, geom: Geometry) -> PhaseGraph {
         PhaseGraph::dnn(&dnn, &nodes)
     } else {
         let path = args.workload_trace.as_ref().expect("one source is set");
-        PhaseGraph::load(path).unwrap_or_else(|e| {
+        let graph = PhaseGraph::load(path).unwrap_or_else(|e| {
             eprintln!("cannot load phase trace {path}: {e}");
             std::process::exit(1);
-        })
+        });
+        if let Err(e) = graph.check_nodes(geom.nodes()) {
+            eprintln!("phase trace {path}: {e}");
+            std::process::exit(2);
+        }
+        graph
     }
 }
 
@@ -1009,7 +1050,7 @@ fn run_checkpointed(
             Some(outcome) => return outcome, // stalled before the snapshot
         }
     }
-    run_probed(net, w, spec, &mut [])
+    run(net, w, spec)
 }
 
 /// CLI checkpoint file layout: `u64-LE engine-blob length | engine blob
@@ -1113,5 +1154,41 @@ fn export_observability(net: &Network, args: &Args) {
         } else {
             println!("wrote {} trace events to {path}", ring.len());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn busiest_links_ranks_by_flits_then_link_id() {
+        let flits = [5, 0, 9, 5, 0, 1, 9];
+        // Busiest first; equal counts in ascending link id; idle links
+        // never appear.
+        assert_eq!(
+            busiest_links(&flits, 10),
+            vec![(2, 9), (6, 9), (0, 5), (3, 5), (5, 1)]
+        );
+        // Truncated to k.
+        assert_eq!(busiest_links(&flits, 3), vec![(2, 9), (6, 9), (0, 5)]);
+        assert!(busiest_links(&[0, 0], 4).is_empty());
+        assert!(busiest_links(&flits, 0).is_empty());
+    }
+
+    #[test]
+    fn progress_report_rates_each_interval() {
+        let samples: Vec<Sample> = (0..4)
+            .map(|i| Sample {
+                cycle: i * 10,
+                delivered_flits: i * 20,
+                ..Sample::default()
+            })
+            .collect();
+        let report = progress_report(&samples);
+        assert_eq!(report.len(), 5); // header + 4 rows
+        assert!(report[1].trim_end().ends_with("0.000"));
+        // Steady 2 flits/cycle shows up in every later interval.
+        assert!(report[2..].iter().all(|l| l.trim_end().ends_with("2.000")));
     }
 }
