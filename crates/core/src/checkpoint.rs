@@ -716,7 +716,7 @@ impl Network {
 
         // Replay hard-fault topology edits (the routing view is not
         // serialized; it is a pure function of the blocked set) and drop
-        // the stale prefilled route tables.
+        // any route cached against the unfaulted view.
         let blocked: Vec<LinkId> = fault_snaps
             .iter()
             .enumerate()
@@ -729,10 +729,10 @@ impl Network {
                 topo.set_pair_down(id, true);
             }
             for s in &mut self.engine.shards {
-                let sh = s.get_mut().expect("shard lock poisoned");
-                sh.route_table.invalidate();
-                sh.route_table
-                    .prefill_scoped(self.routing.as_ref(), topo, &sh.nodes);
+                s.get_mut()
+                    .expect("shard lock poisoned")
+                    .route_table
+                    .invalidate();
             }
         }
 

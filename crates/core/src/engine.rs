@@ -43,8 +43,9 @@ use simkit::trace::{
     LinkEvent, TraceBuf, TraceEvent, TraceFilter, TraceKind, TraceRing, Tracer, NO_PID,
 };
 use simkit::Cycle;
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, MutexGuard, RwLock};
 
 /// The immutable system description a stage executes against, borrowed
 /// from the owning [`crate::network::Network`].
@@ -131,12 +132,12 @@ impl Hub {
         }
     }
 
-    /// The earliest cycle ≥ now at which `engine` can make progress or
-    /// the next unapplied fault-script event fires, or [`Cycle::MAX`] if
-    /// nothing is scheduled. Called only between cycles.
-    pub fn next_event(&self, engine: &ShardedEngine) -> Cycle {
-        let now = engine.now();
-        let at = engine.next_event(now);
+    /// Combines the engine's progress bound `at` (see
+    /// [`ShardedEngine::next_event`]) with the next unapplied
+    /// fault-script event: the earliest cycle ≥ `now` at which anything
+    /// can happen, or [`Cycle::MAX`] if nothing is scheduled. Called only
+    /// between cycles.
+    pub fn next_event(&self, now: Cycle, at: Cycle) -> Cycle {
         match self.script.events().get(self.script_pos) {
             Some(tf) => at.min(tf.at.max(now)),
             None => at,
@@ -159,14 +160,39 @@ impl Hub {
     }
 }
 
+/// Exclusive access to one shard's state, however the caller holds it:
+/// the serial path reaches a `Mutex<Shard>` through `get_mut` (no lock),
+/// the parallel leader through a guard it already holds. The merge is
+/// written once against this trait, so both drivers fold observations
+/// through the same code.
+pub(crate) trait ShardMut {
+    fn shard(&mut self) -> &mut Shard;
+}
+
+impl ShardMut for Mutex<Shard> {
+    fn shard(&mut self) -> &mut Shard {
+        self.get_mut().expect("shard lock poisoned")
+    }
+}
+
+impl ShardMut for MutexGuard<'_, Shard> {
+    fn shard(&mut self) -> &mut Shard {
+        self
+    }
+}
+
 /// All mutable simulation state, partitioned into shards.
 ///
-/// Interior mutability is layered for the two drivers: the serial path
-/// (`step_serial`) goes through `Mutex::get_mut`/`RwLock::get_mut` and
-/// pays no synchronization at all; the parallel path hands `&Self` to the
-/// worker pool, where each worker locks exactly its own shard (never
-/// contended — shard ownership is static) and reads the store through the
-/// `RwLock` (writes happen only in the merge, while workers are parked).
+/// Interior mutability is layered for the two drivers. The serial path
+/// holds `&mut Self`: [`Self::step_serial`], [`Self::offer_mut`],
+/// [`Self::next_event_mut`] and [`Self::live_packets_mut`] go through
+/// `Mutex::get_mut`/`RwLock::get_mut`, and the mailboxes lock nothing
+/// while empty (a single shard never posts to itself), so a one-shard
+/// cycle takes no lock and allocates nothing. The parallel path hands
+/// `&Self` to the worker pool, where each worker locks exactly its own
+/// shard (never contended — shard ownership is static) and reads the
+/// store through the `RwLock` (writes happen only in the merge, while
+/// workers are parked); its leader uses the locking variants.
 pub(crate) struct ShardedEngine {
     /// The static shard layout.
     pub part: Partition,
@@ -240,16 +266,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Warms every shard's route table for the nodes it owns (scoped
-    /// prefill: a shard only ever looks up routes whose current node is
-    /// one of its routers).
-    pub fn prefill_route_tables(&mut self, routing: &dyn Routing, topo: &SystemTopology) {
-        for s in &mut self.shards {
-            let sh = s.get_mut().expect("shard lock poisoned");
-            sh.route_table.prefill_scoped(routing, topo, &sh.nodes);
-        }
-    }
-
     /// The shard count this engine was partitioned into.
     pub fn nshards(&self) -> usize {
         self.part.nshards as usize
@@ -277,16 +293,40 @@ impl ShardedEngine {
     ///
     /// Panics if `src == dst` or a node id is out of range.
     pub fn offer(&self, req: PacketRequest) -> PacketId {
+        let sid = self.part.node_shard[req.src.index()] as usize;
+        Self::enqueue(
+            &mut self.store.write().expect("store lock poisoned"),
+            &mut self.shards[sid].lock().expect("shard lock poisoned"),
+            self.now(),
+            req,
+        )
+    }
+
+    /// [`Self::offer`] for a caller holding the engine exclusively: no
+    /// lock.
+    pub fn offer_mut(&mut self, req: PacketRequest) -> PacketId {
+        let sid = self.part.node_shard[req.src.index()] as usize;
+        let now = self.now();
+        Self::enqueue(
+            self.store.get_mut().expect("store lock poisoned"),
+            self.shards[sid].shard(),
+            now,
+            req,
+        )
+    }
+
+    fn enqueue(
+        store: &mut PacketStore,
+        sh: &mut Shard,
+        now: Cycle,
+        req: PacketRequest,
+    ) -> PacketId {
         assert_ne!(req.src, req.dst, "self-addressed packet");
-        let now = self.now.load(Relaxed);
-        let pid = self.store.write().expect("store lock poisoned").alloc(
+        let pid = store.alloc(
             PacketInfo::new(req.src, req.dst, req.len, req.class, req.priority, now)
                 .with_tag(req.tag),
         );
         let src = req.src.index();
-        let mut sh = self.shards[self.part.node_shard[src] as usize]
-            .lock()
-            .expect("shard lock poisoned");
         sh.nics[src].queue.push_back(pid);
         sh.active_nics.insert(src);
         pid
@@ -294,6 +334,11 @@ impl ShardedEngine {
 
     pub fn live_packets(&self) -> usize {
         self.store.read().expect("store lock poisoned").live()
+    }
+
+    /// [`Self::live_packets`] without the read lock.
+    pub fn live_packets_mut(&mut self) -> usize {
+        self.store.get_mut().expect("store lock poisoned").live()
     }
 
     /// Total packets waiting in source queues (not yet fully injected).
@@ -362,13 +407,28 @@ impl ShardedEngine {
     /// bounds. Called only between cycles (shards at rest), like
     /// [`Self::merge`].
     pub fn next_event(&self, now: Cycle) -> Cycle {
-        if !self.mail.flits.is_empty() || !self.mail.credits.is_empty() {
+        let bounds = self
+            .shards
+            .iter()
+            .map(|s| s.lock().expect("shard lock poisoned").next_event(now));
+        Self::earliest(&self.mail, now, bounds)
+    }
+
+    /// [`Self::next_event`] without the shard locks.
+    pub fn next_event_mut(&mut self, now: Cycle) -> Cycle {
+        let bounds = self.shards.iter_mut().map(|s| s.shard().next_event(now));
+        Self::earliest(&self.mail, now, bounds)
+    }
+
+    /// The minimum of the per-shard bounds, pinned to `now` by pending
+    /// mail. Stops pulling bounds once one reaches `now`.
+    fn earliest(mail: &Mail, now: Cycle, shard_bounds: impl Iterator<Item = Cycle>) -> Cycle {
+        if !mail.flits.is_empty() || !mail.credits.is_empty() {
             return now;
         }
         let mut at = Cycle::MAX;
-        for s in &self.shards {
-            let sh = s.lock().expect("shard lock poisoned");
-            at = at.min(sh.next_event(now));
+        for b in shard_bounds {
+            at = at.min(b);
             if at <= now {
                 return now;
             }
@@ -387,23 +447,27 @@ impl ShardedEngine {
 
     /// Runs one simulation cycle on the calling thread: both phases over
     /// every shard in order, then the merge. Uses `get_mut` throughout,
-    /// so the serial path pays nothing for the locks.
+    /// and the merge folds the shards in place, so the serial path takes
+    /// no lock and allocates nothing per cycle.
     pub fn step_serial(&mut self, ctx: &EngineCtx<'_>, hub: &mut Hub) {
         let now = self.now.load(Relaxed);
         let measure_from = self.measure_from.load(Relaxed);
-        let ns = self.part.nshards as usize;
         {
             let store = &*self.store.get_mut().expect("store lock poisoned");
-            for sid in 0..ns {
-                let sh = self.shards[sid].get_mut().expect("shard lock poisoned");
-                sh.phase1(ctx, now, store, &self.mail, &self.part);
+            for s in &mut self.shards {
+                s.shard().phase1(ctx, now, store, &self.mail, &self.part);
             }
-            for sid in 0..ns {
-                let sh = self.shards[sid].get_mut().expect("shard lock poisoned");
-                sh.phase2(ctx, now, store, &self.mail, measure_from, &self.part);
+            for s in &mut self.shards {
+                s.shard()
+                    .phase2(ctx, now, store, &self.mail, measure_from, &self.part);
             }
         }
-        if self.merge(hub) {
+        let store = &mut self.store;
+        if Self::merge_shards(
+            &mut self.shards,
+            || store.get_mut().expect("store lock poisoned"),
+            hub,
+        ) {
             hub.last_activity = now;
         }
         self.now.store(now + 1, Relaxed);
@@ -421,14 +485,34 @@ impl ShardedEngine {
     /// scheduling. Freeing descriptors in that same order keeps the
     /// store's slot freelist (and therefore future [`PacketId`]
     /// assignment) bit-identical to the serial engine.
+    ///
+    /// This is the parallel leader's entry: it locks every shard (free,
+    /// the workers are parked). [`Self::step_serial`] reaches the same
+    /// [`Self::merge_shards`] through `get_mut` instead.
     pub fn merge(&self, hub: &mut Hub) -> bool {
         let mut guards: Vec<_> = self
             .shards
             .iter()
             .map(|s| s.lock().expect("shard lock poisoned"))
             .collect();
+        Self::merge_shards(
+            &mut guards,
+            || self.store.write().expect("store lock poisoned"),
+            hub,
+        )
+    }
+
+    /// The merge itself (see [`Self::merge`]), over shards however they
+    /// are held. `store` is called at most once, and only when there are
+    /// descriptors to free.
+    fn merge_shards<S: ShardMut, G: DerefMut<Target = PacketStore>>(
+        shards: &mut [S],
+        store: impl FnOnce() -> G,
+        hub: &mut Hub,
+    ) -> bool {
         hub.del_scratch.clear();
-        for g in guards.iter() {
+        for s in shards.iter_mut() {
+            let g = s.shard();
             for &ev in &g.link_events {
                 hub.collector.on_link_event(ev);
             }
@@ -439,7 +523,7 @@ impl ShardedEngine {
         hub.del_scratch
             .sort_unstable_by_key(|&(seq, d)| (d.node, seq));
         if !hub.del_scratch.is_empty() {
-            let mut store = self.store.write().expect("store lock poisoned");
+            let mut store = store();
             for &(_, d) in hub.del_scratch.iter() {
                 hub.collector.on_packet_delivered(&d.ev);
                 store.free(d.pid);
@@ -457,17 +541,17 @@ impl ShardedEngine {
             // order), which the stable run-detecting sort merges in
             // near-linear time where a pattern-defeating unstable sort
             // pays full n·log n.
-            if let [g] = &mut guards[..] {
+            if let [g] = &mut *shards {
                 // Single shard: sort its buffer in place — it is cleared
                 // below anyway — and skip the scratch copy entirely.
-                if let Tracer::On(buf) = &mut g.tracer {
+                if let Tracer::On(buf) = &mut g.shard().tracer {
                     buf.events.sort_by_key(|&(key, _)| key);
                     ring.extend_prefiltered(&buf.events);
                 }
             } else {
                 hub.trace_scratch.clear();
-                for g in guards.iter() {
-                    if let Tracer::On(buf) = &g.tracer {
+                for s in shards.iter_mut() {
+                    if let Tracer::On(buf) = &s.shard().tracer {
                         hub.trace_scratch.extend_from_slice(&buf.events);
                     }
                 }
@@ -476,7 +560,8 @@ impl ShardedEngine {
             }
         }
         let mut any = false;
-        for g in guards.iter_mut() {
+        for s in shards.iter_mut() {
+            let g = s.shard();
             if g.activity {
                 any = true;
                 g.active_cycles += 1;

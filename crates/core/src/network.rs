@@ -369,13 +369,7 @@ impl Network {
         }
 
         let part = Partition::new(&topo, config.resolved_shard_threads());
-        let mut engine =
-            ShardedEngine::new(routers, media, credit_lines, &link_ps, config.seed, part);
-        // Precompute route tables for small systems so the RC stage never
-        // walks a routing algorithm at runtime — scoped per shard to the
-        // nodes it owns (prefill no-ops above its node threshold; those
-        // fill lazily).
-        engine.prefill_route_tables(routing.as_ref(), &topo);
+        let engine = ShardedEngine::new(routers, media, credit_lines, &link_ps, config.seed, part);
         Self {
             topo: RwLock::new(topo),
             routing,
@@ -609,7 +603,7 @@ impl Network {
     ///
     /// Panics if `src == dst` or a node id is out of range.
     pub fn offer(&mut self, req: PacketRequest) -> PacketId {
-        self.engine.offer(req)
+        self.engine.offer_mut(req)
     }
 
     /// Packets alive anywhere in the system (queued, in flight).
@@ -645,7 +639,9 @@ impl Network {
     /// link and credit traffic contributes its earliest due) combined
     /// with the next unapplied fault-script event.
     pub fn next_event(&mut self) -> Cycle {
-        self.hub.next_event(&self.engine)
+        let now = self.engine.now();
+        let at = self.engine.next_event_mut(now);
+        self.hub.next_event(now, at)
     }
 
     /// Advances the clock one cycle without simulating it. Sound only
@@ -659,12 +655,7 @@ impl Network {
     /// Runs one simulation cycle on the calling thread (both phases over
     /// every shard in order — any shard count).
     pub fn step(&mut self) {
-        apply_due_faults(
-            &self.topo,
-            self.routing.as_ref(),
-            &self.engine,
-            &mut self.hub,
-        );
+        apply_due_faults(&self.topo, &self.engine, &mut self.hub);
         let topo = &*self.topo.get_mut().expect("topology lock poisoned");
         let ctx = EngineCtx {
             topo,
@@ -689,7 +680,6 @@ impl Network {
 /// is free — the workers are parked whenever this runs).
 pub(crate) fn apply_due_faults(
     topo: &RwLock<SystemTopology>,
-    routing: &dyn Routing,
     engine: &ShardedEngine,
     hub: &mut Hub,
 ) {
@@ -698,7 +688,7 @@ pub(crate) fn apply_due_faults(
             break;
         }
         hub.script_pos += 1;
-        apply_fault(topo, routing, engine, hub, tf);
+        apply_fault(topo, engine, hub, tf);
     }
 }
 
@@ -709,7 +699,6 @@ pub(crate) fn apply_due_faults(
 /// topology allows (the mesh escape network must survive).
 fn apply_fault(
     topo: &RwLock<SystemTopology>,
-    routing: &dyn Routing,
     engine: &ShardedEngine,
     hub: &mut Hub,
     tf: TimedFault,
@@ -833,13 +822,9 @@ fn apply_fault(
         }
         if reroute {
             // The routing view changed; drop every cached route in every
-            // shard and refill (lazily, or eagerly for small systems —
-            // matching what build time did).
-            let t = topo.read().expect("topology lock poisoned");
+            // shard (the tables refill lazily against the new view).
             for g in guards.iter_mut() {
-                let sh: &mut Shard = g;
-                sh.route_table.invalidate();
-                sh.route_table.prefill_scoped(routing, &t, &sh.nodes);
+                g.route_table.invalidate();
             }
         }
         // Re-activate every touched medium (via its owner) so the next

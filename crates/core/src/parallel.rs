@@ -255,7 +255,7 @@ impl CycleDriver for Leader<'_> {
 
     fn step(&mut self) {
         // Safe to lock every shard: the pool is parked at gate A.
-        apply_due_faults(self.topo, self.routing, self.engine, self.hub);
+        apply_due_faults(self.topo, self.engine, self.hub);
         let now = self.engine.now.load(Ordering::Relaxed);
         let measure_from = self.engine.measure_from.load(Ordering::Relaxed);
         {
@@ -300,7 +300,7 @@ impl CycleDriver for Leader<'_> {
         self.engine.now.store(now + 1, Ordering::Relaxed);
     }
 
-    fn live_packets(&self) -> usize {
+    fn live_packets(&mut self) -> usize {
         self.engine.live_packets()
     }
 
@@ -337,7 +337,8 @@ impl CycleDriver for Leader<'_> {
     fn next_event(&mut self) -> Cycle {
         // Serial window: the pool is parked at gate A, so locking every
         // shard (inside the engine's bound) is free and race-free.
-        self.hub.next_event(self.engine)
+        let now = self.engine.now();
+        self.hub.next_event(now, self.engine.next_event(now))
     }
 
     fn tick_idle(&mut self) {

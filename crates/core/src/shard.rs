@@ -448,7 +448,7 @@ impl Nic {
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub id: u16,
-    /// Owned nodes, ascending (scoped route-table prefill, stat sums).
+    /// Owned nodes, ascending (stat sums, restore validation).
     pub nodes: Vec<NodeId>,
     pub routers: Vec<Router>,
     pub media: Vec<Option<Medium>>,

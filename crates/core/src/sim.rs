@@ -203,7 +203,7 @@ pub(crate) trait CycleDriver {
     fn now(&self) -> Cycle;
     fn offer(&mut self, req: PacketRequest);
     fn step(&mut self);
-    fn live_packets(&self) -> usize;
+    fn live_packets(&mut self) -> usize;
     fn queued_packets(&self) -> usize;
     fn collector(&self) -> &Collector;
     fn idle_cycles(&self) -> Cycle;
@@ -236,8 +236,8 @@ impl CycleDriver for Network {
     fn step(&mut self) {
         Network::step(self);
     }
-    fn live_packets(&self) -> usize {
-        Network::live_packets(self)
+    fn live_packets(&mut self) -> usize {
+        self.engine.live_packets_mut()
     }
     fn queued_packets(&self) -> usize {
         Network::queued_packets(self)

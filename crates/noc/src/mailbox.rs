@@ -10,10 +10,19 @@
 //! are never contended — they exist to make the container [`Sync`] and
 //! to publish the buffered values across the barrier.
 //!
+//! Each consumer also has a pending-message count, bumped by every flush
+//! or push addressed to it and dropped by its drain. An empty drain and
+//! [`ShardMailbox::is_empty`] read only these counts and lock nothing, so
+//! a one-shard engine, which never posts to itself, never takes a slot
+//! lock. The slot locks are taken only where messages actually cross
+//! shards, and by the checkpoint paths ([`ShardMailbox::push`],
+//! [`ShardMailbox::for_each`], [`ShardMailbox::clear`]).
+//!
 //! Determinism: [`ShardMailbox::drain`] visits slots in ascending
 //! producer order, so the consumer observes messages in an order that
 //! depends only on the static shard layout — never on worker scheduling.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// An `n × n` grid of single-producer/single-consumer message slots.
@@ -36,6 +45,11 @@ use std::sync::Mutex;
 pub struct ShardMailbox<T> {
     n: usize,
     slots: Vec<Mutex<Vec<T>>>,
+    /// Messages buffered for each consumer, across all its slots. Each
+    /// update is a `Release`, paired with the `Acquire` load in
+    /// [`Self::drain`] and [`Self::is_empty`]; the slot mutex itself
+    /// publishes the messages.
+    pending: Vec<AtomicUsize>,
 }
 
 impl<T> ShardMailbox<T> {
@@ -45,6 +59,7 @@ impl<T> ShardMailbox<T> {
         Self {
             n,
             slots: (0..n * n).map(|_| Mutex::new(Vec::new())).collect(),
+            pending: (0..n).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
@@ -65,24 +80,33 @@ impl<T> ShardMailbox<T> {
         if buf.is_empty() {
             return;
         }
+        let n = buf.len();
         self.slot(producer, consumer)
             .lock()
             .expect("mailbox slot poisoned")
             .append(buf);
+        self.pending[consumer].fetch_add(n, Ordering::Release);
     }
 
     /// Drains every message addressed to `consumer`, visiting producers in
-    /// ascending order and preserving each producer's send order.
+    /// ascending order and preserving each producer's send order. Costs
+    /// one atomic load, and takes no lock, when nothing is pending.
     pub fn drain(&self, consumer: usize, mut f: impl FnMut(usize, T)) {
+        if self.pending[consumer].load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let mut drained = 0;
         for producer in 0..self.n {
             let mut slot = self
                 .slot(producer, consumer)
                 .lock()
                 .expect("mailbox slot poisoned");
+            drained += slot.len();
             for msg in slot.drain(..) {
                 f(producer, msg);
             }
         }
+        self.pending[consumer].fetch_sub(drained, Ordering::Release);
     }
 
     /// Visits every buffered message without draining it, in ascending
@@ -106,8 +130,10 @@ impl<T> ShardMailbox<T> {
     /// Empties every slot (checkpoint restore overlays a fresh message
     /// population).
     pub fn clear(&self) {
-        for slot in &self.slots {
-            slot.lock().expect("mailbox slot poisoned").clear();
+        for (i, slot) in self.slots.iter().enumerate() {
+            let mut slot = slot.lock().expect("mailbox slot poisoned");
+            self.pending[i % self.n].fetch_sub(slot.len(), Ordering::Release);
+            slot.clear();
         }
     }
 
@@ -118,6 +144,7 @@ impl<T> ShardMailbox<T> {
             .lock()
             .expect("mailbox slot poisoned")
             .push(msg);
+        self.pending[consumer].fetch_add(1, Ordering::Release);
     }
 
     /// Messages currently buffered across all slots. Between engine
@@ -130,9 +157,10 @@ impl<T> ShardMailbox<T> {
             .sum()
     }
 
-    /// Whether no message is buffered anywhere in the grid.
+    /// Whether no message is buffered anywhere in the grid. Reads the
+    /// per-consumer pending counts only; takes no lock.
     pub fn is_empty(&self) -> bool {
-        self.in_transit() == 0
+        self.pending.iter().all(|p| p.load(Ordering::Acquire) == 0)
     }
 }
 
@@ -172,6 +200,42 @@ mod tests {
         assert!(buf.is_empty());
         assert_eq!(buf.capacity(), cap, "flush drains, it does not realloc");
         assert_eq!(mail.in_transit(), 3);
+    }
+
+    #[test]
+    fn is_empty_tracks_in_transit_through_every_operation() {
+        let mail: ShardMailbox<u32> = ShardMailbox::new(3);
+        let agrees = |mail: &ShardMailbox<u32>| {
+            assert_eq!(mail.is_empty(), mail.in_transit() == 0);
+        };
+        agrees(&mail);
+        assert!(mail.is_empty());
+        mail.append(0, 2, &mut vec![1, 2, 3]);
+        agrees(&mail);
+        mail.append(1, 2, &mut Vec::new());
+        agrees(&mail);
+        // The restore path pushes one message at a time.
+        mail.push(2, 1, 9);
+        agrees(&mail);
+        mail.push(1, 1, 8);
+        agrees(&mail);
+        mail.drain(2, |_, _| {});
+        agrees(&mail);
+        assert!(!mail.is_empty(), "consumer 1 still holds two messages");
+        let mut got = Vec::new();
+        mail.drain(1, |p, v| got.push((p, v)));
+        assert_eq!(got, [(1, 8), (2, 9)]);
+        agrees(&mail);
+        assert!(mail.is_empty());
+        mail.append(2, 0, &mut vec![4]);
+        mail.push(0, 0, 5);
+        agrees(&mail);
+        mail.clear();
+        agrees(&mail);
+        assert!(mail.is_empty());
+        // A drain with nothing pending visits nothing.
+        mail.drain(0, |_, _| panic!("nothing was posted"));
+        agrees(&mail);
     }
 
     #[test]

@@ -89,14 +89,58 @@ pub trait RouterEnv {
     fn on_pipeline(&mut self, _stage: PipelineStage, _pid: PacketId, _info: u32) {}
 }
 
-/// VC pipeline stage tags, one byte per (in port, vc). The former
-/// `VcState` enum carried its per-state payload inline (16 bytes per
-/// entry); the payloads now live in parallel columns so the VA/RC/SA
-/// round-robin scans stream through a dense byte array and touch a
-/// payload column only for the (rare at low load) non-idle entries.
+/// VC pipeline stage tags, one byte per (in port, vc). The per-state
+/// payloads live in parallel columns, read only for the VCs a stage
+/// visits (see [`VcSet`]).
 const TAG_IDLE: u8 = 0;
 const TAG_ROUTED: u8 = 1;
 const TAG_ACTIVE: u8 = 2;
+
+/// A set of flat (in port, vc) indices, one bit each. The router keeps
+/// one per pipeline stage so VA, RC and SA visit exactly the VCs they can
+/// act on instead of testing every tag.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct VcSet {
+    words: Vec<u64>,
+}
+
+impl VcSet {
+    /// Makes room for indices below `n`.
+    fn grow(&mut self, n: usize) {
+        self.words.resize(n.div_ceil(64), 0);
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// The smallest member in `from..to`, if any.
+    #[inline]
+    fn next_in(&self, from: usize, to: usize) -> Option<usize> {
+        if from >= to {
+            return None;
+        }
+        let mut w = from / 64;
+        let mut bits = self.words[w] & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                return (i < to).then_some(i);
+            }
+            w += 1;
+            if w * 64 >= to {
+                return None;
+            }
+            bits = self.words[w];
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 struct VcBuf {
@@ -130,8 +174,8 @@ struct OutPort {
 pub struct Router {
     vcs: u8,
     /// Struct-of-arrays VC pipeline state, flat over (in port, vc):
-    /// index `p * vcs + v`. `tags` is the stage tag each scan filters
-    /// on; the payload columns are read only behind a tag match.
+    /// index `p * vcs + v`. `tags` is the ground truth for each VC's
+    /// stage; the stage bitsets below mirror it.
     tags: Vec<u8>,
     /// RC/VA cycle stamp: `Routed`'s computed-at or `Active`'s
     /// granted-at cycle. The two states are mutually exclusive, so one
@@ -156,6 +200,12 @@ pub struct Router {
     routed_vcs: u32,
     active_vcs: u32,
     idle_with_flits: u32,
+    // The members behind the last three counters, as bitsets over the
+    // flat index: VA scans `routed`, RC `idle_head`, SA `active`. Derived
+    // state: rebuilt from the tags and queues on restore, never saved.
+    routed: VcSet,
+    active: VcSet,
+    idle_head: VcSet,
 }
 
 impl Router {
@@ -181,6 +231,9 @@ impl Router {
             routed_vcs: 0,
             active_vcs: 0,
             idle_with_flits: 0,
+            routed: VcSet::default(),
+            active: VcSet::default(),
+            idle_head: VcSet::default(),
         }
     }
 
@@ -204,6 +257,10 @@ impl Router {
             });
         }
         self.depths.push(depth);
+        let n = self.tags.len();
+        self.routed.grow(n);
+        self.active.grow(n);
+        self.idle_head.grow(n);
         (self.depths.len() - 1) as u16
     }
 
@@ -280,6 +337,7 @@ impl Router {
         );
         if buf.q.is_empty() && self.tags[i] == TAG_IDLE {
             self.idle_with_flits += 1;
+            self.idle_head.insert(i);
         }
         buf.q.push_back(fref);
         self.buffered += 1;
@@ -310,6 +368,12 @@ impl Router {
     /// an earlier cycle), RC (for new heads), then SA/ST. The arena is the
     /// home of every buffered flit's fields; the router reads packet
     /// identity through it and rewrites the VC tag at switch traversal.
+    ///
+    /// Each stage visits only the members of its bitset: VA and SA in
+    /// round-robin order from their rotating start, RC in ascending
+    /// order. A visit changes the stage membership of the visited VC
+    /// alone, so the visit order, and every grant, is the one a full scan
+    /// of the tags would produce.
     pub fn step<E: RouterEnv + ?Sized>(&mut self, now: Cycle, env: &mut E, arena: &mut FlitArena) {
         let n = self.flat_len();
         if n == 0 {
@@ -317,64 +381,13 @@ impl Router {
         }
 
         // --- VC allocation -------------------------------------------------
-        // The scan order matches a full round-robin sweep; the countdown on
-        // the routed-VC counter only cuts the tail of pure skips, so grants
-        // are bit-identical to the unconditional scan.
         if self.routed_vcs > 0 {
-            let mut idx = self.va_rr % n;
-            let mut remaining = self.routed_vcs;
-            for _ in 0..n {
-                if remaining == 0 {
-                    break;
-                }
-                let cur = idx;
-                idx += 1;
-                if idx == n {
-                    idx = 0;
-                }
-                if self.tags[cur] != TAG_ROUTED {
-                    continue;
-                }
-                remaining -= 1;
-                if self.stamps[cur] >= now {
-                    continue; // RC happened this cycle; VA next cycle.
-                }
-                // Scan tiers in preference order; within the winning tier pick
-                // the allocatable candidate with the most credits.
-                let buf = &self.bufs[cur];
-                let mut best: Option<(PortCandidate, u32)> = None;
-                for c in buf.cands.iter() {
-                    let op = &self.out_ports[c.out_port as usize];
-                    let ov = op.vcs[c.vc as usize];
-                    if ov.busy || (!op.unlimited_credits && ov.credits == 0) {
-                        continue;
-                    }
-                    let score = if op.unlimited_credits {
-                        u32::MAX
-                    } else {
-                        ov.credits as u32
-                    };
-                    match best {
-                        Some((b, s)) if (b.tier, u32::MAX - s) <= (c.tier, u32::MAX - score) => {}
-                        _ => best = Some((*c, score)),
-                    }
-                }
-                if let Some((grant, _)) = best {
-                    let had_adaptive = buf.cands.iter().any(|c| !c.baseline);
-                    let head = *buf.q.front().expect("routed VC has a head flit");
-                    let pid = arena.get(head).pid;
-                    self.out_ports[grant.out_port as usize].vcs[grant.vc as usize].busy = true;
-                    self.tags[cur] = TAG_ACTIVE;
-                    self.stamps[cur] = now;
-                    self.grant_port[cur] = grant.out_port;
-                    self.grant_vc[cur] = grant.vc;
-                    self.routed_vcs -= 1;
-                    self.active_vcs += 1;
-                    let fallback = grant.baseline && had_adaptive;
-                    if fallback {
-                        env.note_baseline_lock(pid);
-                    }
-                    env.on_pipeline(PipelineStage::VcAlloc, pid, fallback as u32);
+            let start = self.va_rr % n;
+            for (lo, hi) in [(start, n), (0, start)] {
+                let mut from = lo;
+                while let Some(cur) = self.routed.next_in(from, hi) {
+                    from = cur + 1;
+                    self.allocate_vc(cur, now, env, arena);
                 }
             }
         }
@@ -382,33 +395,10 @@ impl Router {
 
         // --- Routing computation -------------------------------------------
         if self.idle_with_flits > 0 {
-            let mut remaining = self.idle_with_flits;
-            for cur in 0..n {
-                if remaining == 0 {
-                    break;
-                }
-                if self.tags[cur] != TAG_IDLE {
-                    continue;
-                }
-                let buf = &mut self.bufs[cur];
-                let Some(&front) = buf.q.front() else {
-                    continue;
-                };
-                remaining -= 1;
-                let head = arena.get(front);
-                debug_assert!(head.is_head(), "non-head flit at idle VC front");
-                let pid = head.pid;
-                buf.cands.clear();
-                env.route(pid, &mut buf.cands);
-                debug_assert!(
-                    !buf.cands.is_empty(),
-                    "routing returned no candidates for {pid:?}"
-                );
-                env.on_pipeline(PipelineStage::RouteCompute, pid, buf.cands.len() as u32);
-                self.tags[cur] = TAG_ROUTED;
-                self.stamps[cur] = now;
-                self.idle_with_flits -= 1;
-                self.routed_vcs += 1;
+            let mut from = 0;
+            while let Some(cur) = self.idle_head.next_in(from, n) {
+                from = cur + 1;
+                self.compute_route(cur, now, env, arena);
             }
         }
 
@@ -417,75 +407,165 @@ impl Router {
             for op in &mut self.out_ports {
                 op.used_now = 0;
             }
-            let mut idx = self.sa_rr % n;
-            let mut remaining = self.active_vcs;
-            for _ in 0..n {
-                if remaining == 0 {
-                    break;
-                }
-                let cur = idx;
-                idx += 1;
-                if idx == n {
-                    idx = 0;
-                }
-                if self.tags[cur] != TAG_ACTIVE {
-                    continue;
-                }
-                remaining -= 1;
-                if self.stamps[cur] >= now {
-                    continue; // VA happened this cycle; SA next cycle.
-                }
-                let out_port = self.grant_port[cur];
-                let out_vc = self.grant_vc[cur];
-                // The in-port/vc pair is only needed on the grant path.
-                let pi = cur / self.vcs as usize;
-                let vi = cur % self.vcs as usize;
-                loop {
-                    let op = &self.out_ports[out_port as usize];
-                    if op.used_now >= op.bandwidth {
-                        break;
-                    }
-                    if !op.unlimited_credits && op.vcs[out_vc as usize].credits == 0 {
-                        break;
-                    }
-                    if env.out_capacity(out_port) == 0 {
-                        break;
-                    }
-                    let buf = &mut self.bufs[cur];
-                    let Some(fref) = buf.q.pop_front() else {
-                        break;
-                    };
-                    self.buffered -= 1;
-                    let flit = arena.get_mut(fref);
-                    flit.vc = out_vc;
-                    let last = flit.last;
-                    let pid = flit.pid;
-                    let head = flit.is_head();
-                    if head {
-                        // Before `send`, so a local ejection recorded inside
-                        // `send` traces after its switch traversal.
-                        env.on_pipeline(PipelineStage::SwitchTraverse, pid, out_port as u32);
-                    }
-                    env.send(out_port, fref, arena);
-                    env.credit(pi as u16, vi as u8);
-                    let op = &mut self.out_ports[out_port as usize];
-                    op.used_now += 1;
-                    if !op.unlimited_credits {
-                        op.vcs[out_vc as usize].credits -= 1;
-                    }
-                    if last {
-                        op.vcs[out_vc as usize].busy = false;
-                        self.tags[cur] = TAG_IDLE;
-                        self.active_vcs -= 1;
-                        if !self.bufs[cur].q.is_empty() {
-                            self.idle_with_flits += 1;
-                        }
-                        break;
-                    }
+            let start = self.sa_rr % n;
+            for (lo, hi) in [(start, n), (0, start)] {
+                let mut from = lo;
+                while let Some(cur) = self.active.next_in(from, hi) {
+                    from = cur + 1;
+                    self.traverse(cur, now, env, arena);
                 }
             }
         }
         self.sa_rr = self.sa_rr.wrapping_add(1);
+    }
+
+    /// VA for routed VC `cur`: scans tiers in preference order and, within
+    /// the winning tier, grants the allocatable candidate with the most
+    /// credits.
+    #[inline]
+    fn allocate_vc<E: RouterEnv + ?Sized>(
+        &mut self,
+        cur: usize,
+        now: Cycle,
+        env: &mut E,
+        arena: &FlitArena,
+    ) {
+        if self.stamps[cur] >= now {
+            return; // RC happened this cycle; VA next cycle.
+        }
+        let buf = &self.bufs[cur];
+        let mut best: Option<(PortCandidate, u32)> = None;
+        for c in buf.cands.iter() {
+            let op = &self.out_ports[c.out_port as usize];
+            let ov = op.vcs[c.vc as usize];
+            if ov.busy || (!op.unlimited_credits && ov.credits == 0) {
+                continue;
+            }
+            let score = if op.unlimited_credits {
+                u32::MAX
+            } else {
+                ov.credits as u32
+            };
+            match best {
+                Some((b, s)) if (b.tier, u32::MAX - s) <= (c.tier, u32::MAX - score) => {}
+                _ => best = Some((*c, score)),
+            }
+        }
+        let Some((grant, _)) = best else {
+            return;
+        };
+        let had_adaptive = buf.cands.iter().any(|c| !c.baseline);
+        let head = *buf.q.front().expect("routed VC has a head flit");
+        let pid = arena.get(head).pid;
+        self.out_ports[grant.out_port as usize].vcs[grant.vc as usize].busy = true;
+        self.tags[cur] = TAG_ACTIVE;
+        self.stamps[cur] = now;
+        self.grant_port[cur] = grant.out_port;
+        self.grant_vc[cur] = grant.vc;
+        self.routed_vcs -= 1;
+        self.active_vcs += 1;
+        self.routed.remove(cur);
+        self.active.insert(cur);
+        let fallback = grant.baseline && had_adaptive;
+        if fallback {
+            env.note_baseline_lock(pid);
+        }
+        env.on_pipeline(PipelineStage::VcAlloc, pid, fallback as u32);
+    }
+
+    /// RC for idle VC `cur`, whose queue holds a head flit.
+    #[inline]
+    fn compute_route<E: RouterEnv + ?Sized>(
+        &mut self,
+        cur: usize,
+        now: Cycle,
+        env: &mut E,
+        arena: &FlitArena,
+    ) {
+        let buf = &mut self.bufs[cur];
+        let front = *buf.q.front().expect("idle VC with a head has a flit");
+        let head = arena.get(front);
+        debug_assert!(head.is_head(), "non-head flit at idle VC front");
+        let pid = head.pid;
+        buf.cands.clear();
+        env.route(pid, &mut buf.cands);
+        debug_assert!(
+            !buf.cands.is_empty(),
+            "routing returned no candidates for {pid:?}"
+        );
+        env.on_pipeline(PipelineStage::RouteCompute, pid, buf.cands.len() as u32);
+        self.tags[cur] = TAG_ROUTED;
+        self.stamps[cur] = now;
+        self.idle_with_flits -= 1;
+        self.routed_vcs += 1;
+        self.idle_head.remove(cur);
+        self.routed.insert(cur);
+    }
+
+    /// SA/ST for active VC `cur`: moves flits to its granted output while
+    /// the port, the downstream credits and the medium allow, releasing
+    /// the VC after the tail.
+    #[inline]
+    fn traverse<E: RouterEnv + ?Sized>(
+        &mut self,
+        cur: usize,
+        now: Cycle,
+        env: &mut E,
+        arena: &mut FlitArena,
+    ) {
+        if self.stamps[cur] >= now {
+            return; // VA happened this cycle; SA next cycle.
+        }
+        let out_port = self.grant_port[cur];
+        let out_vc = self.grant_vc[cur];
+        // The in-port/vc pair is only needed on the grant path.
+        let pi = cur / self.vcs as usize;
+        let vi = cur % self.vcs as usize;
+        loop {
+            let op = &self.out_ports[out_port as usize];
+            if op.used_now >= op.bandwidth {
+                break;
+            }
+            if !op.unlimited_credits && op.vcs[out_vc as usize].credits == 0 {
+                break;
+            }
+            if env.out_capacity(out_port) == 0 {
+                break;
+            }
+            let buf = &mut self.bufs[cur];
+            let Some(fref) = buf.q.pop_front() else {
+                break;
+            };
+            self.buffered -= 1;
+            let flit = arena.get_mut(fref);
+            flit.vc = out_vc;
+            let last = flit.last;
+            let pid = flit.pid;
+            let head = flit.is_head();
+            if head {
+                // Before `send`, so a local ejection recorded inside
+                // `send` traces after its switch traversal.
+                env.on_pipeline(PipelineStage::SwitchTraverse, pid, out_port as u32);
+            }
+            env.send(out_port, fref, arena);
+            env.credit(pi as u16, vi as u8);
+            let op = &mut self.out_ports[out_port as usize];
+            op.used_now += 1;
+            if !op.unlimited_credits {
+                op.vcs[out_vc as usize].credits -= 1;
+            }
+            if last {
+                op.vcs[out_vc as usize].busy = false;
+                self.tags[cur] = TAG_IDLE;
+                self.active_vcs -= 1;
+                self.active.remove(cur);
+                if !self.bufs[cur].q.is_empty() {
+                    self.idle_with_flits += 1;
+                    self.idle_head.insert(cur);
+                }
+                break;
+            }
+        }
     }
 
     /// Downstream credits currently held by output channel
@@ -621,14 +701,33 @@ impl Router {
         self.routed_vcs = routed_vcs;
         self.active_vcs = active_vcs;
         self.idle_with_flits = idle_with_flits;
+        (self.routed, self.active, self.idle_head) = self.stage_sets();
         self.check_invariants()
             .map_err(|_| CodecError::Corrupt("router counters"))
     }
 
-    /// Recomputes the O(1) occupancy counters and the out-VC busy set
-    /// from the ground-truth states and buffers, and compares them to
-    /// the maintained values — the rhdl-style restored-state validator
-    /// for the router layer.
+    /// The routed, active and idle-with-head sets as the tags and queues
+    /// define them.
+    fn stage_sets(&self) -> (VcSet, VcSet, VcSet) {
+        let mut sets = (VcSet::default(), VcSet::default(), VcSet::default());
+        for set in [&mut sets.0, &mut sets.1, &mut sets.2] {
+            set.grow(self.flat_len());
+        }
+        for (i, buf) in self.bufs.iter().enumerate() {
+            match self.tags[i] {
+                TAG_ROUTED => sets.0.insert(i),
+                TAG_ACTIVE => sets.1.insert(i),
+                _ if !buf.q.is_empty() => sets.2.insert(i),
+                _ => {}
+            }
+        }
+        sets
+    }
+
+    /// Recomputes the O(1) occupancy counters, the stage bitsets and the
+    /// out-VC busy set from the ground-truth states and buffers, and
+    /// compares them to the maintained values — the rhdl-style
+    /// restored-state validator for the router layer.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut buffered = 0u32;
         let mut routed = 0u32;
@@ -692,6 +791,10 @@ impl Router {
                 self.idle_with_flits,
                 idle_with_flits
             ));
+        }
+        let (routed, active, idle_head) = self.stage_sets();
+        if routed != self.routed || active != self.active || idle_head != self.idle_head {
+            return Err("stage bitsets disagree with the tags and queues".into());
         }
         Ok(())
     }
@@ -1008,6 +1111,148 @@ mod tests {
             r.step(now, &mut env, &mut arena);
         }
         assert_eq!(env.sent.len(), 4);
+    }
+
+    #[test]
+    fn vc_set_visits_members_of_a_range_in_ascending_order() {
+        let mut set = VcSet::default();
+        set.grow(130);
+        for i in [0, 63, 64, 100, 129] {
+            set.insert(i);
+        }
+        let visit = |set: &VcSet, from: usize, to: usize| {
+            let mut got = Vec::new();
+            let mut from = from;
+            while let Some(i) = set.next_in(from, to) {
+                got.push(i);
+                from = i + 1;
+            }
+            got
+        };
+        assert_eq!(visit(&set, 0, 130), [0, 63, 64, 100, 129]);
+        assert_eq!(visit(&set, 64, 129), [64, 100]);
+        assert_eq!(visit(&set, 1, 63), [] as [usize; 0]);
+        assert_eq!(visit(&set, 5, 5), [] as [usize; 0]);
+        set.remove(64);
+        assert_eq!(visit(&set, 63, 101), [63, 100]);
+    }
+
+    /// A randomized environment for the stress test: random candidate
+    /// sets, per-cycle medium capacities and delayed credit returns.
+    struct StressEnv {
+        rng: simkit::rng::SimRng,
+        vcs: u8,
+        /// Output ports; the last is an unlimited ejection port.
+        out_ports: u16,
+        capacity: Vec<u16>,
+        now: Cycle,
+        sent: u64,
+        /// Credits due back to the router: `(due, out port, vc)`.
+        returns: Vec<(Cycle, u16, u8)>,
+    }
+
+    impl RouterEnv for StressEnv {
+        fn route(&mut self, _pid: PacketId, out: &mut Vec<PortCandidate>) {
+            let extra = self.rng.below(3) as usize;
+            for k in 0..=extra {
+                out.push(PortCandidate {
+                    out_port: self.rng.below(self.out_ports as u64) as u16,
+                    vc: self.rng.below(self.vcs as u64) as u8,
+                    baseline: k == 0 || self.rng.chance(0.3),
+                    tier: self.rng.below(3) as u8,
+                });
+            }
+        }
+        fn out_capacity(&mut self, out_port: u16) -> u16 {
+            self.capacity[out_port as usize]
+        }
+        fn send(&mut self, out_port: u16, fref: FlitRef, arena: &mut FlitArena) {
+            assert!(self.capacity[out_port as usize] > 0, "send past capacity");
+            self.capacity[out_port as usize] -= 1;
+            let f = arena.free(fref);
+            self.sent += 1;
+            if out_port + 1 < self.out_ports {
+                let due = self.now + 1 + self.rng.below(4);
+                self.returns.push((due, out_port, f.vc));
+            }
+        }
+        fn credit(&mut self, _in_port: u16, _vc: u8) {}
+        fn note_baseline_lock(&mut self, _pid: PacketId) {}
+    }
+
+    #[test]
+    fn random_traffic_keeps_every_invariant() {
+        // 18 in ports x 4 VCs = 72 flat slots, so the stage bitsets span
+        // two words and the round-robin starts cross the word boundary.
+        let (in_ports, vcs, out_ports) = (18u16, 4u8, 5u16);
+        for seed in 0..4u64 {
+            let mut rng = simkit::rng::SimRng::seed(seed);
+            let mut arena = FlitArena::new();
+            let mut r = Router::new(vcs);
+            for p in 0..in_ports {
+                r.add_in_port(2 + p % 4);
+            }
+            for p in 0..out_ports {
+                let last = p + 1 == out_ports;
+                r.add_out_port(1 + (p % 3) as u8, 3, last);
+            }
+            let mut env = StressEnv {
+                rng: rng.fork(1),
+                vcs,
+                out_ports,
+                capacity: vec![0; out_ports as usize],
+                now: 0,
+                sent: 0,
+                returns: Vec::new(),
+            };
+            // Per input VC: the packet being delivered (pid, next seq, len).
+            let mut feeding: Vec<Option<(u32, u16, u16)>> = vec![None; r.flat_len()];
+            let mut next_pid = 0u32;
+            let mut received = 0u64;
+            for now in 0..3000 {
+                env.now = now;
+                for _ in 0..rng.below(6) {
+                    let p = rng.below(in_ports as u64) as u16;
+                    let v = rng.below(vcs as u64) as u8;
+                    if r.in_space(p, v) == 0 {
+                        continue;
+                    }
+                    let slot = &mut feeding[p as usize * vcs as usize + v as usize];
+                    let (pid, seq, len) = *slot.get_or_insert_with(|| {
+                        next_pid += 1;
+                        (next_pid, 0, 1 + rng.below(5) as u16)
+                    });
+                    let f = Flit {
+                        pid: PacketId(pid),
+                        seq,
+                        vc: v,
+                        last: seq + 1 == len,
+                    };
+                    *slot = (!f.last).then_some((pid, seq + 1, len));
+                    let fref = arena.alloc(f);
+                    r.receive(p, fref, v);
+                    received += 1;
+                }
+                let mut i = 0;
+                while i < env.returns.len() {
+                    if env.returns[i].0 <= now {
+                        let (_, port, vc) = env.returns.swap_remove(i);
+                        r.add_credit(port, vc);
+                    } else {
+                        i += 1;
+                    }
+                }
+                for c in &mut env.capacity {
+                    *c = rng.below(4) as u16;
+                }
+                r.step(now, &mut env, &mut arena);
+                if let Err(e) = r.check_invariants() {
+                    panic!("seed {seed} cycle {now}: {e}");
+                }
+                assert_eq!(received, env.sent + r.buffered_flits() as u64);
+            }
+            assert!(env.sent > 1000, "seed {seed}: traffic flowed");
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //!    lock), inserts the result into both cache levels, publishes it to
 //!    any waiters and releases the claim. A compute that panics releases
 //!    its claim too, and the waiters retry instead of blocking forever.
+//!    An async job ([`SweepService::submit`]) whose batch panics finishes
+//!    with a `{"state": "failed", "error": ...}` body.
 //!
 //! Sweep jobs fan their rate points out over a bounded worker pool
 //! ([`SweepService::workers`] threads of [`simkit::par::map`]). Jobs that
@@ -43,6 +45,7 @@ use simkit::metrics::{MetricId, MetricsRegistry, MetricsSlice, MetricsSnapshot};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::io;
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -642,11 +645,31 @@ impl SweepService {
     /// Submits a batch for asynchronous execution; the returned id is
     /// pollable via [`SweepService::job_result`].
     pub fn submit(self: &Arc<Self>, batch: BatchRequest) -> u64 {
+        self.spawn_job(move |service| service.run_batch(&batch))
+    }
+
+    /// Registers a job as running and computes its body on a new thread.
+    /// A body that panics finishes the job with an error body instead of
+    /// leaving it running forever.
+    fn spawn_job(self: &Arc<Self>, body: impl FnOnce(&Self) -> Json + Send + 'static) -> u64 {
         let id = self.next_job.fetch_add(1, Ordering::Relaxed);
         self.jobs.lock().expect("job table").insert(id, None);
         let service = Arc::clone(self);
         std::thread::spawn(move || {
-            let rendered = service.run_batch(&batch).render();
+            let rendered = match std::panic::catch_unwind(AssertUnwindSafe(|| body(&service))) {
+                Ok(result) => result.render(),
+                Err(payload) => {
+                    let why = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "unknown panic".into());
+                    let mut j = Json::obj();
+                    j.set("state", Json::from("failed"))
+                        .set("error", Json::from(format!("batch panicked: {why}")));
+                    j.render()
+                }
+            };
             service
                 .jobs
                 .lock()
@@ -782,7 +805,7 @@ mod tests {
         use std::time::Duration;
         let service = Arc::new(SweepService::new(None, 1).expect("service"));
         let desc = SweepService::point_desc(&smoke_job(&[0.05], false), 0.05);
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
             service.cached_point(desc.key(), || panic!("compute failed"))
         }));
         assert!(panicked.is_err(), "the compute's panic reaches its caller");
@@ -879,6 +902,35 @@ mod tests {
         assert!(jsonl.contains("\"name\":\"serve_requests_total\""));
     }
 
+    /// Polls `id` until it finishes; fails if it never does.
+    fn poll_finished(service: &SweepService, id: u64) -> String {
+        for _ in 0..600 {
+            match service.job_result(id) {
+                Some(Some(body)) => return body,
+                Some(None) => std::thread::sleep(std::time::Duration::from_millis(10)),
+                None => panic!("submitted job vanished"),
+            }
+        }
+        panic!("async job never finished")
+    }
+
+    #[test]
+    fn async_job_whose_batch_panics_finishes_with_an_error() {
+        let service = Arc::new(SweepService::new(None, 1).expect("service"));
+        let id = service.spawn_job(|_| panic!("batch exploded"));
+        let body = poll_finished(&service, id);
+        let parsed = simkit::json::parse(&body).expect("error body is JSON");
+        assert_eq!(parsed.get("state").and_then(Json::as_str), Some("failed"));
+        let error = parsed.get("error").and_then(Json::as_str).expect("error");
+        assert!(error.contains("batch exploded"), "{error}");
+        // The service keeps answering after the panic.
+        let next = service.submit(BatchRequest {
+            jobs: vec![smoke_job(&[0.02], false)],
+        });
+        let ok = simkit::json::parse(&poll_finished(&service, next)).expect("JSON");
+        assert!(ok.get("jobs").is_some());
+    }
+
     #[test]
     fn async_submit_completes_and_is_pollable() {
         let service = Arc::new(SweepService::new(None, 1).expect("service"));
@@ -886,18 +938,7 @@ mod tests {
             jobs: vec![smoke_job(&[0.02], false)],
         });
         assert_eq!(service.job_result(999_999), None, "unknown id");
-        let mut tries = 0;
-        let body = loop {
-            match service.job_result(id) {
-                Some(Some(body)) => break body,
-                Some(None) => {
-                    tries += 1;
-                    assert!(tries < 600, "async job never finished");
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-                None => panic!("submitted job vanished"),
-            }
-        };
+        let body = poll_finished(&service, id);
         let parsed = simkit::json::parse(&body).expect("job result is JSON");
         assert!(parsed.get("jobs").is_some());
     }

@@ -31,7 +31,7 @@ pub use algorithm1::Algorithm1;
 pub use express::ExpressMesh;
 pub use hypercube::HypercubeRouting;
 pub use negative_first::NegativeFirstMesh;
-pub use table::{RouteTable, PREFILL_MAX_NODES};
+pub use table::RouteTable;
 pub use torus::TorusAdaptive;
 
 use crate::coord::{Coord, NodeId};

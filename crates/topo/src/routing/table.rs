@@ -8,10 +8,10 @@
 //! head.
 //!
 //! Entries store `(start, len)` windows into one shared candidate pool, so
-//! the table itself performs no per-entry allocation once warm. Small
-//! systems are [`RouteTable::prefill`]ed eagerly at network build time;
-//! larger ones (the wafer scale is ~3000 nodes, whose dense all-pairs
-//! table would dwarf the simulation itself) fill lazily on first use.
+//! the table itself performs no per-entry allocation once warm. Tables
+//! fill lazily on first use at every scale: a run only ever looks up the
+//! `(node, destination)` pairs its packets actually visit, a small
+//! fraction of the all-pairs table, and a smaller table probes faster.
 //!
 //! The cache must be [`RouteTable::invalidate`]d whenever the topology's
 //! routing view changes — hard fault events that take links out of (or
@@ -23,10 +23,6 @@ use crate::coord::NodeId;
 use crate::system::SystemTopology;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-
-/// Node-count threshold below which [`RouteTable::prefill`] computes the
-/// full all-pairs table at build time.
-pub const PREFILL_MAX_NODES: u32 = 1024;
 
 /// Finalizer-style hasher for the table's precomputed `u64` keys: one
 /// multiply, no byte loop. The keys are dense bit-packs, so a single
@@ -107,60 +103,6 @@ impl RouteTable {
         &self.pool[start..start + e.len as usize]
     }
 
-    /// Eagerly computes the whole table (every ordered pair × both lock
-    /// classes) when the system is small enough ([`PREFILL_MAX_NODES`]);
-    /// no-op above the threshold, where lazy filling wins.
-    pub fn prefill(&mut self, routing: &dyn Routing, topo: &SystemTopology) {
-        let n = topo.geometry().nodes();
-        if n > PREFILL_MAX_NODES {
-            return;
-        }
-        for cur in 0..n {
-            for dst in 0..n {
-                if cur == dst {
-                    continue;
-                }
-                for locked in [false, true] {
-                    let state = RouteState {
-                        baseline_locked: locked,
-                    };
-                    self.lookup(routing, topo, NodeId(cur), NodeId(dst), &state);
-                }
-            }
-        }
-    }
-
-    /// Eagerly computes entries for packets *currently at* one of `nodes`
-    /// (every destination × both lock classes); no-op above the
-    /// [`PREFILL_MAX_NODES`] threshold. This is [`RouteTable::prefill`]
-    /// restricted to the nodes a shard owns — each shard's table only
-    /// ever serves lookups whose `cur` is a shard-local router, so the
-    /// scoped fill gives the same warm-cache behavior at 1/N the cost.
-    pub fn prefill_scoped(
-        &mut self,
-        routing: &dyn Routing,
-        topo: &SystemTopology,
-        nodes: &[NodeId],
-    ) {
-        let n = topo.geometry().nodes();
-        if n > PREFILL_MAX_NODES {
-            return;
-        }
-        for &cur in nodes {
-            for dst in 0..n {
-                if cur.0 == dst {
-                    continue;
-                }
-                for locked in [false, true] {
-                    let state = RouteState {
-                        baseline_locked: locked,
-                    };
-                    self.lookup(routing, topo, cur, NodeId(dst), &state);
-                }
-            }
-        }
-    }
-
     /// Drops every cached entry. Call when the topology's routing view
     /// changes (hard fault events editing the lookup tables).
     pub fn invalidate(&mut self) {
@@ -235,19 +177,6 @@ mod tests {
         }
         assert!(table.hits() > 0);
         assert_eq!(table.misses(), (n as u64) * (n as u64 - 1) * 2);
-    }
-
-    #[test]
-    fn prefill_covers_all_pairs() {
-        let (topo, routing) = setup();
-        let mut table = RouteTable::new();
-        table.prefill(routing.as_ref(), &topo);
-        let n = topo.geometry().nodes() as usize;
-        assert_eq!(table.len(), n * (n - 1) * 2);
-        let before = table.misses();
-        let state = RouteState::default();
-        table.lookup(routing.as_ref(), &topo, NodeId(0), NodeId(5), &state);
-        assert_eq!(table.misses(), before, "prefilled lookups never compute");
     }
 
     #[test]

@@ -104,6 +104,10 @@ impl PhaseRt {
 pub struct PhaseGraph {
     phases: Vec<PhaseSpec>,
     rt: Vec<PhaseRt>,
+    /// Every phase below this index is complete, so the per-cycle
+    /// [`Workload::poll`] and [`Workload::observe`] loops start here.
+    /// Derived from `rt`; not part of the saved state.
+    first_incomplete: usize,
 }
 
 impl PhaseGraph {
@@ -134,7 +138,11 @@ impl PhaseGraph {
             }
         }
         let rt = vec![PhaseRt::fresh(); phases.len()];
-        Self { phases, rt }
+        Self {
+            phases,
+            rt,
+            first_incomplete: 0,
+        }
     }
 
     /// The phase specs, in topological order.
@@ -180,6 +188,18 @@ impl PhaseGraph {
     pub fn reset(&mut self) {
         for r in &mut self.rt {
             *r = PhaseRt::fresh();
+        }
+        self.first_incomplete = 0;
+    }
+
+    /// Moves [`Self::first_incomplete`] past every completed phase.
+    fn skip_completed(&mut self) {
+        while self
+            .rt
+            .get(self.first_incomplete)
+            .is_some_and(|r| r.complete)
+        {
+            self.first_incomplete += 1;
         }
     }
 
@@ -537,7 +557,8 @@ impl PhaseGraph {
 
 impl Workload for PhaseGraph {
     fn observe(&mut self, _now: Cycle, delivered_by_tag: &[u64]) {
-        for (idx, rt) in self.rt.iter_mut().enumerate() {
+        let first = self.first_incomplete;
+        for (idx, rt) in self.rt.iter_mut().enumerate().skip(first) {
             if rt.complete {
                 continue;
             }
@@ -552,13 +573,14 @@ impl Workload for PhaseGraph {
                 rt.complete = true;
             }
         }
+        self.skip_completed();
     }
 
     fn poll(&mut self, now: Cycle, out: &mut Vec<PacketRequest>) {
         // Ascending index order: deps always point backwards, so a chain
         // of zero-cost phases (empty events, zero compute) cascades
         // within a single poll instead of costing a cycle per link.
-        for idx in 0..self.phases.len() {
+        for idx in self.first_incomplete..self.phases.len() {
             if self.rt[idx].complete {
                 continue;
             }
@@ -587,6 +609,7 @@ impl Workload for PhaseGraph {
                 rt.complete = true;
             }
         }
+        self.skip_completed();
     }
 
     fn done(&self) -> bool {
@@ -642,6 +665,8 @@ impl LoadState for PhaseGraph {
                 return Err(CodecError::Corrupt("phase event cursor"));
             }
         }
+        self.first_incomplete = 0;
+        self.skip_completed();
         Ok(())
     }
 }
@@ -1000,6 +1025,36 @@ mod tests {
         assert_eq!(fresh.released_at(1), g.released_at(1));
         assert_eq!(fresh.phase_complete(0), g.phase_complete(0));
         assert_eq!(fresh.done(), g.done());
+    }
+
+    #[test]
+    fn restoring_an_earlier_state_rewinds_past_completed_phases() {
+        let mut g = two_phase_chain();
+        let mut w = ByteWriter::new();
+        g.save_state(&mut w);
+        let start = w.into_bytes();
+        // Run the chain to completion.
+        let mut out = Vec::new();
+        g.poll(0, &mut out);
+        g.observe(4, &[0, 1]);
+        for now in 4..=9 {
+            g.poll(now, &mut out);
+        }
+        g.observe(12, &[0, 1, 1]);
+        assert!(g.all_complete());
+        // Loading the start state must make phase 0 live again.
+        g.load_state(&mut ByteReader::new(&start)).unwrap();
+        out.clear();
+        g.poll(0, &mut out);
+        assert_eq!(out.len(), 1, "phase 0 injects again");
+        assert_eq!(out[0].tag, 1);
+        // And `reset` rewinds the same way.
+        g.observe(4, &[0, 1]);
+        g.poll(4, &mut out);
+        g.reset();
+        out.clear();
+        g.poll(0, &mut out);
+        assert_eq!(out.len(), 1, "phase 0 injects after reset");
     }
 
     #[test]
