@@ -21,23 +21,26 @@
 //!   binary codec, so a torn write or bit rot surfaces as a rejected
 //!   entry and a recompute, never as a wrong result.
 //!
-//! [`ResultCache`] stacks the two and is shared by every front end: the
-//! `hetero-serve` job server, the `hetero-sim --cache-dir` CLI path and
-//! the serve-throughput bench all go through [`ResultCache::get_or_compute`],
-//! so a result computed by any of them is a hit for all of them.
+//! [`ResultCache`] stacks the two. Every front end reaches it through the
+//! `hetero-serve` sweep service: the job server, the `hetero-sim
+//! --cache-dir` CLI path and the serve benchmark all key their points with
+//! [`PointDesc`] and compute misses with [`engine_point`] or
+//! [`phase_point`], so a result computed by any of them is a hit for all
+//! of them.
 
 use crate::config::SimConfig;
 use crate::presets::NetworkKind;
 use crate::results::SimResults;
 use crate::scheduler::SchedulingProfile;
 use crate::sim::{run, RunOutcome, RunSpec};
-use chiplet_topo::{Geometry, NodeId};
-use chiplet_traffic::{PhaseGraph, SyntheticWorkload, TrafficPattern};
+use crate::sweep::run_synthetic;
+use chiplet_topo::Geometry;
+use chiplet_traffic::{PhaseGraph, TrafficPattern};
 use simkit::codec::{crc32, ByteReader, ByteWriter, CodecError, LoadState, SaveState};
 use simkit::hash::{sha256, to_hex};
 use std::collections::HashMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Version tag of the canonical key derivation *and* the on-disk entry
 /// format. Bump when either changes: old entries then simply never match
@@ -134,10 +137,16 @@ impl PointDesc {
     /// every phase, dependency, compute window and event — into the
     /// cache identity. A generated DNN graph and its captured-and-
     /// replayed trace share a fingerprint and therefore a key; a
-    /// compute-scaled copy gets a new one automatically. The synthetic
-    /// `pattern`/`rate` fields stay in the canonical string but are
-    /// inert for such points — callers should pass fixed values.
-    pub fn with_workload(self, graph: &PhaseGraph) -> Self {
+    /// compute-scaled copy gets a new one automatically.
+    ///
+    /// This is the one place the workload-key rule lives: the synthetic
+    /// fields are inert for such points, so they are pinned (`Uniform`,
+    /// rate 0) whatever the caller passed, and the schedule drains
+    /// offers, which is how a phase workload runs.
+    pub fn with_workload(mut self, graph: &PhaseGraph) -> Self {
+        self.pattern = TrafficPattern::Uniform;
+        self.rate = 0.0;
+        self.spec = self.spec.with_drain_offers();
         self.with_variant(format!("workload@{}", graph.fingerprint()))
     }
 
@@ -214,15 +223,6 @@ impl CachedPoint {
             fault_stalled: self.fault_stalled,
         }
     }
-
-    /// The equivalent sweep point.
-    pub fn to_sweep_point(&self) -> crate::sweep::SweepPoint {
-        crate::sweep::SweepPoint {
-            rate: self.rate,
-            results: self.results.clone(),
-            drained: self.drained,
-        }
-    }
 }
 
 impl SaveState for CachedPoint {
@@ -248,20 +248,19 @@ impl LoadState for CachedPoint {
 
 /// Computes the descriptor's point with the engine: build the preset
 /// network, run the synthetic workload, wrap the outcome. This is the
-/// compute half that [`ResultCache::get_or_compute`] callers share —
-/// callers with extra state to install (a fault script) supply their own
-/// closure and a matching [`PointDesc::variant`].
+/// compute half of a cold cache miss — callers with extra state to
+/// install (a warm checkpoint) supply their own compute and a matching
+/// [`PointDesc::variant`].
 pub fn engine_point(desc: &PointDesc) -> CachedPoint {
     let mut net = desc.kind.build(desc.geom, desc.config, desc.profile);
-    let nodes: Vec<NodeId> = (0..desc.geom.nodes()).map(NodeId).collect();
-    let mut w = SyntheticWorkload::new(
-        nodes,
+    let out = run_synthetic(
+        &mut net,
         desc.pattern,
         desc.rate,
         desc.packet_len,
+        desc.spec,
         desc.config.seed,
     );
-    let out = run(&mut net, &mut w, desc.spec);
     CachedPoint::from_outcome(desc.rate, &out)
 }
 
@@ -288,13 +287,6 @@ pub enum CacheSource {
     Computed,
 }
 
-impl CacheSource {
-    /// Whether the point was served without computing.
-    pub fn is_hit(self) -> bool {
-        !matches!(self, CacheSource::Computed)
-    }
-}
-
 /// Cache traffic counters (monotonic; the serve layer mirrors them into
 /// its metrics registry).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -303,8 +295,6 @@ pub struct CacheStats {
     pub mem_hits: u64,
     /// Lookups served from the on-disk store.
     pub disk_hits: u64,
-    /// Lookups that found nothing and computed.
-    pub misses: u64,
     /// Entries written to the on-disk store.
     pub stored: u64,
     /// On-disk entries rejected by the integrity checks (bad magic, CRC,
@@ -313,13 +303,6 @@ pub struct CacheStats {
     /// Disk writes that failed (the computed result is still returned
     /// and kept in memory).
     pub store_errors: u64,
-}
-
-impl CacheStats {
-    /// Total hits, both levels.
-    pub fn hits(&self) -> u64 {
-        self.mem_hits + self.disk_hits
-    }
 }
 
 /// A fixed-capacity LRU keyed by [`CacheKey`].
@@ -439,11 +422,6 @@ impl DiskStore {
         })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// The entry path for `key`.
     pub fn entry_path(&self, key: &CacheKey) -> PathBuf {
         let hex = key.hex();
@@ -560,11 +538,6 @@ impl ResultCache {
         }
     }
 
-    /// The underlying disk store, if any.
-    pub fn disk(&self) -> Option<&DiskStore> {
-        self.disk.as_ref()
-    }
-
     /// Looks `key` up in both levels, counting the hit/miss and promoting
     /// disk hits into memory. Corrupt disk entries are rejected, counted
     /// and reported as a miss.
@@ -598,30 +571,6 @@ impl ResultCache {
                 Err(_) => self.stats.store_errors += 1,
             }
         }
-    }
-
-    /// The cache front door: serve `key` from either level, or run
-    /// `compute`, store the result and serve that. The returned
-    /// [`CacheSource`] says which happened.
-    pub fn get_or_compute(
-        &mut self,
-        key: CacheKey,
-        compute: impl FnOnce() -> CachedPoint,
-    ) -> (CachedPoint, CacheSource) {
-        if let Some((p, src)) = self.lookup(&key) {
-            return (p, src);
-        }
-        self.stats.misses += 1;
-        let point = compute();
-        self.insert(key, &point);
-        (point, CacheSource::Computed)
-    }
-
-    /// [`ResultCache::get_or_compute`] for a plain cold engine point: the
-    /// key is the descriptor's, the compute is [`engine_point`]. The
-    /// `run_point`-level hook every front end shares.
-    pub fn point(&mut self, desc: &PointDesc) -> (CachedPoint, CacheSource) {
-        self.get_or_compute(desc.key(), || engine_point(desc))
     }
 }
 
@@ -728,9 +677,18 @@ mod tests {
             keyed.key()
         );
         assert_ne!(
-            base.with_workload(&graph.with_compute_scale(2.0)).key(),
+            base.clone()
+                .with_workload(&graph.clone().with_compute_scale(2.0))
+                .key(),
             keyed.key()
         );
+        // The synthetic fields are inert for a workload point: whatever
+        // pattern and rate the caller passed, the key is the same.
+        let inert = PointDesc {
+            pattern: TrafficPattern::BitComplement,
+            ..small_desc(0.3)
+        };
+        assert_eq!(inert.with_workload(&graph).key(), keyed.key());
     }
 
     #[test]
@@ -740,11 +698,8 @@ mod tests {
         let nodes: Vec<NodeId> = (0..16).map(NodeId).collect();
         let spec = DnnSpec::parse("ranks=4,layers=1,grad=32").unwrap();
         let mut graph = PhaseGraph::dnn(&spec, &nodes);
-        let desc = PointDesc {
-            spec: RunSpec::smoke().with_drain_offers(),
-            ..small_desc(0.0)
-        }
-        .with_workload(&graph);
+        let desc = small_desc(0.0).with_workload(&graph);
+        assert!(desc.spec.drain_offers, "phase workloads drain their offers");
         let a = phase_point(&desc, &mut graph);
         // Reuse the same graph object: phase_point resets it.
         let b = phase_point(&desc, &mut graph);
@@ -752,11 +707,11 @@ mod tests {
         assert!(a.drained);
 
         let mut cache = ResultCache::in_memory();
-        let (first, src) = cache.get_or_compute(desc.key(), || phase_point(&desc, &mut graph));
-        assert_eq!(src, CacheSource::Computed);
-        let (second, src) = cache.get_or_compute(desc.key(), || unreachable!("cache hit"));
+        assert!(cache.lookup(&desc.key()).is_none());
+        cache.insert(desc.key(), &a);
+        let (second, src) = cache.lookup(&desc.key()).expect("cache hit");
         assert_eq!(src, CacheSource::Memory);
-        assert_eq!(first, second);
+        assert_eq!(second, a);
     }
 
     #[test]
@@ -810,29 +765,30 @@ mod tests {
     }
 
     #[test]
-    fn get_or_compute_counts_and_serves_each_level() {
+    fn lookup_and_insert_count_and_serve_each_level() {
         let dir = std::env::temp_dir().join(format!("hcache-levels-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let desc = small_desc(0.05);
+        let key = desc.key();
 
         let mut cache = ResultCache::with_dir(&dir).expect("cache opens");
-        let (first, src) = cache.point(&desc);
-        assert_eq!(src, CacheSource::Computed);
-        assert_eq!(cache.stats.misses, 1);
+        assert!(cache.lookup(&key).is_none());
+        let first = engine_point(&desc);
+        cache.insert(key, &first);
         assert_eq!(cache.stats.stored, 1);
-        let (second, src) = cache.point(&desc);
+        let (second, src) = cache.lookup(&key).expect("hit");
         assert_eq!(src, CacheSource::Memory);
         assert_eq!(second, first);
 
         // A fresh cache over the same directory — a "process restart" —
         // hits the disk level, bit-identically.
         let mut cache2 = ResultCache::with_dir(&dir).expect("cache reopens");
-        let (third, src) = cache2.point(&desc);
+        let (third, src) = cache2.lookup(&key).expect("hit");
         assert_eq!(src, CacheSource::Disk);
         assert_eq!(third, first);
         assert_eq!(cache2.stats.disk_hits, 1);
         // ...and the promoted entry now hits memory.
-        let (_, src) = cache2.point(&desc);
+        let (_, src) = cache2.lookup(&key).expect("hit");
         assert_eq!(src, CacheSource::Memory);
 
         let _ = std::fs::remove_dir_all(&dir);

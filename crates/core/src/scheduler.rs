@@ -70,6 +70,18 @@ impl SchedulingProfile {
             serial_selection_weight: 1.0,
         }
     }
+
+    /// The profile a name (as in [`SchedulingProfile::name`]) stands for.
+    pub fn from_name(name: &str) -> Option<Self> {
+        [
+            Self::performance_first(),
+            Self::balanced(),
+            Self::energy_efficient(),
+            Self::application_aware(),
+        ]
+        .into_iter()
+        .find(|p| p.name == name)
+    }
 }
 
 impl Default for SchedulingProfile {
@@ -95,6 +107,22 @@ mod tests {
             "performance-first ignores energy"
         );
         assert!(e.cost_weights.gamma > 0.0);
+    }
+
+    #[test]
+    fn from_name_reads_every_profile_name() {
+        for name in [
+            "performance-first",
+            "balanced",
+            "energy-efficient",
+            "application-aware",
+        ] {
+            assert_eq!(
+                SchedulingProfile::from_name(name).map(|p| p.name),
+                Some(name)
+            );
+        }
+        assert_eq!(SchedulingProfile::from_name("greedy"), None);
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!
 //! [`latency_sweep_warm_start`] additionally amortizes the warm-up: it
 //! pays it once ([`warm_checkpoint`]), and starts every point from the
-//! restored state (an approximation — see its docs).
+//! restored state ([`fork_point`]; an approximation — see its docs).
 
 use crate::network::Network;
 use crate::results::SimResults;
-use crate::sim::{run, run_until, RunSpec};
+use crate::sim::{run, run_until, RunOutcome, RunSpec};
 use chiplet_topo::NodeId;
 use chiplet_traffic::{SyntheticWorkload, TrafficPattern};
 use simkit::Cycle;
@@ -44,21 +44,37 @@ fn workload(
     SyntheticWorkload::new(nodes, pattern, rate, packet_len, seed)
 }
 
-fn run_point(
+/// Runs one synthetic point (`pattern` at `rate`) on `net`, from whatever
+/// state `net` is in: fresh for a cold point, restored for a forked one.
+pub(crate) fn run_synthetic(
     net: &mut Network,
     pattern: TrafficPattern,
     rate: f64,
     packet_len: u16,
     spec: RunSpec,
     seed: u64,
-) -> SweepPoint {
+) -> RunOutcome {
     let mut w = workload(net, pattern, rate, packet_len, seed);
-    let outcome = run(net, &mut w, spec);
-    SweepPoint {
-        rate,
-        results: outcome.results,
-        drained: outcome.drained,
-    }
+    run(net, &mut w, spec)
+}
+
+/// Runs one point forked from a warm checkpoint ([`warm_checkpoint`]):
+/// builds the network, restores `blob` into it and runs the point's own
+/// workload from the warm state. The one fork path of warm-started
+/// sweeps, here and in the sweep service.
+pub fn fork_point(
+    build: impl FnOnce() -> Network,
+    blob: &[u8],
+    pattern: TrafficPattern,
+    rate: f64,
+    packet_len: u16,
+    spec: RunSpec,
+    seed: u64,
+) -> RunOutcome {
+    let mut net = build();
+    net.restore(blob)
+        .expect("the warm checkpoint restores into an identically-built network");
+    run_synthetic(&mut net, pattern, rate, packet_len, spec, seed)
 }
 
 /// Sweeps injection rates on fresh networks built by `build`, over a pool
@@ -78,10 +94,7 @@ pub fn latency_sweep(
     threads: usize,
 ) -> Vec<SweepPoint> {
     sweep_executor(
-        |rate| {
-            let mut net = build();
-            run_point(&mut net, pattern, rate, packet_len, spec, seed)
-        },
+        |rate| run_synthetic(&mut build(), pattern, rate, packet_len, spec, seed),
         rates,
         threads,
     )
@@ -89,13 +102,13 @@ pub fn latency_sweep(
 }
 
 /// The shared sweep machinery behind [`latency_sweep`] and
-/// [`latency_sweep_warm_start`]: runs `run_at(rate)` for each rate on a
-/// pool of `threads` workers, applies the early-exit rule, and also
+/// [`latency_sweep_warm_start`]: runs the point `run_at(rate)` for each
+/// rate on a pool of `threads` workers, applies the early-exit rule, and also
 /// reports how many points actually executed (the warm-start savings
 /// accounting needs the executed count, not the reported one — workers
 /// may finish points the truncation later drops).
 fn sweep_executor(
-    run_at: impl Fn(f64) -> SweepPoint + Sync,
+    run_at: impl Fn(f64) -> RunOutcome + Sync,
     rates: &[f64],
     threads: usize,
 ) -> (Vec<SweepPoint>, usize) {
@@ -109,7 +122,12 @@ fn sweep_executor(
             return None;
         }
         drop(sat);
-        let point = run_at(rate);
+        let outcome = run_at(rate);
+        let point = SweepPoint {
+            rate,
+            results: outcome.results,
+            drained: outcome.drained,
+        };
         if point.results.is_saturated() {
             saturated_idx.lock().expect("sweep lock").push(i);
         }
@@ -204,12 +222,7 @@ pub fn latency_sweep_warm_start(
         };
     };
     let (points, executed) = sweep_executor(
-        |rate| {
-            let mut net = build();
-            net.restore(&blob)
-                .expect("the warm checkpoint restores into an identically-built network");
-            run_point(&mut net, pattern, rate, packet_len, spec, seed)
-        },
+        |rate| fork_point(&build, &blob, pattern, rate, packet_len, spec, seed),
         rates,
         threads,
     );

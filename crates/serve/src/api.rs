@@ -36,9 +36,14 @@
 //! — in which case it sweeps compute-window `"scales"` (default
 //! `[1.0]`) rather than `rates`; each scaled graph is cached under its
 //! own fingerprint key.
+//!
+//! Decoding fills the defaults and reports wrongly typed fields; every
+//! decoded job is then checked by [`JobSpec::validate`], the validator
+//! `hetero-sim` runs on the job it builds from its flags.
 
-use chiplet_topo::{Geometry, NodeId};
-use chiplet_traffic::{DnnSpec, PhaseGraph, TrafficPattern};
+use chiplet_topo::Geometry;
+use chiplet_traffic::{PhaseGraph, TrafficPattern};
+use hetero_if::cache::PointDesc;
 use hetero_if::sim::RunSpec;
 use hetero_if::{NetworkKind, SchedulingProfile, SimConfig};
 use simkit::json::Json;
@@ -63,7 +68,10 @@ impl Backend {
     }
 }
 
-/// One parsed sweep/estimate job.
+/// One sweep/estimate job: the description of a run's points that both
+/// front ends share. `hetero-serve` decodes it from JSON and `hetero-sim`
+/// builds it from its flags; either way [`JobSpec::validate`] checks it
+/// before anything runs.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Network preset.
@@ -103,6 +111,74 @@ impl JobSpec {
         config.packet_len = self.packet_len;
         config
     }
+
+    /// The cache descriptor of this job's cold engine point at `rate`.
+    pub fn point_desc(&self, rate: f64) -> PointDesc {
+        PointDesc::new(
+            self.kind,
+            self.geom,
+            self.config(),
+            self.profile,
+            self.pattern,
+            rate,
+            self.packet_len,
+            self.spec,
+        )
+    }
+
+    /// The cache descriptor of this job run on the phase workload
+    /// `graph` (its own graph or a compute-scaled copy).
+    pub fn workload_desc(&self, graph: &PhaseGraph) -> PointDesc {
+        self.point_desc(0.0).with_workload(graph)
+    }
+
+    /// Checks that every point of the job can run: the preset builds on
+    /// the geometry, rates (or a workload's scales) are a non-empty list
+    /// of positive finite numbers, packets have at least one flit, and a
+    /// workload job runs cold on the engine over nodes the geometry has.
+    /// Each message starts with the field it concerns.
+    ///
+    /// # Errors
+    ///
+    /// The first check that fails.
+    pub fn validate(&self) -> Result<(), ApiError> {
+        let g = self.geom;
+        self.kind.check_geometry(g).map_err(|e| {
+            let dims = [g.chiplets_x(), g.chiplets_y(), g.chip_w(), g.chip_h()];
+            err(format!("geom {dims:?}: {e}"))
+        })?;
+        if self.packet_len == 0 {
+            return Err(err("packet_len must be a positive integer"));
+        }
+        let Some(graph) = &self.workload else {
+            return positive_list("rates", &self.rates);
+        };
+        if !self.rates.is_empty() {
+            return Err(err("workload jobs sweep \"scales\", not \"rates\""));
+        }
+        positive_list("scales", &self.scales)?;
+        if self.backend != Backend::Engine {
+            return Err(err("workload jobs run on the engine backend only"));
+        }
+        if self.warm_start {
+            return Err(err(
+                "warm_start does not apply to workload jobs (phases own their warm-up)",
+            ));
+        }
+        graph
+            .check_nodes(g.nodes())
+            .map_err(|e| err(format!("workload: {e}")))
+    }
+}
+
+fn positive_list(key: &str, list: &[f64]) -> Result<(), ApiError> {
+    if list.is_empty() {
+        return Err(err(format!("{key} must not be empty")));
+    }
+    if !list.iter().all(|r| r.is_finite() && *r > 0.0) {
+        return Err(err(format!("{key} must be positive finite numbers")));
+    }
+    Ok(())
 }
 
 /// A parsed batch request.
@@ -129,22 +205,17 @@ fn err(msg: impl Into<String>) -> ApiError {
     ApiError(msg.into())
 }
 
-fn parse_pattern(name: &str) -> Result<TrafficPattern, ApiError> {
-    TrafficPattern::ALL
-        .iter()
-        .copied()
-        .find(|p| p.to_string() == name)
-        .ok_or_else(|| err(format!("unknown pattern: {name}")))
-}
-
-fn parse_profile(name: &str) -> Result<SchedulingProfile, ApiError> {
-    match name {
-        "performance-first" => Ok(SchedulingProfile::performance_first()),
-        "balanced" => Ok(SchedulingProfile::balanced()),
-        "energy-efficient" => Ok(SchedulingProfile::energy_efficient()),
-        "application-aware" => Ok(SchedulingProfile::application_aware()),
-        other => Err(err(format!("unknown profile: {other}"))),
-    }
+/// The value at `key` as `get` reads it, if the key is present; an error
+/// saying `key must be <what>` if it has the wrong type.
+fn field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    what: &str,
+    get: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, ApiError> {
+    v.get(key)
+        .map(|j| get(j).ok_or_else(|| err(format!("{key} must be {what}"))))
+        .transpose()
 }
 
 fn parse_spec(v: &Json) -> Result<RunSpec, ApiError> {
@@ -156,28 +227,24 @@ fn parse_spec(v: &Json) -> Result<RunSpec, ApiError> {
             other => Err(err(format!("unknown spec preset: {other}"))),
         };
     }
-    if matches!(v, Json::Obj(_)) {
-        let field = |key: &str, default: u64| -> Result<u64, ApiError> {
-            match v.get(key) {
-                None => Ok(default),
-                Some(j) => j
-                    .as_u64()
-                    .ok_or_else(|| err(format!("spec.{key} must be a non-negative integer"))),
-            }
-        };
-        let base = RunSpec::smoke();
-        return Ok(RunSpec {
-            warmup: field("warmup", base.warmup)?,
-            measure: field("measure", base.measure)?,
-            drain: field("drain", base.drain)?,
-            watchdog: field("watchdog", base.watchdog)?,
-            drain_offers: v
-                .get("drain_offers")
-                .and_then(Json::as_bool)
-                .unwrap_or(base.drain_offers),
-        });
+    if !matches!(v, Json::Obj(_)) {
+        return Err(err("spec must be a preset name or an object"));
     }
-    Err(err("spec must be a preset name or an object"))
+    let in_spec = |e: ApiError| err(format!("spec.{e}"));
+    let num = |key: &str, default: u64| -> Result<u64, ApiError> {
+        let n = field(v, key, "a non-negative integer", Json::as_u64).map_err(in_spec)?;
+        Ok(n.unwrap_or(default))
+    };
+    let base = RunSpec::smoke();
+    Ok(RunSpec {
+        warmup: num("warmup", base.warmup)?,
+        measure: num("measure", base.measure)?,
+        drain: num("drain", base.drain)?,
+        watchdog: num("watchdog", base.watchdog)?,
+        drain_offers: field(v, "drain_offers", "a boolean", Json::as_bool)
+            .map_err(in_spec)?
+            .unwrap_or(base.drain_offers),
+    })
 }
 
 fn parse_geom(v: &Json) -> Result<Geometry, ApiError> {
@@ -196,140 +263,64 @@ fn parse_geom(v: &Json) -> Result<Geometry, ApiError> {
     Ok(Geometry::new(dims[0], dims[1], dims[2], dims[3]))
 }
 
+/// Decodes one job's fields, filling defaults, then validates it.
 fn parse_job(v: &Json) -> Result<JobSpec, ApiError> {
-    let preset = v
-        .get("preset")
-        .and_then(Json::as_str)
+    let preset = field(v, "preset", "a string", Json::as_str)?
         .ok_or_else(|| err("job is missing \"preset\""))?;
     let kind =
         NetworkKind::from_label(preset).ok_or_else(|| err(format!("unknown preset: {preset}")))?;
-    let parse_positive_list = |key: &'static str| -> Result<Option<Vec<f64>>, ApiError> {
-        let Some(j) = v.get(key) else { return Ok(None) };
-        let arr = j
-            .as_arr()
-            .ok_or_else(|| err(format!("{key} must be an array")))?;
-        let list: Vec<f64> = arr
-            .iter()
-            .map(|j| {
-                j.as_f64()
-                    .filter(|r| r.is_finite() && *r > 0.0)
-                    .ok_or_else(|| err(format!("{key} must be positive finite numbers")))
-            })
-            .collect::<Result<_, _>>()?;
-        if list.is_empty() {
-            return Err(err(format!("{key} must not be empty")));
-        }
-        Ok(Some(list))
-    };
-    let has_workload = v.get("workload").is_some();
-    let rates = match parse_positive_list("rates")? {
-        Some(r) if has_workload => {
-            let _ = r;
-            return Err(err("workload jobs sweep \"scales\", not \"rates\""));
-        }
-        Some(r) => r,
-        None if has_workload => Vec::new(),
-        None => return Err(err("job is missing \"rates\"")),
-    };
-    let scales = match parse_positive_list("scales")? {
-        Some(_) if !has_workload => {
-            return Err(err("\"scales\" requires a \"workload\""));
-        }
-        Some(s) => s,
-        None => vec![1.0],
-    };
     let geom = match v.get("geom") {
         Some(g) => parse_geom(g)?,
         None => Geometry::new(2, 2, 2, 2),
     };
-    kind.check_geometry(geom).map_err(err)?;
-    let workload = match v.get("workload").map(|w| w.as_str()) {
-        None => None,
-        Some(None) => return Err(err("workload must be a string")),
-        Some(Some(text)) => Some(parse_workload(text, geom)?),
+    let numbers = |key: &str| {
+        field(v, key, "an array of numbers", |j| {
+            j.as_arr()?
+                .iter()
+                .map(Json::as_f64)
+                .collect::<Option<Vec<f64>>>()
+        })
     };
-    let profile = match v.get("profile").map(|p| p.as_str()) {
-        Some(Some(name)) => parse_profile(name)?,
-        Some(None) => return Err(err("profile must be a string")),
+    let workload = field(v, "workload", "a string", Json::as_str)?
+        .map(|text| PhaseGraph::parse_workload(text, geom.nodes()).map_err(err))
+        .transpose()?;
+    if workload.is_none() && v.get("scales").is_some() {
+        return Err(err("\"scales\" requires a \"workload\""));
+    }
+    let profile = match field(v, "profile", "a string", Json::as_str)? {
+        Some(name) => SchedulingProfile::from_name(name)
+            .ok_or_else(|| err(format!("unknown profile: {name}")))?,
         None => SchedulingProfile::balanced(),
     };
-    let pattern = match v.get("pattern").map(|p| p.as_str()) {
-        Some(Some(name)) => parse_pattern(name)?,
-        Some(None) => return Err(err("pattern must be a string")),
+    let pattern = match field(v, "pattern", "a string", Json::as_str)? {
+        Some(name) => TrafficPattern::from_name(name)
+            .ok_or_else(|| err(format!("unknown pattern: {name}")))?,
         None => TrafficPattern::Uniform,
     };
-    let packet_len = match v.get("packet_len") {
-        None => 16,
-        Some(j) => j
-            .as_u64()
-            .filter(|&n| (1..=u64::from(u16::MAX)).contains(&n))
-            .ok_or_else(|| err("packet_len must be a positive integer"))? as u16,
+    let backend = match field(v, "backend", "a string", Json::as_str)? {
+        None | Some("engine") => Backend::Engine,
+        Some("analytical") => Backend::Analytical,
+        Some(other) => return Err(err(format!("unknown backend: {other}"))),
     };
-    let spec = match v.get("spec") {
-        Some(s) => parse_spec(s)?,
-        None => RunSpec::smoke(),
-    };
-    let seed = match v.get("seed") {
-        None => 1,
-        Some(j) => j.as_u64().ok_or_else(|| err("seed must be an integer"))?,
-    };
-    let backend = match v.get("backend").map(|b| b.as_str()) {
-        None => Backend::Engine,
-        Some(Some("engine")) => Backend::Engine,
-        Some(Some("analytical")) => Backend::Analytical,
-        Some(Some(other)) => return Err(err(format!("unknown backend: {other}"))),
-        Some(None) => return Err(err("backend must be a string")),
-    };
-    let warm_start = v.get("warm_start").and_then(Json::as_bool).unwrap_or(false);
-    if workload.is_some() {
-        if backend == Backend::Analytical {
-            return Err(err("workload jobs run on the engine backend only"));
-        }
-        if warm_start {
-            return Err(err(
-                "warm_start does not apply to workload jobs (phases own their warm-up)",
-            ));
-        }
-    }
-    Ok(JobSpec {
+    let job = JobSpec {
         kind,
         geom,
         profile,
         pattern,
-        rates,
-        packet_len,
-        spec,
-        seed,
+        rates: numbers("rates")?.unwrap_or_default(),
+        packet_len: field(v, "packet_len", "a positive integer", |j| {
+            u16::try_from(j.as_u64()?).ok()
+        })?
+        .unwrap_or(16),
+        spec: v.get("spec").map_or(Ok(RunSpec::smoke()), parse_spec)?,
+        seed: field(v, "seed", "an integer", Json::as_u64)?.unwrap_or(1),
         backend,
-        warm_start,
+        warm_start: field(v, "warm_start", "a boolean", Json::as_bool)?.unwrap_or(false),
         workload,
-        scales,
-    })
-}
-
-/// Parses the `"workload"` field: `dnn:<spec>` generates the
-/// chiplet-mapped DNN phase graph over this geometry's nodes; inline
-/// `#hetero-phase-trace` text (as captured by `hetero-sim
-/// --capture-trace`) replays bit-identically, once its node ids are
-/// checked against the geometry. The server never reads files on the
-/// client's behalf.
-fn parse_workload(text: &str, geom: Geometry) -> Result<PhaseGraph, ApiError> {
-    if let Some(rest) = text.strip_prefix("dnn:") {
-        let spec = DnnSpec::parse(rest).map_err(|e| err(format!("bad dnn workload: {e}")))?;
-        let nodes: Vec<NodeId> = (0..geom.nodes()).map(NodeId).collect();
-        Ok(PhaseGraph::dnn(&spec, &nodes))
-    } else if text.starts_with("#hetero-phase-trace") {
-        let graph =
-            PhaseGraph::from_text(text).map_err(|e| err(format!("bad phase trace: {e}")))?;
-        graph
-            .check_nodes(geom.nodes())
-            .map_err(|e| err(format!("bad phase trace: {e}")))?;
-        Ok(graph)
-    } else {
-        Err(err(
-            "workload must be dnn:<spec> or inline #hetero-phase-trace text",
-        ))
-    }
+        scales: numbers("scales")?.unwrap_or_else(|| vec![1.0]),
+    };
+    job.validate()?;
+    Ok(job)
 }
 
 impl BatchRequest {
@@ -483,6 +474,87 @@ mod tests {
     }
 
     #[test]
+    fn validate_checks_jobs_built_without_json() {
+        let batch =
+            BatchRequest::parse(r#"{"jobs": [{"preset": "hetero-phy-full", "rates": [0.1]}]}"#)
+                .expect("valid job");
+        let job = &batch.jobs[0];
+        assert_eq!(job.validate(), Ok(()));
+        let graph = PhaseGraph::parse_workload("dnn:layers=1", 16).expect("graph");
+        let workload = JobSpec {
+            rates: Vec::new(),
+            workload: Some(graph),
+            ..job.clone()
+        };
+        assert_eq!(workload.validate(), Ok(()));
+        for (bad, needle) in [
+            (
+                JobSpec {
+                    rates: vec![f64::NAN],
+                    ..job.clone()
+                },
+                "rates",
+            ),
+            (
+                JobSpec {
+                    rates: vec![-1.0],
+                    ..job.clone()
+                },
+                "rates",
+            ),
+            (
+                JobSpec {
+                    packet_len: 0,
+                    ..job.clone()
+                },
+                "packet_len",
+            ),
+            (
+                JobSpec {
+                    geom: Geometry::new(1, 1, 1, 1),
+                    ..job.clone()
+                },
+                "geom",
+            ),
+            (
+                JobSpec {
+                    rates: vec![0.1],
+                    ..workload.clone()
+                },
+                "scales",
+            ),
+            (
+                JobSpec {
+                    scales: vec![0.0],
+                    ..workload.clone()
+                },
+                "scales",
+            ),
+            (
+                JobSpec {
+                    geom: Geometry::new(1, 1, 2, 2),
+                    ..workload.clone()
+                },
+                "4-node",
+            ),
+        ] {
+            let e = bad.validate().expect_err(needle);
+            assert!(e.0.contains(needle), "{e} should mention {needle:?}");
+        }
+    }
+
+    #[test]
+    fn pattern_names_include_the_printed_hotspot_name() {
+        for name in ["uniform-hotspot", "hotspot"] {
+            let body = format!(
+                r#"{{"jobs": [{{"preset": "hetero-phy-full", "rates": [0.1], "pattern": "{name}"}}]}}"#
+            );
+            let batch = BatchRequest::parse(&body).expect(name);
+            assert_eq!(batch.jobs[0].pattern, TrafficPattern::UniformHotspot);
+        }
+    }
+
+    #[test]
     fn full_job_round_trips_every_field() {
         let batch = BatchRequest::parse(
             r#"{"jobs": [{
@@ -539,6 +611,18 @@ mod tests {
             (
                 r#"{"jobs": [{"preset": "uni-parallel-mesh", "rates": [0.1], "geom": [1]}]}"#,
                 "geom",
+            ),
+            (
+                r#"{"jobs": [{"preset": "uni-parallel-mesh", "rates": [0.1], "warm_start": "yes"}]}"#,
+                "warm_start",
+            ),
+            (
+                r#"{"jobs": [{"preset": "uni-parallel-mesh", "rates": [0.1], "spec": {"drain_offers": 1}}]}"#,
+                "spec.drain_offers",
+            ),
+            (
+                r#"{"jobs": [{"preset": "uni-parallel-mesh", "rates": [0.1], "packet_len": 0}]}"#,
+                "packet_len",
             ),
             ("{not json", "parse"),
         ] {

@@ -22,10 +22,23 @@ use simkit::json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Largest accepted request body (a batch of thousands of points fits in
 /// a fraction of this; anything bigger is a client error, not a job).
 const MAX_BODY: usize = 8 * 1024 * 1024;
+
+/// Longest accepted request or header line, newline included. Reading
+/// stops one byte past it, so a longer line is refused without being
+/// buffered.
+const MAX_LINE: usize = 8 * 1024;
+
+/// Most header lines accepted in one request.
+const MAX_HEADERS: usize = 100;
+
+/// How long a read may wait for the client before the connection is
+/// dropped, so a stalled client cannot hold its handler thread forever.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One parsed request.
 #[derive(Debug)]
@@ -35,22 +48,40 @@ struct Request {
     body: String,
 }
 
+/// Reads one line of at most [`MAX_LINE`] bytes; `None` for a longer
+/// line, a read error or a timeout.
+fn read_line(reader: &mut impl BufRead) -> Option<String> {
+    let mut line = Vec::new();
+    reader
+        .take(MAX_LINE as u64 + 1)
+        .read_until(b'\n', &mut line)
+        .ok()?;
+    if line.len() > MAX_LINE {
+        return None;
+    }
+    String::from_utf8(line).ok()
+}
+
 /// Reads one HTTP/1.1 request from the stream. `None` means the client
-/// hung up or sent something unparseable.
+/// hung up, stalled past [`READ_TIMEOUT`], sent an over-long line or too
+/// many headers, or sent something unparseable.
 fn read_request(stream: &mut TcpStream) -> Option<Request> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
+    let line = read_line(&mut reader)?;
     let mut parts = line.split_whitespace();
     let method = parts.next()?.to_string();
     let path = parts.next()?.to_string();
     let mut content_length = 0usize;
+    let mut headers = 0;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).ok()?;
+        let header = read_line(&mut reader)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return None;
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -156,6 +187,9 @@ pub fn serve(service: Arc<SweepService>, listener: TcpListener) -> ! {
         let Ok((mut stream, _)) = listener.accept() else {
             continue;
         };
+        if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+            continue;
+        }
         let service = Arc::clone(&service);
         std::thread::spawn(move || {
             if let Some(req) = read_request(&mut stream) {
@@ -242,6 +276,33 @@ mod tests {
         let (status, metrics) = request(addr, "GET", "/metrics", "").expect("request");
         assert_eq!(status, 200);
         assert!(metrics.contains("serve_points_total 1"));
+    }
+
+    #[test]
+    fn over_long_header_line_is_refused_without_buffering_it() {
+        let (_service, addr) = test_server();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(READ_TIMEOUT / 2))
+            .expect("client timeout");
+        // A header line twice the bound, never terminated: a server that
+        // buffered until the newline would wait for more bytes until its
+        // read timeout.
+        let mut req = b"POST /v1/batch HTTP/1.1\r\nX-Filler: ".to_vec();
+        req.resize(req.len() + 2 * MAX_LINE, b'a');
+        let started = std::time::Instant::now();
+        // The server may close (and reset) the connection mid-write.
+        let _ = stream.write_all(&req);
+        let mut reply = Vec::new();
+        let _ = stream.read_to_end(&mut reply);
+        assert!(
+            started.elapsed() < READ_TIMEOUT / 2,
+            "the server waited for the rest of the line"
+        );
+        assert!(reply.is_empty(), "no response to a refused request");
+        // The server still answers well-formed requests.
+        let (status, _) = request(addr, "GET", "/healthz", "").expect("request");
+        assert_eq!(status, 200);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! opt into warm-start mode pay the warm-up once per (preset, config,
 //! pattern, lowest-rate) group, checkpoint the warmed network
 //! ([`hetero_if::sweep::warm_checkpoint`]) and fork every remaining point
-//! from the restored state — the points are keyed under a distinct
+//! from the restored state ([`hetero_if::sweep::fork_point`], the fork
+//! path warm-started sweeps use too) — the points are keyed under a distinct
 //! `warm@<rate0>/w<warmup>` variant because warm-started results are an
 //! approximation of, not identical to, cold runs.
 //!
@@ -32,14 +33,12 @@
 //! folds it and the existing Prometheus/JSONL exporters render it.
 
 use crate::api::{Backend, BatchRequest, JobSpec};
-use chiplet_topo::NodeId;
-use chiplet_traffic::SyntheticWorkload;
+use chiplet_traffic::PhaseGraph;
 use hetero_estimate::{error_bound_pct, EstimateRequest, Estimator};
 use hetero_if::cache::{
     engine_point, phase_point, CacheKey, CacheSource, CachedPoint, PointDesc, ResultCache,
 };
-use hetero_if::sim::run;
-use hetero_if::sweep::warm_checkpoint;
+use hetero_if::sweep::{fork_point, warm_checkpoint};
 use simkit::json::Json;
 use simkit::metrics::{MetricId, MetricsRegistry, MetricsSlice, MetricsSnapshot};
 use std::cell::OnceCell;
@@ -281,15 +280,12 @@ impl SweepService {
     ) -> (CachedPoint, &'static str) {
         self.count(self.ids.points, 1);
         let mut claim = loop {
-            // Fast path: cache hit without touching the in-flight table.
-            if let Some(hit) = self.cache_hit(&key) {
-                return hit;
-            }
             let waiter = {
                 let mut inflight = self.inflight.lock().expect("in-flight table");
-                // Re-check under the in-flight lock: a leader that finished
-                // between our lookup and here already cached the point (its
-                // claim is gone, so without this check we would recompute).
+                // Look up under the in-flight lock: a leader that finished
+                // just before already cached the point and dropped its
+                // claim. One lookup per attempt, so a corrupt disk entry
+                // is read and counted once.
                 if let Some(hit) = self.cache_hit(&key) {
                     return hit;
                 }
@@ -317,7 +313,6 @@ impl SweepService {
         let point = compute();
         {
             let mut cache = self.cache.lock().expect("result cache");
-            cache.stats.misses += 1;
             cache.insert(key, &point);
             let store_errors = cache.stats.store_errors;
             let corrupt = cache.stats.corrupt_rejected;
@@ -358,30 +353,25 @@ impl SweepService {
         }
     }
 
-    /// Serves one cold engine point (the `run_point`-level hook shared
-    /// with `hetero-sim --cache-dir`).
+    /// Serves one cold engine point. `hetero-sim --cache-dir` serves its
+    /// synthetic runs through this too.
     pub fn point(&self, desc: &PointDesc) -> (CachedPoint, &'static str) {
         self.cached_point(desc.key(), || engine_point(desc))
     }
 
-    fn point_desc(job: &JobSpec, rate: f64) -> PointDesc {
-        PointDesc::new(
-            job.kind,
-            job.geom,
-            job.config(),
-            job.profile,
-            job.pattern,
-            rate,
-            job.packet_len,
-            job.spec,
-        )
+    /// Serves one phase-workload point: `desc` keys it (see
+    /// [`PointDesc::with_workload`]) and a miss runs `graph`. The twin of
+    /// [`SweepService::point`] that `hetero-sim --workload --cache-dir`
+    /// serves through.
+    pub fn phase_point(&self, desc: &PointDesc, graph: &PhaseGraph) -> (CachedPoint, &'static str) {
+        self.cached_point(desc.key(), || phase_point(desc, &mut graph.clone()))
     }
 
     /// Runs one engine job cold: every rate is an independent cached
     /// point, fanned out over the worker pool.
     fn run_cold_job(&self, job: &JobSpec) -> Vec<(CachedPoint, &'static str)> {
         simkit::par::map(&job.rates, self.workers, |&rate| {
-            self.point(&Self::point_desc(job, rate))
+            self.point(&job.point_desc(rate))
         })
     }
 
@@ -393,22 +383,11 @@ impl SweepService {
     fn run_workload_job(
         &self,
         job: &JobSpec,
-        graph: &chiplet_traffic::PhaseGraph,
+        graph: &PhaseGraph,
     ) -> Vec<(f64, CachedPoint, &'static str)> {
         simkit::par::map(&job.scales, self.workers, |&scale| {
-            let mut scaled = graph.clone().with_compute_scale(scale);
-            let desc = PointDesc::new(
-                job.kind,
-                job.geom,
-                job.config(),
-                job.profile,
-                job.pattern,
-                0.0,
-                job.packet_len,
-                job.spec.with_drain_offers(),
-            )
-            .with_workload(&scaled);
-            let (p, src) = self.cached_point(desc.key(), || phase_point(&desc, &mut scaled));
+            let scaled = graph.clone().with_compute_scale(scale);
+            let (p, src) = self.phase_point(&job.workload_desc(&scaled), &scaled);
             (scale, p, src)
         })
     }
@@ -431,7 +410,7 @@ impl SweepService {
         let descs: Vec<PointDesc> = job
             .rates
             .iter()
-            .map(|&r| Self::point_desc(job, r).with_variant(variant.clone()))
+            .map(|&r| job.point_desc(r).with_variant(variant.clone()))
             .collect();
 
         // The warm checkpoint is built lazily, once, only if some point
@@ -462,22 +441,18 @@ impl SweepService {
             .map(|desc| {
                 self.cached_point(desc.key(), || match warm_blob() {
                     Some(blob) => {
-                        let mut net = build();
-                        net.restore(blob).expect(
-                            "the warm checkpoint restores into an identically-built network",
-                        );
-                        let nodes: Vec<NodeId> = (0..job.geom.nodes()).map(NodeId).collect();
-                        let mut w = SyntheticWorkload::new(
-                            nodes,
+                        let out = fork_point(
+                            build,
+                            blob,
                             job.pattern,
                             desc.rate,
                             job.packet_len,
+                            job.spec,
                             config.seed,
                         );
-                        let out = run(&mut net, &mut w, job.spec);
                         CachedPoint::from_outcome(desc.rate, &out)
                     }
-                    None => engine_point(&Self::point_desc(job, desc.rate)),
+                    None => engine_point(&job.point_desc(desc.rate)),
                 })
             })
             .collect();
@@ -743,6 +718,58 @@ mod tests {
     }
 
     #[test]
+    fn workload_key_ignores_the_inert_pattern() {
+        let service = SweepService::new(None, 1).expect("service");
+        let job = r#""preset": "hetero-phy-full", "workload": "dnn:ranks=4,layers=1,grad=32""#;
+        let source = |body: String| {
+            let batch = BatchRequest::parse(&body).expect("workload job parses");
+            let resp = service.run_batch(&batch);
+            let jobs = resp.get("jobs").unwrap().as_arr().unwrap();
+            let points = jobs[0].get("points").unwrap().as_arr().unwrap();
+            points[0]
+                .get("source")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_string()
+        };
+        assert_eq!(source(format!(r#"{{"jobs": [{{{job}}}]}}"#)), "computed");
+        assert_eq!(
+            source(format!(
+                r#"{{"jobs": [{{{job}, "pattern": "bit-complement"}}]}}"#
+            )),
+            "memory"
+        );
+    }
+
+    #[test]
+    fn point_counts_and_serves_each_level() {
+        let dir = std::env::temp_dir().join(format!("serve-levels-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let desc = smoke_job(&[0.05], false).point_desc(0.05);
+
+        let service = SweepService::new(Some(dir.clone()), 1).expect("service");
+        let (first, src) = service.point(&desc);
+        assert_eq!(src, "computed");
+        assert_eq!(service.stats().computed, 1);
+        let (second, src) = service.point(&desc);
+        assert_eq!(src, "memory");
+        assert_eq!(second, first);
+
+        // A fresh service over the same directory — a "process restart" —
+        // hits the disk level, bit-identically.
+        let service2 = SweepService::new(Some(dir.clone()), 1).expect("service reopens");
+        let (third, src) = service2.point(&desc);
+        assert_eq!(src, "disk");
+        assert_eq!(third, first);
+        assert_eq!(service2.stats().disk_hits, 1);
+        // ...and the promoted entry now hits memory.
+        let (_, src) = service2.point(&desc);
+        assert_eq!(src, "memory");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn repeated_batch_is_all_hits() {
         let service = SweepService::new(None, 2).expect("service");
         let batch = BatchRequest {
@@ -780,7 +807,7 @@ mod tests {
         let service = Arc::new(SweepService::new(None, 1).expect("service"));
         let desc = |rate| {
             let job = smoke_job(&[rate], false);
-            SweepService::point_desc(&job, rate)
+            job.point_desc(rate)
         };
         const THREADS: usize = 8;
         std::thread::scope(|scope| {
@@ -804,7 +831,7 @@ mod tests {
         use std::sync::mpsc;
         use std::time::Duration;
         let service = Arc::new(SweepService::new(None, 1).expect("service"));
-        let desc = SweepService::point_desc(&smoke_job(&[0.05], false), 0.05);
+        let desc = smoke_job(&[0.05], false).point_desc(0.05);
         let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
             service.cached_point(desc.key(), || panic!("compute failed"))
         }));

@@ -37,6 +37,15 @@ impl TrafficPattern {
         TrafficPattern::BitReverse,
     ];
 
+    /// The pattern a printed name (its `Display` form) stands for;
+    /// `hotspot` is accepted as an alias of `uniform-hotspot`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        if name == "hotspot" {
+            return Some(TrafficPattern::UniformHotspot);
+        }
+        Self::ALL.into_iter().find(|p| p.to_string() == name)
+    }
+
     /// Whether the pattern is a deterministic permutation (no RNG needed
     /// for destinations).
     pub fn is_permutation(&self) -> bool {
@@ -204,6 +213,18 @@ impl std::fmt::Display for TrafficPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_name_reads_every_printed_name_and_the_hotspot_alias() {
+        for p in TrafficPattern::ALL {
+            assert_eq!(TrafficPattern::from_name(&p.to_string()), Some(p));
+        }
+        assert_eq!(
+            TrafficPattern::from_name("hotspot"),
+            Some(TrafficPattern::UniformHotspot)
+        );
+        assert_eq!(TrafficPattern::from_name("zigzag"), None);
+    }
 
     #[test]
     fn permutations_are_bijective_on_power_of_two() {

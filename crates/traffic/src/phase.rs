@@ -523,6 +523,35 @@ impl PhaseGraph {
         Ok(Self::new(phases))
     }
 
+    /// Reads a workload description for a `nodes`-node system: either
+    /// `dnn:<spec>` (or a bare `dnn`), which generates [`PhaseGraph::dnn`]
+    /// over every node, or phase-trace text starting with
+    /// [`PHASE_TRACE_HEADER`], whose node ids are checked against the
+    /// system.
+    ///
+    /// # Errors
+    ///
+    /// Names what is wrong: an unknown family, a bad DNN spec, fewer than
+    /// two ranks, a malformed trace or an out-of-range node.
+    pub fn parse_workload(text: &str, nodes: u32) -> Result<Self, String> {
+        if let Some(rest) = text.strip_prefix("dnn:").or((text == "dnn").then_some("")) {
+            let spec = DnnSpec::parse(rest).map_err(|e| format!("bad dnn workload: {e}"))?;
+            if nodes < 2 {
+                return Err("bad dnn workload: it needs at least two ranks".into());
+            }
+            let nodes: Vec<NodeId> = (0..nodes).map(NodeId).collect();
+            Ok(Self::dnn(&spec, &nodes))
+        } else if text.starts_with("#hetero-phase-trace") {
+            let graph = Self::from_text(text).map_err(|e| format!("bad phase trace: {e}"))?;
+            graph
+                .check_nodes(nodes)
+                .map_err(|e| format!("bad phase trace: {e}"))?;
+            Ok(graph)
+        } else {
+            Err("workload must be dnn:<spec> or #hetero-phase-trace text".into())
+        }
+    }
+
     /// Writes the phase trace (with timing comments, when the graph has
     /// run) to a file.
     ///
@@ -1080,6 +1109,40 @@ mod tests {
             "layers=x",
         ] {
             assert!(DnnSpec::parse(bad).is_err(), "{bad} should be rejected");
+        }
+    }
+
+    #[test]
+    fn parse_workload_reads_both_families_and_names_the_problem() {
+        let spec = DnnSpec::parse("ranks=4,layers=1").unwrap();
+        let generated = PhaseGraph::parse_workload("dnn:ranks=4,layers=1", 16).unwrap();
+        assert_eq!(
+            generated.fingerprint(),
+            PhaseGraph::dnn(&spec, &nodes(16)).fingerprint()
+        );
+        let bare = PhaseGraph::parse_workload("dnn", 16).unwrap();
+        assert_eq!(
+            bare.fingerprint(),
+            PhaseGraph::dnn(&DnnSpec::default(), &nodes(16)).fingerprint()
+        );
+        let replayed = PhaseGraph::parse_workload(&generated.to_text(), 16).unwrap();
+        assert_eq!(replayed.fingerprint(), generated.fingerprint());
+        for (text, nodes, needle) in [
+            ("dnn:layers=0", 16, "dnn"),
+            ("dnn:", 1, "two ranks"),
+            ("mystery", 16, "workload"),
+            ("#hetero-phase-trace v2\n", 16, "phase trace"),
+            (
+                "#hetero-phase-trace v1\nphase a compute=0 deps=\nev 0,0,99,16,unordered,normal\n",
+                16,
+                "16-node",
+            ),
+        ] {
+            let e = PhaseGraph::parse_workload(text, nodes).expect_err(text);
+            assert!(
+                e.contains(needle),
+                "{e:?} for {text:?} should mention {needle:?}"
+            );
         }
     }
 }

@@ -14,14 +14,15 @@
 //! ```
 
 use chiplet_topo::{Geometry, LinkId, NodeId};
-use chiplet_traffic::{
-    DnnSpec, PhaseGraph, SyntheticWorkload, TraceWorkload, TrafficPattern, Workload,
-};
+use chiplet_traffic::{PhaseGraph, SyntheticWorkload, TraceWorkload, TrafficPattern, Workload};
 use hetero_estimate::{EstimateRequest, Estimator};
+use hetero_if::cache::PointDesc;
 use hetero_if::presets::NetworkKind;
 use hetero_if::sim::{run, run_timeline, run_until, RunOutcome, RunSpec, Sample};
 use hetero_if::sweep::{default_rate_ladder, latency_sweep, latency_sweep_warm_start, SweepPoint};
 use hetero_if::{Network, SchedulingProfile, SimConfig, SimResults};
+use hetero_serve::api::{ApiError, Backend, JobSpec};
+use hetero_serve::service::SweepService;
 use simkit::codec::{ByteReader, ByteWriter, LoadState, SaveState};
 use simkit::{Cycle, TraceFilter};
 
@@ -38,21 +39,17 @@ enum EstBackend {
     Cycle,
 }
 
+/// The parsed command line: the points to compute, as the [`JobSpec`]
+/// `hetero-serve` runs too, plus the settings of this one run.
 #[derive(Debug)]
 struct Args {
-    network: NetworkKind,
-    chiplets: (u16, u16),
-    chip: (u16, u16),
-    pattern: TrafficPattern,
+    /// Preset, geometry, profile, pattern, rates (the `--rate`, or the
+    /// ladder under `--sweep`), packet length, schedule, seed, warm-start
+    /// and phase workload.
+    job: JobSpec,
+    /// The `--rate` value, as the run header prints it.
     rate: f64,
-    cycles: u64,
-    packet_len: u16,
-    policy: SchedulingProfile,
-    half: bool,
-    seed: u64,
     sweep: bool,
-    workload: Option<String>,
-    workload_trace: Option<String>,
     capture_trace: Option<String>,
     replay: Option<String>,
     metrics: Option<String>,
@@ -67,7 +64,6 @@ struct Args {
     checkpoint_out: Option<String>,
     checkpoint_in: Option<String>,
     checkpoint_every: Option<Cycle>,
-    warm_start: bool,
     estimate: bool,
     backend: EstBackend,
     calibrate: bool,
@@ -82,8 +78,9 @@ fn usage() -> ! {
          \u{20}            serial-hypercube | hetero-channel   (default hetero-phy)\n\
          --chiplets   CxC chiplet grid                     (default 4x4)\n\
          --chip       WxH nodes per chiplet                (default 4x4)\n\
-         --pattern    uniform | hotspot | bit-shuffle | bit-complement |\n\
-         \u{20}            bit-transpose | bit-reverse           (default uniform)\n\
+         --pattern    uniform | uniform-hotspot | bit-shuffle |\n\
+         \u{20}            bit-complement | bit-transpose | bit-reverse\n\
+         \u{20}            (hotspot = uniform-hotspot;          default uniform)\n\
          --rate       flits/cycle/node                     (default 0.1)\n\
          --cycles     measurement cycles                   (default 20000)\n\
          --packet     flits per packet                     (default 16)\n\
@@ -152,11 +149,15 @@ fn usage() -> ! {
          --report FILE  with --estimate: write the curve CSV to FILE;\n\
          \u{20}            with --calibrate: write the JSON report to FILE\n\
          --cache-dir DIR  read/write the content-addressed result store\n\
-         \u{20}            shared with hetero-serve: a single synthetic run\n\
-         \u{20}            whose configuration was computed before (by any\n\
-         \u{20}            process) is served from the store bit-identically\n\
-         \u{20}            instead of re-simulated; a miss simulates and\n\
-         \u{20}            stores. Prints a cache hit/miss line."
+         \u{20}            shared with hetero-serve: a single synthetic or\n\
+         \u{20}            phase-workload run whose configuration was computed\n\
+         \u{20}            before (by any process) is served from the store\n\
+         \u{20}            bit-identically instead of re-simulated; a miss\n\
+         \u{20}            simulates and stores. Prints a cache hit/miss line.\n\
+         \n\
+         A run is checked before it starts, as hetero-serve checks a job:\n\
+         a geometry the preset cannot build, a rate that is not positive\n\
+         and finite, or a zero --packet exits 2 naming the flag."
     );
     std::process::exit(2);
 }
@@ -167,20 +168,28 @@ fn parse_pair(s: &str) -> Option<(u16, u16)> {
 }
 
 fn parse() -> Args {
+    let mut network = NetworkKind::HeteroPhyFull;
+    let (mut chiplets, mut chip) = ((4, 4), (4, 4));
+    let mut cycles: u64 = 20_000;
+    let mut half = false;
+    let (mut workload, mut workload_trace): (Option<String>, Option<String>) = (None, None);
     let mut a = Args {
-        network: NetworkKind::HeteroPhyFull,
-        chiplets: (4, 4),
-        chip: (4, 4),
-        pattern: TrafficPattern::Uniform,
+        job: JobSpec {
+            kind: network,
+            geom: Geometry::new(4, 4, 4, 4),
+            profile: SchedulingProfile::balanced(),
+            pattern: TrafficPattern::Uniform,
+            rates: Vec::new(),
+            packet_len: 16,
+            spec: RunSpec::smoke(),
+            seed: 1,
+            backend: Backend::Engine,
+            warm_start: false,
+            workload: None,
+            scales: vec![1.0],
+        },
         rate: 0.1,
-        cycles: 20_000,
-        packet_len: 16,
-        policy: SchedulingProfile::balanced(),
-        half: false,
-        seed: 1,
         sweep: false,
-        workload: None,
-        workload_trace: None,
         capture_trace: None,
         replay: None,
         metrics: None,
@@ -195,7 +204,6 @@ fn parse() -> Args {
         checkpoint_out: None,
         checkpoint_in: None,
         checkpoint_every: None,
-        warm_start: false,
         estimate: false,
         backend: EstBackend::Analytical,
         calibrate: false,
@@ -207,7 +215,7 @@ fn parse() -> Args {
         let mut val = || it.next().unwrap_or_else(|| usage());
         match flag.as_str() {
             "--network" => {
-                a.network = match val().as_str() {
+                network = match val().as_str() {
                     "parallel-mesh" => NetworkKind::UniformParallelMesh,
                     "serial-torus" => NetworkKind::UniformSerialTorus,
                     "hetero-phy" => NetworkKind::HeteroPhyFull,
@@ -219,38 +227,26 @@ fn parse() -> Args {
                     }
                 }
             }
-            "--chiplets" => a.chiplets = parse_pair(&val()).unwrap_or_else(|| usage()),
-            "--chip" => a.chip = parse_pair(&val()).unwrap_or_else(|| usage()),
+            "--chiplets" => chiplets = parse_pair(&val()).unwrap_or_else(|| usage()),
+            "--chip" => chip = parse_pair(&val()).unwrap_or_else(|| usage()),
             "--pattern" => {
-                a.pattern = match val().as_str() {
-                    "uniform" => TrafficPattern::Uniform,
-                    "hotspot" => TrafficPattern::UniformHotspot,
-                    "bit-shuffle" => TrafficPattern::BitShuffle,
-                    "bit-complement" => TrafficPattern::BitComplement,
-                    "bit-transpose" => TrafficPattern::BitTranspose,
-                    "bit-reverse" => TrafficPattern::BitReverse,
-                    other => {
-                        eprintln!("unknown pattern: {other}");
-                        usage()
-                    }
-                }
+                let name = val();
+                a.job.pattern = TrafficPattern::from_name(&name).unwrap_or_else(|| {
+                    eprintln!("--pattern: unknown pattern {name}");
+                    usage()
+                });
             }
             "--rate" => a.rate = val().parse().unwrap_or_else(|_| usage()),
-            "--cycles" => a.cycles = val().parse().unwrap_or_else(|_| usage()),
-            "--packet" => a.packet_len = val().parse().unwrap_or_else(|_| usage()),
+            "--cycles" => cycles = val().parse().unwrap_or_else(|_| usage()),
+            "--packet" => a.job.packet_len = val().parse().unwrap_or_else(|_| usage()),
             "--policy" => {
-                a.policy = match val().as_str() {
-                    "performance-first" => SchedulingProfile::performance_first(),
-                    "balanced" => SchedulingProfile::balanced(),
-                    "energy-efficient" => SchedulingProfile::energy_efficient(),
-                    "application-aware" => SchedulingProfile::application_aware(),
-                    other => {
-                        eprintln!("unknown policy: {other}");
-                        usage()
-                    }
-                }
+                let name = val();
+                a.job.profile = SchedulingProfile::from_name(&name).unwrap_or_else(|| {
+                    eprintln!("--policy: unknown policy {name}");
+                    usage()
+                });
             }
-            "--half" => a.half = true,
+            "--half" => half = true,
             "--ber" => {
                 a.ber = val().parse().unwrap_or_else(|_| usage());
                 if !(0.0..1.0).contains(&a.ber) {
@@ -260,10 +256,10 @@ fn parse() -> Args {
             }
             "--retry" => a.retry = true,
             "--fault-script" => a.fault_script = Some(val()),
-            "--seed" => a.seed = val().parse().unwrap_or_else(|_| usage()),
+            "--seed" => a.job.seed = val().parse().unwrap_or_else(|_| usage()),
             "--sweep" => a.sweep = true,
-            "--workload" => a.workload = Some(val()),
-            "--workload-trace" => a.workload_trace = Some(val()),
+            "--workload" => workload = Some(val()),
+            "--workload-trace" => workload_trace = Some(val()),
             "--capture-trace" => a.capture_trace = Some(val()),
             "--replay" => a.replay = Some(val()),
             "--metrics" => a.metrics = Some(val()),
@@ -305,7 +301,7 @@ fn parse() -> Args {
                     usage()
                 }
             }
-            "--warm-start" => a.warm_start = true,
+            "--warm-start" => a.job.warm_start = true,
             "--estimate" => a.estimate = true,
             "--backend" => {
                 a.backend = match val().as_str() {
@@ -327,14 +323,62 @@ fn parse() -> Args {
             }
         }
     }
-    if a.half {
-        a.network = match a.network {
-            NetworkKind::HeteroPhyFull => NetworkKind::HeteroPhyHalf,
-            NetworkKind::HeteroChannelFull => NetworkKind::HeteroChannelHalf,
-            other => other,
-        };
-    }
+    a.job.kind = match (half, network) {
+        (true, NetworkKind::HeteroPhyFull) => NetworkKind::HeteroPhyHalf,
+        (true, NetworkKind::HeteroChannelFull) => NetworkKind::HeteroChannelHalf,
+        (_, other) => other,
+    };
+    a.job.geom = Geometry::new(chiplets.0, chiplets.1, chip.0, chip.1);
+    a.job.spec = RunSpec {
+        warmup: (cycles / 10).max(100),
+        measure: cycles,
+        drain: cycles / 2,
+        watchdog: 5_000,
+        drain_offers: false,
+    };
+    let nodes = a.job.geom.nodes();
+    a.job.workload = match (workload, workload_trace) {
+        (Some(_), Some(_)) => {
+            eprintln!("--workload and --workload-trace are mutually exclusive");
+            std::process::exit(2);
+        }
+        (Some(text), None) => Some(
+            PhaseGraph::parse_workload(&text, nodes).unwrap_or_else(|e| {
+                eprintln!("--workload: {e}");
+                std::process::exit(2);
+            }),
+        ),
+        (None, Some(path)) => Some(PhaseGraph::load(&path).unwrap_or_else(|e| {
+            eprintln!("cannot load phase trace {path}: {e}");
+            std::process::exit(1);
+        })),
+        (None, None) => None,
+    };
+    // A phase workload injects from its graph, not at a rate.
+    a.job.rates = if a.job.workload.is_some() {
+        Vec::new()
+    } else if a.sweep {
+        default_rate_ladder()
+    } else {
+        vec![a.rate]
+    };
     a
+}
+
+/// A [`JobSpec::validate`] error, led by the flag that sets the field
+/// the message starts with.
+fn flag_error(e: &ApiError) -> String {
+    const FLAGS: [(&str, &str); 5] = [
+        ("rates", "--rate"),
+        ("packet_len", "--packet"),
+        ("geom", "--chiplets/--chip"),
+        ("workload", "--workload/--workload-trace"),
+        ("warm_start", "--warm-start"),
+    ];
+    match FLAGS.iter().find(|(field, _)| e.0.starts_with(field)) {
+        Some((_, flag)) => format!("{flag}: {e}"),
+        None => e.to_string(),
+    }
 }
 
 fn print_results(r: &SimResults) {
@@ -468,21 +512,22 @@ fn busiest_links(link_flits: &[u64], k: usize) -> Vec<(u32, u64)> {
 
 fn main() {
     let args = parse();
-    let geom = Geometry::new(args.chiplets.0, args.chiplets.1, args.chip.0, args.chip.1);
-    // --calibrate runs every preset on the geometry.
-    let kinds = if args.calibrate {
-        &hetero_if::golden::ALL_KINDS[..]
-    } else {
-        std::slice::from_ref(&args.network)
-    };
-    for kind in kinds {
-        if let Err(e) = kind.check_geometry(geom) {
-            eprintln!("{e}");
-            std::process::exit(2);
+    let job = &args.job;
+    let geom = job.geom;
+    if let Err(e) = job.validate() {
+        eprintln!("{}", flag_error(&e));
+        std::process::exit(2);
+    }
+    if args.calibrate {
+        // --calibrate runs every preset on the geometry.
+        for kind in hetero_if::golden::ALL_KINDS {
+            if let Err(e) = kind.check_geometry(geom) {
+                eprintln!("{e}");
+                std::process::exit(2);
+            }
         }
     }
-    let mut config = SimConfig::default().with_seed(args.seed);
-    config.packet_len = args.packet_len;
+    let mut config = job.config();
     if let Some(n) = args.shard_threads {
         config = config.with_shard_threads(n);
     }
@@ -534,21 +579,16 @@ fn main() {
         eprintln!("--checkpoint-out segments the run; probes are not supported alongside it");
         std::process::exit(2);
     }
-    if args.warm_start && !args.sweep {
+    if job.warm_start && !args.sweep {
         eprintln!("--warm-start requires --sweep");
         std::process::exit(2);
     }
-    let has_phase_workload = args.workload.is_some() || args.workload_trace.is_some();
-    if args.workload.is_some() && args.workload_trace.is_some() {
-        eprintln!("--workload and --workload-trace are mutually exclusive");
-        std::process::exit(2);
-    }
+    let has_phase_workload = job.workload.is_some();
     if has_phase_workload
         && (args.sweep
             || args.replay.is_some()
             || args.estimate
             || args.calibrate
-            || args.warm_start
             || args.checkpoint_out.is_some()
             || args.checkpoint_in.is_some())
     {
@@ -571,7 +611,7 @@ fn main() {
             || args.trace.is_some()
             || args.checkpoint_out.is_some()
             || args.checkpoint_in.is_some()
-            || args.warm_start
+            || job.warm_start
             || args.probe != ProbeKind::None)
     {
         eprintln!("--estimate computes a model, not a run; engine-only flags do not apply");
@@ -600,38 +640,31 @@ fn main() {
         eprintln!("--cache-dir applies to plain single synthetic or phase-workload runs");
         std::process::exit(2);
     }
-    let spec = RunSpec {
-        warmup: (args.cycles / 10).max(100),
-        measure: args.cycles,
-        drain: args.cycles / 2,
-        watchdog: 5_000,
-        drain_offers: false,
-    };
+    let spec = job.spec;
     if args.calibrate {
-        run_calibration(&args, geom, config, spec);
+        run_calibration(&args, config);
     }
     if args.estimate {
-        run_estimate(&args, geom, config);
+        run_estimate(&args, config);
     }
     println!(
         "{} — {} chiplets x ({}x{}) = {} nodes, {} traffic at {} flits/cycle/node, {} policy\n",
-        args.network,
+        job.kind,
         geom.chiplets(),
         geom.chip_w(),
         geom.chip_h(),
         geom.nodes(),
-        args.pattern,
+        job.pattern,
         args.rate,
-        args.policy.name,
+        job.profile.name,
     );
     if args.sweep {
-        let rates = default_rate_ladder();
-        let build = || args.network.build(geom, config, args.policy);
-        let (points, saved): (Vec<SweepPoint>, Cycle) = if args.warm_start {
+        let build = || job.kind.build(geom, config, job.profile);
+        let (points, saved): (Vec<SweepPoint>, Cycle) = if job.warm_start {
             let warm = latency_sweep_warm_start(
                 build,
-                args.pattern,
-                &rates,
+                job.pattern,
+                &job.rates,
                 config.packet_len,
                 spec,
                 config.seed,
@@ -641,8 +674,8 @@ fn main() {
         } else {
             let points = latency_sweep(
                 build,
-                args.pattern,
-                &rates,
+                job.pattern,
+                &job.rates,
                 config.packet_len,
                 spec,
                 config.seed,
@@ -667,7 +700,7 @@ fn main() {
                 }
             );
         }
-        if args.warm_start {
+        if job.warm_start {
             println!(
                 "\nwarm-start: {saved} warm-up cycles saved \
                  (one {}-cycle warm-up shared by every point)",
@@ -691,7 +724,7 @@ fn main() {
             trace.len(),
             trace.horizon()
         );
-        let mut net = args.network.build(geom, config, args.policy);
+        let mut net = job.kind.build(geom, config, job.profile);
         if let Some(script) = fault_script.clone() {
             net.set_fault_script(script);
         }
@@ -703,24 +736,30 @@ fn main() {
             println!("NOTE: the trace did not finish within the configured cycles");
         }
         export_observability(&net, &args);
-    } else if args.workload.is_some() || args.workload_trace.is_some() {
-        let graph = build_phase_graph(&args, geom);
+    } else if let Some(graph) = &job.workload {
         if let Some(dir) = &args.cache_dir {
-            run_cached_workload(&args, geom, config, spec, dir, graph);
+            let desc = PointDesc {
+                config,
+                ..job.workload_desc(graph)
+            };
+            run_cached(&desc, Some(graph), dir);
         } else {
-            run_phase_workload(&args, geom, config, spec, fault_script.clone(), graph);
+            run_phase_workload(&args, config, fault_script, graph.clone());
         }
     } else if let Some(dir) = &args.cache_dir {
-        run_cached(&args, geom, config, spec, dir);
+        let desc = PointDesc {
+            config,
+            ..job.point_desc(args.rate)
+        };
+        run_cached(&desc, None, dir);
     } else {
-        let mut net = args.network.build(geom, config, args.policy);
+        let mut net = job.kind.build(geom, config, job.profile);
         if let Some(script) = fault_script.clone() {
             net.set_fault_script(script);
         }
         enable_observability(&mut net, &args);
         let nodes: Vec<NodeId> = (0..geom.nodes()).map(NodeId).collect();
-        let mut w =
-            SyntheticWorkload::new(nodes, args.pattern, args.rate, args.packet_len, args.seed);
+        let mut w = SyntheticWorkload::new(nodes, job.pattern, args.rate, job.packet_len, job.seed);
         if let Some(path) = &args.checkpoint_in {
             read_checkpoint(path, &mut net, &mut w);
         }
@@ -734,76 +773,34 @@ fn main() {
     }
 }
 
-/// `--cache-dir`: serve the run through the content-addressed result
-/// store shared with `hetero-serve`. A hit (by any earlier process —
-/// server batch or CLI run) skips the simulation entirely and reprints
-/// the stored results bit-identically; a miss simulates and stores.
-fn run_cached(args: &Args, geom: Geometry, config: SimConfig, spec: RunSpec, dir: &str) {
-    let mut cache = hetero_if::cache::ResultCache::with_dir(dir).unwrap_or_else(|e| {
+/// `--cache-dir`: serves the run through the sweep service over the
+/// content-addressed result store shared with `hetero-serve`. A hit (by
+/// any earlier process — server batch or CLI run) skips the simulation
+/// entirely and reprints the stored results bit-identically; a miss
+/// simulates and stores. `graph` is the phase workload `desc` keys, if any.
+fn run_cached(desc: &PointDesc, graph: Option<&PhaseGraph>, dir: &str) {
+    let service = SweepService::new(Some(dir.into()), 1).unwrap_or_else(|e| {
         eprintln!("cannot open cache store {dir}: {e}");
         std::process::exit(1);
     });
-    let desc = hetero_if::cache::PointDesc::new(
-        args.network,
-        geom,
-        config,
-        args.policy,
-        args.pattern,
-        args.rate,
-        args.packet_len,
-        spec,
-    );
     let t0 = std::time::Instant::now();
-    let (point, source) = cache.point(&desc);
+    let (point, source) = match graph {
+        Some(graph) => service.phase_point(desc, graph),
+        None => service.point(desc),
+    };
     let secs = t0.elapsed().as_secs_f64();
-    let key = desc.key().hex();
-    match source {
-        hetero_if::cache::CacheSource::Computed => println!(
-            "cache miss — simulated in {secs:.3}s and stored as {} ({dir})",
-            &key[..16],
-        ),
-        src => println!(
-            "cache hit ({}) — served {} in {secs:.3}s without simulating",
-            if src == hetero_if::cache::CacheSource::Memory {
-                "memory"
-            } else {
-                "disk"
-            },
-            &key[..16],
-        ),
+    let key = &desc.key().hex()[..16];
+    if source == "computed" {
+        let what = if graph.is_some() {
+            " the phase workload"
+        } else {
+            ""
+        };
+        println!("cache miss — simulated{what} in {secs:.3}s and stored as {key} ({dir})");
+    } else {
+        println!("cache hit ({source}) — served {key} in {secs:.3}s without simulating");
     }
     print_outcome(&point.to_outcome());
-}
-
-/// Materializes the phase graph selected by `--workload dnn:SPEC` or
-/// `--workload-trace FILE`.
-fn build_phase_graph(args: &Args, geom: Geometry) -> PhaseGraph {
-    if let Some(spec) = &args.workload {
-        let Some(rest) = spec
-            .strip_prefix("dnn:")
-            .or(if spec == "dnn" { Some("") } else { None })
-        else {
-            eprintln!("unknown --workload family in '{spec}' (expected dnn:key=value,...)");
-            std::process::exit(2);
-        };
-        let dnn = DnnSpec::parse(rest).unwrap_or_else(|e| {
-            eprintln!("bad --workload spec '{spec}': {e}");
-            std::process::exit(2);
-        });
-        let nodes: Vec<NodeId> = (0..geom.nodes()).map(NodeId).collect();
-        PhaseGraph::dnn(&dnn, &nodes)
-    } else {
-        let path = args.workload_trace.as_ref().expect("one source is set");
-        let graph = PhaseGraph::load(path).unwrap_or_else(|e| {
-            eprintln!("cannot load phase trace {path}: {e}");
-            std::process::exit(1);
-        });
-        if let Err(e) = graph.check_nodes(geom.nodes()) {
-            eprintln!("phase trace {path}: {e}");
-            std::process::exit(2);
-        }
-        graph
-    }
 }
 
 /// `--workload`/`--workload-trace`: drive the dependency-released phase
@@ -811,9 +808,7 @@ fn build_phase_graph(args: &Args, geom: Geometry) -> PhaseGraph {
 /// and optionally capture the timed trace for bit-identical replay.
 fn run_phase_workload(
     args: &Args,
-    geom: Geometry,
     config: SimConfig,
-    spec: RunSpec,
     fault_script: Option<hetero_if::FaultScript>,
     mut graph: PhaseGraph,
 ) {
@@ -822,12 +817,14 @@ fn run_phase_workload(
         graph.phases().len(),
         &graph.fingerprint()[..16],
     );
-    let mut net = args.network.build(geom, config, args.policy);
+    let job = &args.job;
+    let mut net = job.kind.build(job.geom, config, job.profile);
     if let Some(script) = fault_script {
         net.set_fault_script(script);
     }
     enable_observability(&mut net, args);
-    let outcome = run_with_probes(&mut net, &mut graph, spec.with_drain_offers(), args.probe);
+    let spec = job.spec.with_drain_offers();
+    let outcome = run_with_probes(&mut net, &mut graph, spec, args.probe);
     print_outcome(&outcome);
     if !graph.all_complete() {
         println!("NOTE: the phase graph did not complete within the configured cycles");
@@ -870,56 +867,6 @@ fn run_phase_workload(
     export_observability(&net, args);
 }
 
-/// `--cache-dir` with a phase workload: the point is keyed on the
-/// graph's fingerprint (`variant=workload@<sha256>`), so a generated
-/// spec and its captured replay hit the same entry.
-fn run_cached_workload(
-    args: &Args,
-    geom: Geometry,
-    config: SimConfig,
-    spec: RunSpec,
-    dir: &str,
-    mut graph: PhaseGraph,
-) {
-    let mut cache = hetero_if::cache::ResultCache::with_dir(dir).unwrap_or_else(|e| {
-        eprintln!("cannot open cache store {dir}: {e}");
-        std::process::exit(1);
-    });
-    let desc = hetero_if::cache::PointDesc::new(
-        args.network,
-        geom,
-        config,
-        args.policy,
-        args.pattern,
-        0.0,
-        args.packet_len,
-        spec.with_drain_offers(),
-    )
-    .with_workload(&graph);
-    let t0 = std::time::Instant::now();
-    let (point, source) = cache.get_or_compute(desc.key(), || {
-        hetero_if::cache::phase_point(&desc, &mut graph)
-    });
-    let secs = t0.elapsed().as_secs_f64();
-    let key = desc.key().hex();
-    match source {
-        hetero_if::cache::CacheSource::Computed => println!(
-            "cache miss — simulated the phase workload in {secs:.3}s and stored as {} ({dir})",
-            &key[..16],
-        ),
-        src => println!(
-            "cache hit ({}) — served {} in {secs:.3}s without simulating",
-            if src == hetero_if::cache::CacheSource::Memory {
-                "memory"
-            } else {
-                "disk"
-            },
-            &key[..16],
-        ),
-    }
-    print_outcome(&point.to_outcome());
-}
-
 /// Builds the `--backend`-selected estimator tier. The cycle-accurate
 /// tier micro-runs the engine per link class under the smoke schedule —
 /// still orders of magnitude less work than simulating the full system.
@@ -933,33 +880,30 @@ fn build_estimator(backend: EstBackend) -> Estimator {
 /// `--estimate`: walk the rate ladder (or the single `--rate`) through
 /// the two-tier model and print a sweep-shaped table without ever
 /// assembling the network.
-fn run_estimate(args: &Args, geom: Geometry, config: SimConfig) -> ! {
-    let rates = if args.sweep {
-        default_rate_ladder()
-    } else {
-        vec![args.rate]
-    };
+fn run_estimate(args: &Args, config: SimConfig) -> ! {
+    let job = &args.job;
+    let geom = job.geom;
     let mut est = build_estimator(args.backend);
     let req = EstimateRequest {
-        kind: args.network,
+        kind: job.kind,
         geom,
         config,
-        profile: args.policy,
-        pattern: args.pattern,
+        profile: job.profile,
+        pattern: job.pattern,
     };
     let t0 = std::time::Instant::now();
-    let curve = est.estimate_sweep(&req, &rates);
+    let curve = est.estimate_sweep(&req, &job.rates);
     let secs = t0.elapsed().as_secs_f64();
     println!(
         "{} — {} chiplets x ({}x{}) = {} nodes, {} traffic, {} policy\n\
          estimated by the {} tier in {:.3}s: {} link classes over {} links\n",
-        args.network,
+        job.kind,
         geom.chiplets(),
         geom.chip_w(),
         geom.chip_h(),
         geom.nodes(),
-        args.pattern,
-        args.policy.name,
+        job.pattern,
+        job.profile.name,
         curve.backend,
         secs,
         curve.link_classes,
@@ -996,16 +940,17 @@ fn run_estimate(args: &Args, geom: Geometry, config: SimConfig) -> ! {
 /// `--calibrate`: golden engine sweeps vs the analytical tier over every
 /// paper preset on this geometry, printing the per-preset error table
 /// and exiting non-zero when any preset misses its documented bound.
-fn run_calibration(args: &Args, geom: Geometry, config: SimConfig, spec: RunSpec) -> ! {
+fn run_calibration(args: &Args, config: SimConfig) -> ! {
+    let job = &args.job;
     let mut est = build_estimator(args.backend);
     let report = hetero_estimate::calibrate(
         &mut est,
-        geom,
+        job.geom,
         config,
-        args.policy,
-        args.pattern,
+        job.profile,
+        job.pattern,
         &default_rate_ladder(),
-        spec,
+        job.spec,
         args.threads,
     );
     print!("{}", report.render_table());

@@ -10,6 +10,7 @@ use hetero_chiplet::heterosys::{SchedulingProfile, SimConfig};
 use hetero_chiplet::noc::{OrderClass, Priority};
 use hetero_chiplet::topo::{Geometry, NodeId};
 use hetero_chiplet::traffic::{DnnSpec, PacketRequest, PhaseGraph, PhaseSpec, TrafficPattern};
+use hetero_serve::{Backend, JobSpec};
 
 fn geom() -> Geometry {
     Geometry::new(2, 2, 2, 2)
@@ -23,17 +24,21 @@ fn dnn_graph() -> PhaseGraph {
 }
 
 fn phase_desc(graph: &PhaseGraph, seed: u64) -> PointDesc {
-    PointDesc::new(
-        NetworkKind::HeteroPhyFull,
-        geom(),
-        SimConfig::default().with_seed(seed),
-        SchedulingProfile::balanced(),
-        TrafficPattern::Uniform,
-        0.0, // phase workloads inject from the graph, not a rate
-        16,
-        RunSpec::smoke().with_drain_offers(),
-    )
-    .with_workload(graph)
+    let job = JobSpec {
+        kind: NetworkKind::HeteroPhyFull,
+        geom: geom(),
+        profile: SchedulingProfile::balanced(),
+        pattern: TrafficPattern::Uniform,
+        rates: Vec::new(),
+        packet_len: 16,
+        spec: RunSpec::smoke(),
+        seed,
+        backend: Backend::Engine,
+        warm_start: false,
+        workload: None,
+        scales: vec![1.0],
+    };
+    job.workload_desc(graph)
 }
 
 /// The release contract, observed through a real engine run: a phase

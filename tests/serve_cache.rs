@@ -17,7 +17,7 @@
 
 use chiplet_topo::{Geometry, NodeId};
 use chiplet_traffic::TrafficPattern;
-use hetero_if::cache::{engine_point, CacheSource, PointDesc, ResultCache};
+use hetero_if::cache::{engine_point, PointDesc};
 use hetero_if::golden;
 use hetero_if::sim::RunSpec;
 use hetero_if::{NetworkKind, SchedulingProfile, SimConfig};
@@ -82,10 +82,10 @@ fn corrupt_store_entry_is_rejected_and_recomputed() {
     let dir = tmp_dir("corrupt");
     let desc = reference_desc();
 
-    let mut cache = ResultCache::with_dir(&dir).expect("cache opens");
-    let (original, src) = cache.point(&desc);
-    assert_eq!(src, CacheSource::Computed);
-    drop(cache);
+    let service = SweepService::new(Some(dir.clone()), 1).expect("cache opens");
+    let (original, src) = service.point(&desc);
+    assert_eq!(src, "computed");
+    drop(service);
 
     // Flip one payload bit in the single .hcr entry under the store.
     let entry = find_entry(&dir);
@@ -96,16 +96,16 @@ fn corrupt_store_entry_is_rejected_and_recomputed() {
 
     // A fresh process over the same store must not serve the damaged
     // entry: it recomputes, counts the rejection, and heals the store.
-    let mut cache = ResultCache::with_dir(&dir).expect("cache reopens");
-    let (healed, src) = cache.point(&desc);
-    assert_eq!(src, CacheSource::Computed, "corrupt entry must not hit");
-    assert_eq!(cache.stats.corrupt_rejected, 1);
+    let service = SweepService::new(Some(dir.clone()), 1).expect("cache reopens");
+    let (healed, src) = service.point(&desc);
+    assert_eq!(src, "computed", "corrupt entry must not hit");
+    assert_eq!(service.stats().corrupt_rejected, 1);
     assert_eq!(healed, original, "recomputed point matches the original");
 
     // The rewritten entry now round-trips again.
-    let mut cache = ResultCache::with_dir(&dir).expect("cache reopens again");
-    let (served, src) = cache.point(&desc);
-    assert_eq!(src, CacheSource::Disk);
+    let service = SweepService::new(Some(dir.clone()), 1).expect("cache reopens again");
+    let (served, src) = service.point(&desc);
+    assert_eq!(src, "disk");
     assert_eq!(served, original);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -213,23 +213,23 @@ fn cached_results_bit_identical_to_direct_runs_across_golden_matrix() {
         })
         .collect();
 
-    let mut cache = ResultCache::with_dir(&dir).expect("cache opens");
+    let service = SweepService::new(Some(dir.clone()), 1).expect("cache opens");
     let mut direct = Vec::new();
     for desc in &descs {
-        let (cached, src) = cache.point(desc);
-        assert_eq!(src, CacheSource::Computed);
+        let (cached, src) = service.point(desc);
+        assert_eq!(src, "computed");
         let fresh = engine_point(desc);
         assert_eq!(cached, fresh, "direct rerun of {}", desc.canonical_string());
         direct.push(fresh);
     }
-    drop(cache);
+    drop(service);
 
     // A fresh cache over the same directory: every point comes off disk
     // (codec round trip included) and still matches bit for bit.
-    let mut cache = ResultCache::with_dir(&dir).expect("cache reopens");
+    let service = SweepService::new(Some(dir.clone()), 1).expect("cache reopens");
     for (desc, fresh) in descs.iter().zip(&direct) {
-        let (cached, src) = cache.point(desc);
-        assert_eq!(src, CacheSource::Disk);
+        let (cached, src) = service.point(desc);
+        assert_eq!(src, "disk");
         assert_eq!(&cached, fresh, "disk reload of {}", desc.canonical_string());
     }
 
@@ -241,15 +241,15 @@ fn cached_results_bit_identical_to_direct_runs_across_golden_matrix() {
 /// cache is not serving one result for everything).
 #[test]
 fn distinct_points_key_and_cache_distinctly() {
-    let mut cache = ResultCache::in_memory();
+    let service = SweepService::new(None, 1).expect("in-memory service");
     let a = reference_desc();
     let b = PointDesc {
         config: SimConfig::default().with_seed(2),
         ..reference_desc()
     };
     assert_ne!(a.key(), b.key());
-    let (pa, _) = cache.point(&a);
-    let (pb, _) = cache.point(&b);
+    let (pa, _) = service.point(&a);
+    let (pb, _) = service.point(&b);
     assert_ne!(pa, pb, "different seeds simulate different outcomes");
     let nodes: Vec<NodeId> = (0..a.geom.nodes()).map(NodeId).collect();
     assert_eq!(nodes.len(), 16);
