@@ -13,7 +13,7 @@
 
 use crate::harness::{Opts, Report};
 use chiplet_noc::packet::PacketId;
-use chiplet_noc::{Flit, OrderClass, Priority};
+use chiplet_noc::{Flit, FlitArena, OrderClass, Priority};
 use chiplet_phy::{HeteroPhyLink, PhyParams, PhyPolicy};
 use chiplet_topo::{Geometry, NodeId};
 use chiplet_traffic::{SyntheticWorkload, TrafficPattern};
@@ -33,6 +33,7 @@ fn rob_capacity(r: &mut Report) {
         "capacity", "flits/cycle", "watermark"
     ));
     for cap in [4u16, 8, 15, 30, 60, 120] {
+        let mut arena = FlitArena::new();
         let mut link = HeteroPhyLink::new(params, PhyPolicy::PerformanceFirst, 64);
         link.set_rob_capacity(cap);
         let cycles = 2_000u64;
@@ -50,7 +51,12 @@ fn rob_capacity(r: &mut Report) {
                     vc: vc as u8,
                     last: seq[vc] == 15,
                 };
-                link.push(now, flit, OrderClass::InOrder, Priority::Normal);
+                link.push(
+                    now,
+                    arena.alloc(flit),
+                    OrderClass::InOrder,
+                    Priority::Normal,
+                );
                 seq[vc] += 1;
                 if seq[vc] == 16 {
                     seq[vc] = 0;
@@ -58,8 +64,9 @@ fn rob_capacity(r: &mut Report) {
                     pushed += 1;
                 }
             }
-            link.advance(now);
-            while link.pop_delivered().is_some() {
+            link.advance(now, &arena, &mut |_| {});
+            while let Some((fref, _)) = link.pop_delivered() {
+                arena.free(fref);
                 delivered += 1;
             }
         }
@@ -156,6 +163,7 @@ fn bypass(r: &mut Report, _opts: &Opts) {
     for backlog in [4u16, 8, 16, 32, 48] {
         let mut results = [0u64; 2];
         for (i, enabled) in [true, false].into_iter().enumerate() {
+            let mut arena = FlitArena::new();
             let mut link = HeteroPhyLink::new(
                 PhyParams::full(),
                 PhyPolicy::ApplicationAware { threshold: 8 },
@@ -165,31 +173,31 @@ fn bypass(r: &mut Report, _opts: &Opts) {
             for s in 0..backlog {
                 link.push(
                     0,
-                    Flit {
+                    arena.alloc(Flit {
                         pid: PacketId(1),
                         seq: s,
                         vc: 0,
                         last: s + 1 == backlog,
-                    },
+                    }),
                     OrderClass::Unordered,
                     Priority::Normal,
                 );
             }
             link.push(
                 0,
-                Flit {
+                arena.alloc(Flit {
                     pid: PacketId(2),
                     seq: 0,
                     vc: 1,
                     last: true,
-                },
+                }),
                 OrderClass::Unordered,
                 Priority::High,
             );
             'outer: for now in 1..500u64 {
-                link.advance(now);
-                while let Some((f, _)) = link.pop_delivered() {
-                    if f.pid.0 == 2 {
+                link.advance(now, &arena, &mut |_| {});
+                while let Some((fref, _)) = link.pop_delivered() {
+                    if arena.free(fref).pid.0 == 2 {
                         results[i] = now;
                         break 'outer;
                     }

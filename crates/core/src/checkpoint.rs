@@ -303,7 +303,7 @@ impl Network {
                     line.save_state_with(&mut w, |fr, w| g.arena.get(*fr).save_state(w));
                 }
                 Medium::Guarded { line, .. } => line.save_state_with(&g.arena, &mut w),
-                Medium::Hetero(h) => h.save_state(&mut w),
+                Medium::Hetero(h) => h.save_state_with(&g.arena, &mut w),
             }
             g.credit_lines[li]
                 .as_ref()
@@ -541,7 +541,7 @@ impl Network {
                     line.load_state_with(&mut r, |r| Flit::read_from(r).map(|f| arena.alloc(f)))?;
                 }
                 (1, Medium::Guarded { line, .. }) => line.load_state_with(arena, &mut r)?,
-                (2, Medium::Hetero(h)) => h.load_state(&mut r)?,
+                (2, Medium::Hetero(h)) => h.load_state_with(arena, &mut r)?,
                 (t @ 0..=2, _) => {
                     return Err(CodecError::Mismatch(format!(
                         "link {li}: checkpoint medium kind {t} does not match the rebuilt medium"
@@ -796,9 +796,8 @@ impl Network {
         let topo = self.topo.read().expect("topology lock poisoned");
 
         // Per-shard handle accounting: every arena handle is held by
-        // exactly one router VC buffer, plain pipeline slot, or retry
-        // window (forward frames + delivered queue). Hetero adapters
-        // hold flits by value, never handles.
+        // exactly one router VC buffer, plain pipeline slot, retry
+        // window (forward frames + delivered queue) or hetero-PHY adapter.
         for (sid, g) in guards.iter().enumerate() {
             let mut held = 0usize;
             for &node in &g.nodes {
@@ -808,13 +807,12 @@ impl Network {
                     .map_err(|e| format!("shard {sid} router {i}: {e}"))?;
                 held += g.routers[i].buffered_flits();
             }
-            for (li, m) in g.media.iter().enumerate() {
-                match m {
-                    Some(Medium::Plain { line, .. }) => held += line.in_flight(),
-                    Some(Medium::Guarded { line, .. }) => held += line.held_handles(),
-                    Some(Medium::Hetero(_)) | None => {}
-                }
-                let _ = li;
+            for m in g.media.iter().flatten() {
+                held += match m {
+                    Medium::Plain { line, .. } => line.in_flight(),
+                    Medium::Guarded { line, .. } => line.held_handles(),
+                    Medium::Hetero(h) => h.in_flight(),
+                };
             }
             if g.arena.in_flight() != held {
                 return Err(format!(

@@ -753,11 +753,7 @@ fn apply_fault(
                     Medium::Hetero(h) => {
                         h.fail_phy(kind);
                         emitted.push((li as u32, LinkEvent::PhyDown));
-                        let other = match kind {
-                            PhyKind::Parallel => PhyKind::Serial,
-                            PhyKind::Serial => PhyKind::Parallel,
-                        };
-                        if !h.phy_down(other) {
+                        if !h.phy_down(kind.other()) {
                             // The surviving PHY keeps the link alive.
                             emitted.push((li as u32, LinkEvent::Failover));
                         }

@@ -141,7 +141,7 @@ impl SimResults {
 /// Results persist bit-exactly through the deterministic codec: every
 /// `f64` travels as its raw bits, so a cached result deserializes to the
 /// same bits the engine produced (the result-cache contract; the golden
-/// cache test pins this across all 30 fixtures).
+/// cache test pins this across all 35 fixtures).
 impl SaveState for SimResults {
     fn save_state(&self, w: &mut ByteWriter) {
         w.put_u32(self.nodes);

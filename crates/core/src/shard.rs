@@ -717,11 +717,12 @@ impl Shard {
                         let lf = &mut faults.links[li];
                         line.advance(now, arena, &mut || lf.draw(now), &mut ev);
                     }
-                    Medium::Hetero(h) => h.advance_observed(now, &mut ev),
+                    Medium::Hetero(h) => h.advance(now, arena, &mut ev),
                 }
             }
-            // Plain and retry-guarded links hand over arena handles.
-            let mut deliver = |fref: FlitRef, class: LinkClass| {
+            // Every medium hands over arena handles; `phy` names the
+            // hetero-PHY adapter lane a flit came off, if any.
+            let mut deliver = |fref: FlitRef, class: LinkClass, phy: Option<PhyKind>| {
                 let flit = arena.get(fref);
                 link_flits[li] += 1;
                 let info = store.get(flit.pid);
@@ -740,14 +741,16 @@ impl Shard {
                 if flit.is_head() {
                     info.hops.fetch_add(1, Relaxed);
                 }
-                tracer.emit(
-                    link_key(li as u32),
-                    now,
-                    TraceKind::Hop,
-                    flit.pid.0,
-                    li as u32,
-                    flit.is_head() as u32,
-                );
+                let (kind, arg) = match phy {
+                    None => (TraceKind::Hop, flit.is_head() as u32),
+                    Some(lane) => {
+                        if let Some(m) = metrics.as_mut() {
+                            m.slice.add(m.ids.phy_dispatch[lane as usize], 1);
+                        }
+                        (TraceKind::PhyDispatch, lane as u32)
+                    }
+                };
+                tracer.emit(link_key(li as u32), now, kind, flit.pid.0, li as u32, arg);
                 if local {
                     routers[dst].receive(in_port, fref, flit.vc);
                     active_routers.insert(dst);
@@ -763,58 +766,23 @@ impl Shard {
             match medium {
                 Medium::Plain { line, class } => {
                     let class = *class;
-                    line.drain_ready(now, |fref| deliver(fref, class));
+                    line.drain_ready(now, |fref| deliver(fref, class, None));
                 }
                 Medium::Guarded { line, class } => {
                     let class = *class;
-                    line.drain_delivered(|fref| deliver(fref, class));
+                    line.drain_delivered(|fref| deliver(fref, class, None));
                 }
                 Medium::Hetero(h) => {
-                    while let Some((flit, kind)) = h.pop_delivered() {
-                        link_flits[li] += 1;
-                        let info = store.get(flit.pid);
-                        let lane = match kind {
-                            PhyKind::Parallel => 0usize,
-                            PhyKind::Serial => 1usize,
+                    while let Some((fref, lane)) = h.pop_delivered() {
+                        let class = match lane {
+                            PhyKind::Parallel => LinkClass::Parallel,
+                            PhyKind::Serial => LinkClass::Serial,
                         };
-                        match kind {
-                            PhyKind::Parallel => {
-                                info.parallel_flits.fetch_add(1, Relaxed);
-                            }
-                            PhyKind::Serial => {
-                                info.serial_flits.fetch_add(1, Relaxed);
-                            }
-                        }
-                        if flit.is_head() {
-                            info.hops.fetch_add(1, Relaxed);
-                        }
-                        tracer.emit(
-                            link_key(li as u32),
-                            now,
-                            TraceKind::PhyDispatch,
-                            flit.pid.0,
-                            li as u32,
-                            lane as u32,
-                        );
-                        if let Some(m) = metrics.as_mut() {
-                            m.slice.add(m.ids.phy_dispatch[lane], 1);
-                        }
-                        if local {
-                            // Back from the adapter's value-world: re-admit.
-                            let fref = arena.alloc(flit);
-                            routers[dst].receive(in_port, fref, flit.vc);
-                            active_routers.insert(dst);
-                        } else {
-                            out_flits[dst_shard as usize].push(FlitMsg {
-                                li: li as u32,
-                                flit,
-                            });
-                        }
-                        *activity = true;
+                        deliver(fref, class, Some(lane));
                     }
                     if let Some(m) = metrics.as_mut() {
                         if let Some(id) = m.ids.rob_gauge[li] {
-                            // Sampled after `advance_observed`, matching the
+                            // Sampled after `advance`, matching the
                             // occupancy definition the Eq. 1 bound is
                             // checked against.
                             m.slice.raise(id, h.rob_occupancy() as u64);
@@ -1096,11 +1064,8 @@ impl RouterEnv for ShardEnv<'_> {
                 debug_assert!(ok, "guarded link over capacity");
             }
             Medium::Hetero(h) => {
-                // The adapter owns flits by value; the handle rejoins the
-                // arena when the flit emerges on the far side.
-                let flit = arena.free(fref);
-                let info = self.store.get(flit.pid);
-                h.push(self.now, flit, info.class, info.priority);
+                let info = self.store.get(arena.get(fref).pid);
+                h.push(self.now, fref, info.class, info.priority);
             }
         }
     }

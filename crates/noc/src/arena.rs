@@ -12,8 +12,8 @@
 //! handles, not flit structs; the arena is the single place a flit's
 //! fields live while it traverses routers and wires. A handle is
 //! allocated at injection, freed at ejection (or when the flit leaves the
-//! arena-managed world — into a hetero-PHY adapter, or dropped by the
-//! retry layer's receiver), and never reused while its flit is still in
+//! arena — posted to another shard, or dropped by the retry layer's
+//! receiver), and never reused while its flit is still in
 //! flight — the freelist discipline guarantees it, and the live counter
 //! makes leaks observable: a drained network must report
 //! [`FlitArena::in_flight`] of zero.

@@ -104,6 +104,15 @@ impl<T: Copy> DelayLine<T> {
         }
     }
 
+    /// The next flit whose delivery time has arrived, left in the line.
+    #[inline]
+    pub fn peek_ready(&self, now: Cycle) -> Option<&T> {
+        match self.q.front() {
+            Some((at, t)) if *at <= now => Some(t),
+            _ => None,
+        }
+    }
+
     /// Delivers every flit whose time has arrived to `sink`, in order.
     ///
     /// Equivalent to looping [`Self::pop_ready`], as a single call site

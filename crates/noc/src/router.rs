@@ -68,8 +68,8 @@ pub trait RouterEnv {
 
     /// Hands a flit to the medium behind `out_port` (counts toward the next
     /// [`Self::out_capacity`] call). The router lends the arena through the
-    /// call so the environment can read the flit, retire its handle at
-    /// ejection, or re-home it across an adapter boundary.
+    /// call so the environment can read the flit or retire its handle at
+    /// ejection.
     fn send(&mut self, out_port: u16, fref: FlitRef, arena: &mut FlitArena);
 
     /// Returns one credit to the upstream side of `in_port`.

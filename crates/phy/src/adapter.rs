@@ -16,55 +16,52 @@
 //!   packets, which may only jump onto the *parallel* PHY.
 //! * The **dispatch stage** picks a PHY per flit according to a
 //!   [`PhyPolicy`], tagging in-order flits with sequence numbers.
-//! * Each **PHY** is a bandwidth-limited pipeline (latency → stages,
-//!   bandwidth → lanes, §7.1).
+//! * Each **PHY** is a [`DelayLine`] (latency → stages, bandwidth → lanes,
+//!   §7.1).
 //! * The **RX reorder buffer** releases in-order flits strictly by sequence
 //!   number; unordered/bypass flits are released as soon as their own
 //!   packet's earlier flits have been released (per-packet order is always
 //!   preserved — wormhole routers require body flits to follow their
 //!   head). Its capacity follows Eq. 1, `S_rob = B_p · (D_s − D_p)`.
+//!
+//! Like every other medium, the link carries [`FlitRef`] handles: a flit
+//! stays in the caller's [`FlitArena`] from injection to ejection, and
+//! [`HeteroPhyLink::advance`] and the checkpoint codec borrow that arena
+//! to read (or, on restore, re-admit) the flits behind the handles.
 
 use crate::policy::PhyPolicy;
-use chiplet_noc::{Flit, OrderClass, Priority};
-use simkit::codec::{ByteReader, ByteWriter, CodecError, LoadState, SaveState};
+use chiplet_noc::{DelayLine, Flit, FlitArena, FlitRef, OrderClass, Priority};
+use simkit::codec::{ByteReader, ByteWriter, CodecError, SaveState};
 use simkit::trace::LinkEvent;
 use simkit::{Cycle, SimRng};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
-/// Multiplicative hasher for `u32` packet-id keys (the reorder buffer
-/// probes these maps several times per delivered flit; SipHash is
-/// overkill for already-well-distributed slab indices). Lookup-only —
-/// the maps are never iterated, so hash quality cannot affect results.
-#[derive(Debug, Default)]
-struct PidHasher(u64);
-
-impl Hasher for PidHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.0 = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Which PHY a flit crossed (drives the energy model, §8.3).
+/// Which PHY a flit crossed (drives the energy model, §8.3). The
+/// discriminant indexes the link's per-PHY arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhyKind {
     /// The parallel (AIB-like) PHY.
     Parallel,
     /// The serial (SerDes-like) PHY.
     Serial,
+}
+
+impl PhyKind {
+    /// The other PHY of the pair.
+    pub fn other(self) -> Self {
+        match self {
+            PhyKind::Parallel => PhyKind::Serial,
+            PhyKind::Serial => PhyKind::Parallel,
+        }
+    }
+
+    fn read_from(r: &mut ByteReader) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => Ok(PhyKind::Parallel),
+            1 => Ok(PhyKind::Serial),
+            _ => Err(CodecError::Corrupt("phy kind")),
+        }
+    }
 }
 
 /// Bandwidth/latency of the two PHYs of a hetero-PHY interface.
@@ -130,7 +127,7 @@ impl PhyParams {
 
 #[derive(Debug, Clone, Copy)]
 struct Tagged {
-    flit: Flit,
+    fref: FlitRef,
     /// Sequence number for in-order flits; `None` for unordered/bypass.
     sn: Option<u64>,
     kind: PhyKind,
@@ -144,8 +141,8 @@ struct Tagged {
 /// burst window.
 #[derive(Debug)]
 struct Injector {
-    p_parallel: f64,
-    p_serial: f64,
+    /// Base flit error probability, indexed by [`PhyKind`].
+    p: [f64; 2],
     rng: SimRng,
     burst_mult: f64,
     burst_until: Cycle,
@@ -153,76 +150,13 @@ struct Injector {
 
 impl Injector {
     fn decide(&mut self, kind: PhyKind, now: Cycle) -> bool {
-        let base = match kind {
-            PhyKind::Parallel => self.p_parallel,
-            PhyKind::Serial => self.p_serial,
-        };
+        let base = self.p[kind as usize];
         let p = if now < self.burst_until {
             (base * self.burst_mult).min(1.0)
         } else {
             base
         };
         self.rng.chance(p)
-    }
-}
-
-/// A bandwidth-limited pipeline for tagged flits (the PHY itself).
-#[derive(Debug, Clone)]
-struct PhyPipe {
-    latency: u32,
-    bandwidth: u8,
-    q: VecDeque<(Cycle, Tagged)>,
-    sent_cycle: Cycle,
-    sent_count: u8,
-}
-
-impl PhyPipe {
-    fn new(latency: u32, bandwidth: u8) -> Self {
-        Self {
-            latency,
-            bandwidth,
-            q: VecDeque::new(),
-            sent_cycle: Cycle::MAX,
-            sent_count: 0,
-        }
-    }
-
-    fn free(&self, now: Cycle) -> u8 {
-        if self.sent_cycle == now {
-            // saturating: a lane-degrade event may shrink the bandwidth
-            // mid-cycle, below what was already sent.
-            self.bandwidth.saturating_sub(self.sent_count)
-        } else {
-            self.bandwidth
-        }
-    }
-
-    fn send(&mut self, now: Cycle, t: Tagged) {
-        if self.sent_cycle != now {
-            self.sent_cycle = now;
-            self.sent_count = 0;
-        }
-        debug_assert!(self.sent_count < self.bandwidth);
-        self.sent_count += 1;
-        self.q.push_back((now + self.latency as Cycle, t));
-    }
-
-    fn pop_ready(&mut self, now: Cycle) -> Option<Tagged> {
-        match self.q.front() {
-            Some(&(at, _)) if at <= now => self.q.pop_front().map(|(_, t)| t),
-            _ => None,
-        }
-    }
-
-    fn peek_ready(&self, now: Cycle) -> Option<&Tagged> {
-        match self.q.front() {
-            Some(&(at, ref t)) if at <= now => Some(t),
-            _ => None,
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        self.q.len()
     }
 }
 
@@ -237,14 +171,18 @@ impl PhyPipe {
 ///   released on VC `v` if its packet is the one currently open on `v`
 ///   (or `v` is free and the flit is a head). Without the gate, a bypass
 ///   head could overtake the tail of an earlier packet sharing its VC.
+///
+/// The gate is also why per-packet progress lives in the per-VC `open`
+/// slots: a packet with released flits is always the packet open on its
+/// VC.
 #[derive(Debug, Default)]
 struct Rob {
     pending: Vec<Tagged>,
     next_sn: u64,
-    /// Per-packet delivered-flit counts for unordered/bypass packets.
-    pkt_progress: HashMap<u32, u16, BuildHasherDefault<PidHasher>>,
-    /// Packet currently open (head delivered, tail not yet), VC-indexed.
-    open: Vec<Option<u32>>,
+    /// Per VC, the packet currently open (head released, tail not yet)
+    /// and how many of its flits were released by the class rule's
+    /// per-packet order (always 0 for in-order packets).
+    open: Vec<Option<(u32, u16)>>,
     watermark: usize,
 }
 
@@ -254,68 +192,52 @@ impl Rob {
         self.watermark = self.watermark.max(self.pending.len());
     }
 
-    /// Whether `t` could be released right now (used for the full-ROB
-    /// admission rule: an immediately-deliverable flit never has to wait
-    /// for capacity, so a full reorder buffer can never wedge the link).
-    fn would_deliver(&self, t: &Tagged) -> bool {
-        let gate_ok = match self.open.get(t.flit.vc as usize).copied().flatten() {
-            Some(pid) => pid == t.flit.pid.0,
-            None => t.flit.is_head(),
+    /// Whether `t` (carrying flit `f`) may be released right now. Also the
+    /// full-ROB admission rule: an immediately-deliverable flit never has
+    /// to wait for capacity, so a full reorder buffer can never wedge the
+    /// link.
+    fn releasable(&self, t: &Tagged, f: Flit) -> bool {
+        let done = match self.open.get(f.vc as usize).copied().flatten() {
+            Some((pid, done)) if pid == f.pid.0 => done,
+            None if f.is_head() => 0,
+            _ => return false,
         };
-        let order_ok = match t.sn {
+        match t.sn {
             Some(sn) => sn == self.next_sn,
-            None => {
-                let done = self.pkt_progress.get(&t.flit.pid.0).copied().unwrap_or(0);
-                t.flit.seq == done
-            }
-        };
-        gate_ok && order_ok
+            None => f.seq == done,
+        }
     }
 
     /// Moves every releasable flit into `out`.
-    fn drain(&mut self, out: &mut VecDeque<(Flit, PhyKind)>) {
+    fn drain(&mut self, arena: &FlitArena, out: &mut VecDeque<(FlitRef, PhyKind)>) {
         loop {
             let mut progressed = false;
             let mut i = 0;
             while i < self.pending.len() {
                 let t = self.pending[i];
-                let gate_ok = match self.open.get(t.flit.vc as usize).copied().flatten() {
-                    Some(pid) => pid == t.flit.pid.0,
-                    None => t.flit.is_head(),
-                };
-                let order_ok = match t.sn {
-                    Some(sn) => sn == self.next_sn,
-                    None => {
-                        let done = self.pkt_progress.get(&t.flit.pid.0).copied().unwrap_or(0);
-                        t.flit.seq == done
-                    }
-                };
-                if gate_ok && order_ok {
-                    if let Some(sn) = t.sn {
-                        debug_assert_eq!(sn, self.next_sn);
-                        self.next_sn += 1;
-                    } else if t.flit.last {
-                        self.pkt_progress.remove(&t.flit.pid.0);
-                    } else {
-                        *self.pkt_progress.entry(t.flit.pid.0).or_insert(0) += 1;
-                    }
-                    if t.flit.last {
-                        if let Some(slot) = self.open.get_mut(t.flit.vc as usize) {
-                            *slot = None;
-                        }
-                    } else if t.flit.is_head() {
-                        let vc = t.flit.vc as usize;
-                        if self.open.len() <= vc {
-                            self.open.resize(vc + 1, None);
-                        }
-                        self.open[vc] = Some(t.flit.pid.0);
-                    }
-                    out.push_back((t.flit, t.kind));
-                    self.pending.swap_remove(i);
-                    progressed = true;
-                } else {
+                let f = arena.get(t.fref);
+                if !self.releasable(&t, f) {
                     i += 1;
+                    continue;
                 }
+                if t.sn.is_some() {
+                    self.next_sn += 1;
+                }
+                let vc = f.vc as usize;
+                if f.last {
+                    if let Some(slot) = self.open.get_mut(vc) {
+                        *slot = None;
+                    }
+                } else {
+                    if self.open.len() <= vc {
+                        self.open.resize(vc + 1, None);
+                    }
+                    let done = self.open[vc].map_or(0, |(_, done)| done);
+                    self.open[vc] = Some((f.pid.0, done + t.sn.is_none() as u16));
+                }
+                out.push_back((t.fref, t.kind));
+                self.pending.swap_remove(i);
+                progressed = true;
             }
             if !progressed {
                 break;
@@ -335,19 +257,20 @@ impl Rob {
 ///
 /// ```
 /// use chiplet_phy::{HeteroPhyLink, PhyParams, PhyPolicy};
-/// use chiplet_noc::{Flit, OrderClass, Priority};
+/// use chiplet_noc::{Flit, FlitArena, OrderClass, Priority};
 /// use chiplet_noc::packet::PacketId;
 ///
+/// let mut arena = FlitArena::new();
 /// let mut link = HeteroPhyLink::new(PhyParams::full(),
 ///                                   PhyPolicy::PerformanceFirst, 16);
 /// let f = Flit { pid: PacketId(0), seq: 0, vc: 0, last: true };
-/// link.push(0, f, OrderClass::InOrder, Priority::Normal);
+/// link.push(0, arena.alloc(f), OrderClass::InOrder, Priority::Normal);
 /// for now in 1..=7 {
-///     link.advance(now);
+///     link.advance(now, &arena, &mut |_| {});
 /// }
 /// // One flit, dispatched to the parallel PHY (5 cycles + dispatch).
 /// let (out, kind) = link.pop_delivered().expect("delivered");
-/// assert_eq!(out, f);
+/// assert_eq!(arena.free(out), f);
 /// assert_eq!(kind, chiplet_phy::PhyKind::Parallel);
 /// ```
 #[derive(Debug)]
@@ -355,23 +278,23 @@ pub struct HeteroPhyLink {
     params: PhyParams,
     policy: PhyPolicy,
     fifo_capacity: u16,
-    main: VecDeque<(Flit, OrderClass, Priority)>,
-    bypass: VecDeque<Flit>,
+    main: VecDeque<(FlitRef, OrderClass, Priority)>,
+    bypass: VecDeque<FlitRef>,
     next_sn: u64,
-    parallel: PhyPipe,
-    serial: PhyPipe,
+    /// The two PHYs, indexed by [`PhyKind`].
+    phys: [DelayLine<Tagged>; 2],
+    /// Hard-failure flags, indexed by [`PhyKind`].
+    down: [bool; 2],
+    /// Flits dispatched per PHY, indexed by [`PhyKind`].
+    dispatched: [u64; 2],
     rob: Rob,
     rob_capacity: u16,
-    delivered: VecDeque<(Flit, PhyKind)>,
-    parallel_flits: u64,
-    serial_flits: u64,
+    delivered: VecDeque<(FlitRef, PhyKind)>,
     bypass_enabled: bool,
     injector: Option<Injector>,
-    /// Corrupted transmissions awaiting internal retransmission (the
-    /// adapter holds the copy, so recovery is local to the link).
+    /// Corrupted or wire-lost transmissions awaiting internal
+    /// retransmission (recovery is local to the link).
     retx: VecDeque<Tagged>,
-    parallel_down: bool,
-    serial_down: bool,
     corrupt_flits: u64,
     retx_flits: u64,
 }
@@ -387,7 +310,6 @@ impl HeteroPhyLink {
     /// `D_p ≤ D_s`).
     pub fn new(params: PhyParams, policy: PhyPolicy, fifo_capacity: u16) -> Self {
         assert!(fifo_capacity > 0, "TX FIFO needs capacity");
-        assert!(params.parallel_bw > 0 && params.serial_bw > 0);
         assert!(
             params.parallel_lat <= params.serial_lat,
             "bypass is only sound when the parallel path is not slower (§4.2)"
@@ -396,23 +318,23 @@ impl HeteroPhyLink {
             // Eq. 1 covers reorder waiting; the extra slack absorbs flits
             // gated on per-VC packet contiguity (bounded by a few packets).
             rob_capacity: params.rob_capacity() + 64,
-            parallel: PhyPipe::new(params.parallel_lat.max(1), params.parallel_bw),
-            serial: PhyPipe::new(params.serial_lat.max(1), params.serial_bw),
+            phys: [
+                DelayLine::new(params.parallel_lat.max(1), params.parallel_bw),
+                DelayLine::new(params.serial_lat.max(1), params.serial_bw),
+            ],
             params,
             policy,
             fifo_capacity,
             main: VecDeque::new(),
             bypass: VecDeque::new(),
             next_sn: 0,
+            down: [false; 2],
+            dispatched: [0; 2],
             rob: Rob::default(),
             delivered: VecDeque::new(),
-            parallel_flits: 0,
-            serial_flits: 0,
             bypass_enabled: true,
             injector: None,
             retx: VecDeque::new(),
-            parallel_down: false,
-            serial_down: false,
             corrupt_flits: 0,
             retx_flits: 0,
         }
@@ -426,8 +348,7 @@ impl HeteroPhyLink {
     /// latency.
     pub fn set_fault_injection(&mut self, rng: SimRng, p_parallel: f64, p_serial: f64) {
         self.injector = Some(Injector {
-            p_parallel,
-            p_serial,
+            p: [p_parallel, p_serial],
             rng,
             burst_mult: 1.0,
             burst_until: 0,
@@ -448,49 +369,21 @@ impl HeteroPhyLink {
     /// queued for retransmission, and dispatch shifts onto the surviving
     /// PHY until [`Self::restore_phy`].
     pub fn fail_phy(&mut self, kind: PhyKind) {
-        let pipe = match kind {
-            PhyKind::Parallel => {
-                self.parallel_down = true;
-                &mut self.parallel
-            }
-            PhyKind::Serial => {
-                self.serial_down = true;
-                &mut self.serial
-            }
-        };
-        while let Some((_, t)) = pipe.q.pop_front() {
+        self.down[kind as usize] = true;
+        let phy = &mut self.phys[kind as usize];
+        while let Some(t) = phy.pop_ready(Cycle::MAX) {
             self.retx.push_back(t);
         }
     }
 
     /// Brings a previously failed PHY back into service.
     pub fn restore_phy(&mut self, kind: PhyKind) {
-        match kind {
-            PhyKind::Parallel => self.parallel_down = false,
-            PhyKind::Serial => self.serial_down = false,
-        }
+        self.down[kind as usize] = false;
     }
 
     /// Whether `kind` is currently hard-failed.
     pub fn phy_down(&self, kind: PhyKind) -> bool {
-        match kind {
-            PhyKind::Parallel => self.parallel_down,
-            PhyKind::Serial => self.serial_down,
-        }
-    }
-
-    /// Degrades (or restores) the lane count of one PHY, e.g. after a
-    /// scripted lane-failure event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bandwidth == 0` (use [`Self::fail_phy`] for total loss).
-    pub fn set_phy_bandwidth(&mut self, kind: PhyKind, bandwidth: u8) {
-        assert!(bandwidth > 0, "degrade to zero lanes is a hard PHY failure");
-        match kind {
-            PhyKind::Parallel => self.parallel.bandwidth = bandwidth,
-            PhyKind::Serial => self.serial.bandwidth = bandwidth,
-        }
+        self.down[kind as usize]
     }
 
     /// Corrupted transmissions detected so far.
@@ -538,7 +431,7 @@ impl HeteroPhyLink {
         self.fifo_capacity - (self.main.len() + self.bypass.len()) as u16
     }
 
-    /// Accepts one flit from the router crossbar.
+    /// Accepts one flit handle from the router crossbar.
     ///
     /// High-priority packets enter the bypass queue (parallel PHY only);
     /// everything else enters the main queue.
@@ -546,69 +439,56 @@ impl HeteroPhyLink {
     /// # Panics
     ///
     /// Panics if the FIFO is full (callers must check [`Self::space`]).
-    pub fn push(&mut self, _now: Cycle, flit: Flit, class: OrderClass, priority: Priority) {
+    pub fn push(&mut self, _now: Cycle, fref: FlitRef, class: OrderClass, priority: Priority) {
         assert!(self.space() > 0, "hetero-PHY TX FIFO overflow");
         if priority == Priority::High && self.bypass_enabled {
-            self.bypass.push_back(flit);
+            self.bypass.push_back(fref);
         } else {
-            self.main.push_back((flit, class, priority));
-        }
-    }
-
-    /// Runs one cycle: dispatch from the TX queues into the PHYs, collect
-    /// PHY arrivals into the reorder buffer, release in-order flits.
-    pub fn advance(&mut self, now: Cycle) {
-        self.advance_observed(now, &mut |_| {});
-    }
-
-    fn decide_corrupt(&mut self, kind: PhyKind, now: Cycle) -> bool {
-        match &mut self.injector {
-            Some(inj) => inj.decide(kind, now),
-            None => false,
+            self.main.push_back((fref, class, priority));
         }
     }
 
     /// Whether `kind` can accept a flit right now (in service, lane free).
     fn avail(&self, kind: PhyKind, now: Cycle) -> bool {
-        !self.phy_down(kind) && self.pipe(kind).free(now) > 0
+        !self.down[kind as usize] && self.phys[kind as usize].capacity(now) > 0
     }
 
-    fn send_on(&mut self, now: Cycle, kind: PhyKind, mut t: Tagged) {
-        t.kind = kind;
-        t.corrupt = self.decide_corrupt(kind, now);
-        match kind {
-            PhyKind::Parallel => {
-                self.parallel_flits += 1;
-                self.parallel.send(now, t);
-            }
-            PhyKind::Serial => {
-                self.serial_flits += 1;
-                self.serial.send(now, t);
-            }
-        }
+    fn send_on(&mut self, now: Cycle, kind: PhyKind, fref: FlitRef, sn: Option<u64>) {
+        let corrupt = self
+            .injector
+            .as_mut()
+            .is_some_and(|inj| inj.decide(kind, now));
+        self.dispatched[kind as usize] += 1;
+        let t = Tagged {
+            fref,
+            sn,
+            kind,
+            corrupt,
+        };
+        let sent = self.phys[kind as usize].try_send(now, t);
+        debug_assert!(sent, "dispatch onto a PHY with no free lane");
     }
 
-    /// [`Self::advance`] with an observer for link-integrity events
-    /// (corruption detections and internal retransmissions).
-    pub fn advance_observed(&mut self, now: Cycle, events: &mut dyn FnMut(LinkEvent)) {
+    /// Runs one cycle: dispatch from the TX queues into the PHYs, collect
+    /// PHY arrivals into the reorder buffer, release in-order flits.
+    /// `arena` holds the flits behind the link's handles; `events`
+    /// observes link-integrity events (corruption detections and internal
+    /// retransmissions).
+    pub fn advance(&mut self, now: Cycle, arena: &FlitArena, events: &mut dyn FnMut(LinkEvent)) {
         // Retransmissions first: recovery traffic gets lane priority, on
         // the original PHY when it survives, else on the other one.
         while let Some(&t) = self.retx.front() {
-            let other = match t.kind {
-                PhyKind::Parallel => PhyKind::Serial,
-                PhyKind::Serial => PhyKind::Parallel,
-            };
             let kind = if self.avail(t.kind, now) {
                 t.kind
-            } else if self.avail(other, now) {
-                other
+            } else if self.avail(t.kind.other(), now) {
+                t.kind.other()
             } else {
                 break;
             };
             self.retx.pop_front();
             self.retx_flits += 1;
             events(LinkEvent::Retransmit);
-            self.send_on(now, kind, t);
+            self.send_on(now, kind, t.fref, t.sn);
         }
         // Bypass queue: early dispatch, parallel PHY only (§4.2) — unless
         // the parallel PHY is hard-failed, in which case survival trumps
@@ -616,39 +496,30 @@ impl HeteroPhyLink {
         loop {
             let kind = if self.avail(PhyKind::Parallel, now) {
                 PhyKind::Parallel
-            } else if self.parallel_down && self.avail(PhyKind::Serial, now) {
+            } else if self.phy_down(PhyKind::Parallel) && self.avail(PhyKind::Serial, now) {
                 PhyKind::Serial
             } else {
                 break;
             };
-            let Some(flit) = self.bypass.pop_front() else {
+            let Some(fref) = self.bypass.pop_front() else {
                 break;
             };
-            self.send_on(
-                now,
-                kind,
-                Tagged {
-                    flit,
-                    sn: None,
-                    kind,
-                    corrupt: false,
-                },
-            );
+            self.send_on(now, kind, fref, None);
         }
         // Main queue, FIFO order.
-        while let Some(&(flit, class, priority)) = self.main.front() {
+        while let Some(&(fref, class, priority)) = self.main.front() {
             let plan = self.policy.plan(self.main.len(), class, priority);
-            let (first, second) = if plan.prefer_serial {
-                (PhyKind::Serial, PhyKind::Parallel)
+            let first = if plan.prefer_serial {
+                PhyKind::Serial
             } else {
-                (PhyKind::Parallel, PhyKind::Serial)
+                PhyKind::Parallel
             };
             // Survival trumps policy: a down preferred PHY always allows
             // failing over to the other one.
             let kind = if self.avail(first, now) {
                 first
-            } else if (plan.allow_other || self.phy_down(first)) && self.avail(second, now) {
-                second
+            } else if (plan.allow_other || self.phy_down(first)) && self.avail(first.other(), now) {
+                first.other()
             } else {
                 break;
             };
@@ -658,16 +529,7 @@ impl HeteroPhyLink {
                 self.next_sn += 1;
                 sn
             });
-            self.send_on(
-                now,
-                kind,
-                Tagged {
-                    flit,
-                    sn,
-                    kind,
-                    corrupt: false,
-                },
-            );
+            self.send_on(now, kind, fref, sn);
         }
         // RX: collect arrivals and release. A full ROB stalls arrivals at
         // the PHY exits *except* for flits that are immediately
@@ -678,33 +540,22 @@ impl HeteroPhyLink {
         // exit diverts them to the retransmission queue.
         loop {
             let mut progressed = false;
-            for kind in [PhyKind::Parallel, PhyKind::Serial] {
-                loop {
-                    let pipe = match kind {
-                        PhyKind::Parallel => &self.parallel,
-                        PhyKind::Serial => &self.serial,
-                    };
-                    let admit = match pipe.peek_ready(now) {
-                        None => false,
-                        Some(t) => {
-                            t.corrupt
-                                || self.rob.len() < self.rob_capacity as usize
-                                || self.rob.would_deliver(t)
-                        }
-                    };
+            for phy in 0..2 {
+                while let Some(&t) = self.phys[phy].peek_ready(now) {
+                    let admit = t.corrupt
+                        || self.rob.len() < self.rob_capacity as usize
+                        || self.rob.releasable(&t, arena.get(t.fref));
                     if !admit {
                         break;
                     }
-                    let pipe = match kind {
-                        PhyKind::Parallel => &mut self.parallel,
-                        PhyKind::Serial => &mut self.serial,
-                    };
-                    let mut t = pipe.pop_ready(now).expect("peeked");
+                    self.phys[phy].pop_ready(now);
                     if t.corrupt {
                         self.corrupt_flits += 1;
                         events(LinkEvent::Corrupt);
-                        t.corrupt = false;
-                        self.retx.push_back(t);
+                        self.retx.push_back(Tagged {
+                            corrupt: false,
+                            ..t
+                        });
                     } else {
                         self.rob.insert(t);
                     }
@@ -714,31 +565,24 @@ impl HeteroPhyLink {
             if !progressed {
                 break;
             }
-            self.rob.drain(&mut self.delivered);
+            self.rob.drain(arena, &mut self.delivered);
         }
-        self.rob.drain(&mut self.delivered);
+        self.rob.drain(arena, &mut self.delivered);
     }
 
-    fn pipe(&self, kind: PhyKind) -> &PhyPipe {
-        match kind {
-            PhyKind::Parallel => &self.parallel,
-            PhyKind::Serial => &self.serial,
-        }
-    }
-
-    /// Pops the next delivered flit (ready for the downstream input
-    /// buffer), along with the PHY it crossed.
-    pub fn pop_delivered(&mut self) -> Option<(Flit, PhyKind)> {
+    /// Pops the next delivered flit handle (ready for the downstream
+    /// input buffer), along with the PHY it crossed.
+    pub fn pop_delivered(&mut self) -> Option<(FlitRef, PhyKind)> {
         self.delivered.pop_front()
     }
 
-    /// Flits anywhere inside the link (TX queues, PHYs, ROB, delivery
-    /// queue) — used for drain detection.
+    /// Flit handles anywhere inside the link (TX queues, PHYs, ROB,
+    /// retransmission and delivery queues) — used for drain detection
+    /// and arena accounting.
     pub fn in_flight(&self) -> usize {
         self.main.len()
             + self.bypass.len()
-            + self.parallel.in_flight()
-            + self.serial.in_flight()
+            + self.phys.iter().map(DelayLine::in_flight).sum::<usize>()
             + self.rob.len()
             + self.delivered.len()
             + self.retx.len()
@@ -746,12 +590,12 @@ impl HeteroPhyLink {
 
     /// Flits dispatched to the parallel PHY so far.
     pub fn parallel_flits(&self) -> u64 {
-        self.parallel_flits
+        self.dispatched[PhyKind::Parallel as usize]
     }
 
     /// Flits dispatched to the serial PHY so far.
     pub fn serial_flits(&self) -> u64 {
-        self.serial_flits
+        self.dispatched[PhyKind::Serial as usize]
     }
 
     /// Highest reorder-buffer occupancy observed.
@@ -767,106 +611,43 @@ impl HeteroPhyLink {
     pub fn rob_occupancy(&self) -> usize {
         self.rob.len()
     }
-}
 
-fn save_tagged(t: &Tagged, w: &mut ByteWriter) {
-    t.flit.save_state(w);
-    match t.sn {
-        None => w.put_bool(false),
-        Some(sn) => {
-            w.put_bool(true);
-            w.put_u64(sn);
-        }
-    }
-    w.put_u8(match t.kind {
-        PhyKind::Parallel => 0,
-        PhyKind::Serial => 1,
-    });
-    w.put_bool(t.corrupt);
-}
-
-fn load_tagged(r: &mut ByteReader) -> Result<Tagged, CodecError> {
-    let flit = Flit::read_from(r)?;
-    let sn = if r.get_bool()? {
-        Some(r.get_u64()?)
-    } else {
-        None
-    };
-    let kind = match r.get_u8()? {
-        0 => PhyKind::Parallel,
-        1 => PhyKind::Serial,
-        _ => return Err(CodecError::Corrupt("phy kind")),
-    };
-    let corrupt = r.get_bool()?;
-    Ok(Tagged {
-        flit,
-        sn,
-        kind,
-        corrupt,
-    })
-}
-
-impl PhyPipe {
-    /// Bandwidth is serialized alongside the queue because lane-degrade
-    /// fault events mutate it mid-run; latency stays static config.
-    fn save_state(&self, w: &mut ByteWriter) {
-        w.put_u8(self.bandwidth);
-        w.put_u64(self.sent_cycle);
-        w.put_u8(self.sent_count);
-        w.put_usize(self.q.len());
-        for (at, t) in &self.q {
-            w.put_u64(*at);
-            save_tagged(t, w);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut ByteReader) -> Result<(), CodecError> {
-        let bw = r.get_u8()?;
-        if bw == 0 {
-            return Err(CodecError::Corrupt("phy bandwidth"));
-        }
-        self.bandwidth = bw;
-        self.sent_cycle = r.get_u64()?;
-        self.sent_count = r.get_u8()?;
-        let n = r.get_usize()?;
-        self.q.clear();
-        for _ in 0..n {
-            let at = r.get_u64()?;
-            let t = load_tagged(r)?;
-            self.q.push_back((at, t));
-        }
-        Ok(())
-    }
-}
-
-impl SaveState for HeteroPhyLink {
-    /// Serializes every dynamic field of the link: TX queues, both PHY
-    /// pipelines (including fault-degraded lane counts), the reorder
-    /// buffer (progress map written in sorted packet-id order so the
+    /// Serializes every dynamic field of the link, writing each flit by
+    /// value from `arena`: TX queues, both PHY pipelines, the reorder
+    /// buffer (per-packet progress as a list sorted by packet id, so the
     /// blob is canonical), the retransmission queue, injector RNG/burst
     /// state, hard-failure flags and counters. Static configuration
     /// (params, policy, FIFO/ROB capacity, injector error rates) is the
-    /// restore target's job to rebuild.
-    fn save_state(&self, w: &mut ByteWriter) {
+    /// restore target's job to rebuild; each PHY's lane count is written
+    /// only so a restore can check it.
+    pub fn save_state_with(&self, arena: &FlitArena, w: &mut ByteWriter) {
+        let save_tagged = |t: &Tagged, w: &mut ByteWriter| {
+            arena.get(t.fref).save_state(w);
+            match t.sn {
+                None => w.put_bool(false),
+                Some(sn) => {
+                    w.put_bool(true);
+                    w.put_u64(sn);
+                }
+            }
+            w.put_u8(t.kind as u8);
+            w.put_bool(t.corrupt);
+        };
         w.put_usize(self.main.len());
-        for (flit, class, priority) in &self.main {
-            flit.save_state(w);
-            w.put_u8(match class {
-                OrderClass::InOrder => 0,
-                OrderClass::Unordered => 1,
-            });
-            w.put_u8(match priority {
-                Priority::Normal => 0,
-                Priority::High => 1,
-            });
+        for &(fref, class, priority) in &self.main {
+            arena.get(fref).save_state(w);
+            w.put_u8(class as u8);
+            w.put_u8(priority as u8);
         }
         w.put_usize(self.bypass.len());
-        for flit in &self.bypass {
-            flit.save_state(w);
+        for &fref in &self.bypass {
+            arena.get(fref).save_state(w);
         }
         w.put_u64(self.next_sn);
-        self.parallel.save_state(w);
-        self.serial.save_state(w);
+        for phy in &self.phys {
+            w.put_u8(phy.bandwidth());
+            phy.save_state_with(w, save_tagged);
+        }
         // Reorder buffer.
         w.put_usize(self.rob.pending.len());
         for t in &self.rob.pending {
@@ -875,9 +656,11 @@ impl SaveState for HeteroPhyLink {
         w.put_u64(self.rob.next_sn);
         let mut progress: Vec<(u32, u16)> = self
             .rob
-            .pkt_progress
+            .open
             .iter()
-            .map(|(&pid, &done)| (pid, done))
+            .flatten()
+            .copied()
+            .filter(|&(_, done)| done > 0)
             .collect();
         progress.sort_unstable();
         w.put_usize(progress.len());
@@ -889,7 +672,7 @@ impl SaveState for HeteroPhyLink {
         for slot in &self.rob.open {
             match slot {
                 None => w.put_bool(false),
-                Some(pid) => {
+                Some((pid, _)) => {
                     w.put_bool(true);
                     w.put_u32(*pid);
                 }
@@ -897,15 +680,13 @@ impl SaveState for HeteroPhyLink {
         }
         w.put_usize(self.rob.watermark);
         w.put_usize(self.delivered.len());
-        for (flit, kind) in &self.delivered {
-            flit.save_state(w);
-            w.put_u8(match kind {
-                PhyKind::Parallel => 0,
-                PhyKind::Serial => 1,
-            });
+        for &(fref, kind) in &self.delivered {
+            arena.get(fref).save_state(w);
+            w.put_u8(kind as u8);
         }
-        w.put_u64(self.parallel_flits);
-        w.put_u64(self.serial_flits);
+        for n in self.dispatched {
+            w.put_u64(n);
+        }
         match &self.injector {
             None => w.put_bool(false),
             Some(inj) => {
@@ -921,19 +702,47 @@ impl SaveState for HeteroPhyLink {
         for t in &self.retx {
             save_tagged(t, w);
         }
-        w.put_bool(self.parallel_down);
-        w.put_bool(self.serial_down);
+        for down in self.down {
+            w.put_bool(down);
+        }
         w.put_u64(self.corrupt_flits);
         w.put_u64(self.retx_flits);
     }
-}
 
-impl LoadState for HeteroPhyLink {
-    fn load_state(&mut self, r: &mut ByteReader) -> Result<(), CodecError> {
+    /// Overlays state written by [`Self::save_state_with`], re-admitting
+    /// every flit into `arena`.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Mismatch`] when the blob's PHY lane counts or
+    /// injector presence differ from this link's build;
+    /// [`CodecError::Corrupt`] on malformed data, including per-packet
+    /// reorder progress for a packet that is not open on any VC.
+    pub fn load_state_with(
+        &mut self,
+        arena: &mut FlitArena,
+        r: &mut ByteReader,
+    ) -> Result<(), CodecError> {
+        fn load_tagged(r: &mut ByteReader, arena: &mut FlitArena) -> Result<Tagged, CodecError> {
+            let fref = arena.alloc(Flit::read_from(r)?);
+            let sn = if r.get_bool()? {
+                Some(r.get_u64()?)
+            } else {
+                None
+            };
+            let kind = PhyKind::read_from(r)?;
+            let corrupt = r.get_bool()?;
+            Ok(Tagged {
+                fref,
+                sn,
+                kind,
+                corrupt,
+            })
+        }
         let n = r.get_usize()?;
         self.main.clear();
         for _ in 0..n {
-            let flit = Flit::read_from(r)?;
+            let fref = arena.alloc(Flit::read_from(r)?);
             let class = match r.get_u8()? {
                 0 => OrderClass::InOrder,
                 1 => OrderClass::Unordered,
@@ -944,53 +753,67 @@ impl LoadState for HeteroPhyLink {
                 1 => Priority::High,
                 _ => return Err(CodecError::Corrupt("priority")),
             };
-            self.main.push_back((flit, class, priority));
+            self.main.push_back((fref, class, priority));
         }
         let n = r.get_usize()?;
         self.bypass.clear();
         for _ in 0..n {
-            self.bypass.push_back(Flit::read_from(r)?);
+            self.bypass.push_back(arena.alloc(Flit::read_from(r)?));
         }
         self.next_sn = r.get_u64()?;
-        self.parallel.load_state(r)?;
-        self.serial.load_state(r)?;
+        for phy in &mut self.phys {
+            let bw = r.get_u8()?;
+            if bw != phy.bandwidth() {
+                return Err(CodecError::Mismatch(format!(
+                    "checkpoint PHY has {bw} lanes but the restore target has {}",
+                    phy.bandwidth()
+                )));
+            }
+            phy.load_state_with(r, |r| load_tagged(r, arena))?;
+        }
         let n = r.get_usize()?;
         self.rob.pending.clear();
         for _ in 0..n {
-            self.rob.pending.push(load_tagged(r)?);
+            self.rob.pending.push(load_tagged(r, arena)?);
         }
         self.rob.next_sn = r.get_u64()?;
         let n = r.get_usize()?;
-        self.rob.pkt_progress.clear();
+        let mut progress = Vec::new();
         for _ in 0..n {
-            let pid = r.get_u32()?;
-            let done = r.get_u16()?;
-            self.rob.pkt_progress.insert(pid, done);
+            progress.push((r.get_u32()?, r.get_u16()?));
         }
         let n = r.get_usize()?;
         self.rob.open.clear();
         for _ in 0..n {
             let slot = if r.get_bool()? {
-                Some(r.get_u32()?)
+                Some((r.get_u32()?, 0))
             } else {
                 None
             };
             self.rob.open.push(slot);
         }
+        for (pid, done) in progress {
+            let slot = self
+                .rob
+                .open
+                .iter_mut()
+                .flatten()
+                .find(|(open, _)| *open == pid)
+                .ok_or(CodecError::Corrupt(
+                    "reorder progress for a packet not open",
+                ))?;
+            slot.1 = done;
+        }
         self.rob.watermark = r.get_usize()?;
         let n = r.get_usize()?;
         self.delivered.clear();
         for _ in 0..n {
-            let flit = Flit::read_from(r)?;
-            let kind = match r.get_u8()? {
-                0 => PhyKind::Parallel,
-                1 => PhyKind::Serial,
-                _ => return Err(CodecError::Corrupt("phy kind")),
-            };
-            self.delivered.push_back((flit, kind));
+            let fref = arena.alloc(Flit::read_from(r)?);
+            self.delivered.push_back((fref, PhyKind::read_from(r)?));
         }
-        self.parallel_flits = r.get_u64()?;
-        self.serial_flits = r.get_u64()?;
+        for n in &mut self.dispatched {
+            *n = r.get_u64()?;
+        }
         if r.get_bool()? {
             let Some(inj) = &mut self.injector else {
                 return Err(CodecError::Mismatch(
@@ -1016,16 +839,16 @@ impl LoadState for HeteroPhyLink {
         let n = r.get_usize()?;
         self.retx.clear();
         for _ in 0..n {
-            self.retx.push_back(load_tagged(r)?);
+            self.retx.push_back(load_tagged(r, arena)?);
         }
-        self.parallel_down = r.get_bool()?;
-        self.serial_down = r.get_bool()?;
+        for down in &mut self.down {
+            *down = r.get_bool()?;
+        }
         self.corrupt_flits = r.get_u64()?;
         self.retx_flits = r.get_u64()?;
         Ok(())
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1046,15 +869,40 @@ mod tests {
         }
     }
 
-    fn drain_all(link: &mut HeteroPhyLink, upto: Cycle) -> Vec<(Flit, PhyKind)> {
-        let mut out = Vec::new();
-        for now in 0..=upto {
-            link.advance(now);
-            while let Some(d) = link.pop_delivered() {
-                out.push(d);
+    /// A link plus the arena its flits live in.
+    struct Rig {
+        link: HeteroPhyLink,
+        arena: FlitArena,
+    }
+
+    impl Rig {
+        fn new(policy: PhyPolicy, fifo: u16) -> Self {
+            Self {
+                link: HeteroPhyLink::new(PhyParams::full(), policy, fifo),
+                arena: FlitArena::new(),
             }
         }
-        out
+
+        fn push(&mut self, f: Flit, class: OrderClass, priority: Priority) {
+            let fref = self.arena.alloc(f);
+            self.link.push(0, fref, class, priority);
+        }
+
+        /// Advances one cycle and retires every delivered flit.
+        fn step(&mut self, now: Cycle) -> Vec<(Flit, PhyKind)> {
+            self.link.advance(now, &self.arena, &mut |_| {});
+            std::iter::from_fn(|| self.link.pop_delivered())
+                .map(|(fref, kind)| (self.arena.free(fref), kind))
+                .collect()
+        }
+
+        fn run(&mut self, from: Cycle, upto: Cycle) -> Vec<(Flit, PhyKind)> {
+            (from..=upto).flat_map(|now| self.step(now)).collect()
+        }
+    }
+
+    fn seqs(out: &[(Flit, PhyKind)]) -> Vec<u16> {
+        out.iter().map(|(f, _)| f.seq).collect()
     }
 
     #[test]
@@ -1078,83 +926,72 @@ mod tests {
 
     #[test]
     fn performance_first_uses_both_phys_and_reorders() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::PerformanceFirst, 32);
+        let mut rig = Rig::new(PhyPolicy::PerformanceFirst, 32);
         for s in 0..16u16 {
-            link.push(0, flit(1, s, 16), OrderClass::InOrder, Priority::Normal);
+            rig.push(flit(1, s, 16), OrderClass::InOrder, Priority::Normal);
         }
-        let out = drain_all(&mut link, 60);
-        assert_eq!(out.len(), 16);
+        let out = rig.run(0, 60);
         // Delivered strictly in seq order despite two paths.
-        for (i, (f, _)) in out.iter().enumerate() {
-            assert_eq!(f.seq, i as u16);
-        }
+        assert_eq!(seqs(&out), (0..16).collect::<Vec<_>>());
+        let link = &rig.link;
         assert!(link.serial_flits() > 0, "serial PHY should carry load");
         assert!(link.parallel_flits() > 0);
         assert!(link.rob_watermark() > 0, "parallel flits waited in the ROB");
         assert!(link.rob_watermark() <= PhyParams::full().rob_capacity() as usize + 16);
+        assert_eq!(rig.arena.in_flight(), 0, "every handle came back out");
     }
 
     #[test]
     fn energy_efficient_never_touches_serial() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::EnergyEfficient, 32);
+        let mut rig = Rig::new(PhyPolicy::EnergyEfficient, 32);
         for s in 0..8u16 {
-            link.push(0, flit(1, s, 8), OrderClass::InOrder, Priority::Normal);
+            rig.push(flit(1, s, 8), OrderClass::InOrder, Priority::Normal);
         }
-        let out = drain_all(&mut link, 30);
+        let out = rig.run(0, 30);
         assert_eq!(out.len(), 8);
-        assert_eq!(link.serial_flits(), 0);
+        assert_eq!(rig.link.serial_flits(), 0);
         assert!(out.iter().all(|&(_, k)| k == PhyKind::Parallel));
     }
 
     #[test]
     fn balanced_enables_serial_only_under_load() {
         // Light load: below threshold, parallel only.
-        let mut light =
-            HeteroPhyLink::new(PhyParams::full(), PhyPolicy::Balanced { threshold: 8 }, 32);
+        let mut light = Rig::new(PhyPolicy::Balanced { threshold: 8 }, 32);
         for s in 0..4u16 {
-            light.push(0, flit(1, s, 4), OrderClass::InOrder, Priority::Normal);
+            light.push(flit(1, s, 4), OrderClass::InOrder, Priority::Normal);
         }
-        drain_all(&mut light, 30);
-        assert_eq!(light.serial_flits(), 0);
+        light.run(0, 30);
+        assert_eq!(light.link.serial_flits(), 0);
         // Heavy burst: queue exceeds threshold → serial joins.
-        let mut heavy =
-            HeteroPhyLink::new(PhyParams::full(), PhyPolicy::Balanced { threshold: 8 }, 32);
+        let mut heavy = Rig::new(PhyPolicy::Balanced { threshold: 8 }, 32);
         for s in 0..32u16 {
-            heavy.push(0, flit(1, s, 32), OrderClass::InOrder, Priority::Normal);
+            heavy.push(flit(1, s, 32), OrderClass::InOrder, Priority::Normal);
         }
-        drain_all(&mut heavy, 80);
-        assert!(heavy.serial_flits() > 0);
+        heavy.run(0, 80);
+        assert!(heavy.link.serial_flits() > 0);
     }
 
     #[test]
     fn zero_load_latency_is_parallel_latency_plus_dispatch() {
-        let mut link =
-            HeteroPhyLink::new(PhyParams::full(), PhyPolicy::Balanced { threshold: 8 }, 16);
-        link.push(0, flit(1, 0, 1), OrderClass::InOrder, Priority::Normal);
+        let mut rig = Rig::new(PhyPolicy::Balanced { threshold: 8 }, 16);
+        rig.push(flit(1, 0, 1), OrderClass::InOrder, Priority::Normal);
         // Dispatch happens at cycle 1, arrival at 1 + 5 = 6.
         for now in 1..6 {
-            link.advance(now);
-            assert!(link.pop_delivered().is_none(), "too early at {now}");
+            assert!(rig.step(now).is_empty(), "too early at {now}");
         }
-        link.advance(6);
-        assert!(link.pop_delivered().is_some());
+        assert_eq!(rig.step(6).len(), 1);
     }
 
     #[test]
     fn bypass_overtakes_queued_in_order_traffic() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::EnergyEfficient, 64);
+        let mut rig = Rig::new(PhyPolicy::EnergyEfficient, 64);
         // Fill the main queue with a long in-order packet...
         for s in 0..32u16 {
-            link.push(0, flit(1, s, 32), OrderClass::InOrder, Priority::Normal);
+            rig.push(flit(1, s, 32), OrderClass::InOrder, Priority::Normal);
         }
         // ...then a single-flit high-priority packet on its own VC.
-        link.push(
-            0,
-            flit_vc(2, 0, 1, 1),
-            OrderClass::Unordered,
-            Priority::High,
-        );
-        let out = drain_all(&mut link, 100);
+        rig.push(flit_vc(2, 0, 1, 1), OrderClass::Unordered, Priority::High);
+        let out = rig.run(0, 100);
         assert_eq!(out.len(), 33);
         let pos_hot = out.iter().position(|(f, _)| f.pid.0 == 2).unwrap();
         assert!(
@@ -1172,35 +1009,23 @@ mod tests {
 
     #[test]
     fn unordered_packets_keep_internal_order() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::PerformanceFirst, 64);
+        let mut rig = Rig::new(PhyPolicy::PerformanceFirst, 64);
         for s in 0..8u16 {
-            link.push(0, flit(5, s, 8), OrderClass::Unordered, Priority::Normal);
+            rig.push(flit(5, s, 8), OrderClass::Unordered, Priority::Normal);
         }
-        let out = drain_all(&mut link, 60);
-        let seqs: Vec<u16> = out.iter().map(|(f, _)| f.seq).collect();
-        assert_eq!(seqs, (0..8).collect::<Vec<_>>());
+        assert_eq!(seqs(&rig.run(0, 60)), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
     fn interleaved_packets_each_keep_order() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::PerformanceFirst, 64);
+        let mut rig = Rig::new(PhyPolicy::PerformanceFirst, 64);
         // Two packets interleaved flit-by-flit on distinct VCs, as a 2-VC
         // crossbar produces.
         for s in 0..8u16 {
-            link.push(
-                0,
-                flit_vc(1, s, 8, 0),
-                OrderClass::InOrder,
-                Priority::Normal,
-            );
-            link.push(
-                0,
-                flit_vc(2, s, 8, 1),
-                OrderClass::Unordered,
-                Priority::Normal,
-            );
+            rig.push(flit_vc(1, s, 8, 0), OrderClass::InOrder, Priority::Normal);
+            rig.push(flit_vc(2, s, 8, 1), OrderClass::Unordered, Priority::Normal);
         }
-        let out = drain_all(&mut link, 80);
+        let out = rig.run(0, 80);
         assert_eq!(out.len(), 16);
         for pid in [1u32, 2u32] {
             let seqs: Vec<u16> = out
@@ -1214,35 +1039,31 @@ mod tests {
 
     #[test]
     fn space_accounts_both_queues() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::PerformanceFirst, 4);
-        assert_eq!(link.space(), 4);
-        link.push(0, flit(1, 0, 2), OrderClass::InOrder, Priority::Normal);
-        link.push(0, flit(9, 0, 1), OrderClass::Unordered, Priority::High);
-        assert_eq!(link.space(), 2);
-        assert_eq!(link.in_flight(), 2);
+        let mut rig = Rig::new(PhyPolicy::PerformanceFirst, 4);
+        assert_eq!(rig.link.space(), 4);
+        rig.push(flit(1, 0, 2), OrderClass::InOrder, Priority::Normal);
+        rig.push(flit(9, 0, 1), OrderClass::Unordered, Priority::High);
+        assert_eq!(rig.link.space(), 2);
+        assert_eq!(rig.link.in_flight(), 2);
     }
 
     #[test]
     fn throughput_approaches_combined_bandwidth() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::PerformanceFirst, 64);
+        let mut rig = Rig::new(PhyPolicy::PerformanceFirst, 64);
         // Keep the FIFO saturated for 100 cycles.
         let mut pushed = 0u16;
         let mut delivered = 0usize;
         for now in 0..200 {
-            while link.space() > 0 && pushed < 600 {
+            while rig.link.space() > 0 && pushed < 600 {
                 // Independent single-flit packets keep the stream saturated.
-                link.push(
-                    now,
+                rig.push(
                     flit(1000 + pushed as u32, 0, 1),
                     OrderClass::Unordered,
                     Priority::Normal,
                 );
                 pushed += 1;
             }
-            link.advance(now);
-            while link.pop_delivered().is_some() {
-                delivered += 1;
-            }
+            delivered += rig.step(now).len();
         }
         // 6 flits/cycle nominal; expect well above parallel-only (2/cycle).
         assert!(
@@ -1254,39 +1075,45 @@ mod tests {
     #[test]
     #[should_panic]
     fn push_past_capacity_panics() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::PerformanceFirst, 1);
-        link.push(0, flit(1, 0, 2), OrderClass::InOrder, Priority::Normal);
-        link.push(0, flit(1, 1, 2), OrderClass::InOrder, Priority::Normal);
+        let mut rig = Rig::new(PhyPolicy::PerformanceFirst, 1);
+        rig.push(flit(1, 0, 2), OrderClass::InOrder, Priority::Normal);
+        rig.push(flit(1, 1, 2), OrderClass::InOrder, Priority::Normal);
     }
 
     #[test]
     fn injected_corruption_recovers_exactly_once_in_order() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::PerformanceFirst, 64);
-        link.set_fault_injection(simkit::SimRng::seed(11), 0.2, 0.2);
+        let mut rig = Rig::new(PhyPolicy::PerformanceFirst, 64);
+        rig.link
+            .set_fault_injection(simkit::SimRng::seed(11), 0.2, 0.2);
         for s in 0..32u16 {
-            link.push(0, flit(1, s, 32), OrderClass::InOrder, Priority::Normal);
+            rig.push(flit(1, s, 32), OrderClass::InOrder, Priority::Normal);
         }
-        let out = drain_all(&mut link, 400);
-        let seqs: Vec<u16> = out.iter().map(|(f, _)| f.seq).collect();
-        assert_eq!(seqs, (0..32).collect::<Vec<_>>());
+        let out = rig.run(0, 400);
+        assert_eq!(seqs(&out), (0..32).collect::<Vec<_>>());
+        let link = &rig.link;
         assert!(link.corrupt_flits() > 0, "20% flit error rate must corrupt");
         assert_eq!(link.corrupt_flits(), link.retx_flits());
         assert_eq!(link.in_flight(), 0);
+        assert_eq!(rig.arena.in_flight(), 0);
     }
 
     #[test]
     fn parallel_phy_failure_fails_over_to_serial() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::EnergyEfficient, 64);
+        let mut rig = Rig::new(PhyPolicy::EnergyEfficient, 64);
         for s in 0..16u16 {
-            link.push(0, flit(1, s, 16), OrderClass::InOrder, Priority::Normal);
+            rig.push(flit(1, s, 16), OrderClass::InOrder, Priority::Normal);
         }
         // Let a few flits commit to the parallel wire, then kill it.
-        link.advance(0);
-        let before_serial = link.serial_flits();
-        link.fail_phy(PhyKind::Parallel);
-        let out = drain_all_from(&mut link, 1, 200);
-        let seqs: Vec<u16> = out.iter().map(|(f, _)| f.seq).collect();
-        assert_eq!(seqs, (0..16).collect::<Vec<_>>(), "no loss, no reorder");
+        assert!(rig.step(0).is_empty());
+        let before_serial = rig.link.serial_flits();
+        rig.link.fail_phy(PhyKind::Parallel);
+        let out = rig.run(1, 200);
+        assert_eq!(
+            seqs(&out),
+            (0..16).collect::<Vec<_>>(),
+            "no loss, no reorder"
+        );
+        let link = &rig.link;
         // Energy-efficient policy never touches serial — the failover did.
         assert!(link.serial_flits() > before_serial);
         assert!(link.retx_flits() > 0, "wire-lost flits were retransmitted");
@@ -1296,73 +1123,41 @@ mod tests {
 
     #[test]
     fn bypass_redirects_to_serial_when_parallel_down() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::PerformanceFirst, 64);
-        link.fail_phy(PhyKind::Parallel);
-        link.push(
-            0,
-            flit_vc(2, 0, 1, 1),
-            OrderClass::Unordered,
-            Priority::High,
-        );
-        let out = drain_all(&mut link, 60);
+        let mut rig = Rig::new(PhyPolicy::PerformanceFirst, 64);
+        rig.link.fail_phy(PhyKind::Parallel);
+        rig.push(flit_vc(2, 0, 1, 1), OrderClass::Unordered, Priority::High);
+        let out = rig.run(0, 60);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1, PhyKind::Serial);
     }
 
     #[test]
     fn both_phys_down_stalls_without_loss() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::PerformanceFirst, 64);
-        link.fail_phy(PhyKind::Parallel);
-        link.fail_phy(PhyKind::Serial);
+        let mut rig = Rig::new(PhyPolicy::PerformanceFirst, 64);
+        rig.link.fail_phy(PhyKind::Parallel);
+        rig.link.fail_phy(PhyKind::Serial);
         for s in 0..4u16 {
-            link.push(0, flit(1, s, 4), OrderClass::InOrder, Priority::Normal);
+            rig.push(flit(1, s, 4), OrderClass::InOrder, Priority::Normal);
         }
         for now in 0..50 {
-            link.advance(now);
-            assert!(link.pop_delivered().is_none());
+            assert!(rig.step(now).is_empty());
         }
-        assert_eq!(link.in_flight(), 4, "flits wait, nothing is dropped");
+        assert_eq!(rig.link.in_flight(), 4, "flits wait, nothing is dropped");
         // Service returns: traffic completes in order.
-        link.restore_phy(PhyKind::Serial);
-        let out = drain_all_from(&mut link, 50, 150);
-        let seqs: Vec<u16> = out.iter().map(|(f, _)| f.seq).collect();
-        assert_eq!(seqs, (0..4).collect::<Vec<_>>());
+        rig.link.restore_phy(PhyKind::Serial);
+        assert_eq!(seqs(&rig.run(50, 150)), (0..4).collect::<Vec<_>>());
     }
 
     #[test]
-    fn lane_degrade_throttles_but_delivers() {
-        let mut link = HeteroPhyLink::new(PhyParams::full(), PhyPolicy::PerformanceFirst, 64);
-        link.set_phy_bandwidth(PhyKind::Serial, 1);
-        link.set_phy_bandwidth(PhyKind::Parallel, 1);
-        let mut pushed = 0u16;
-        let mut delivered = 0usize;
-        for now in 0..100 {
-            while link.space() > 0 && pushed < 300 {
-                link.push(
-                    now,
-                    flit(1000 + pushed as u32, 0, 1),
-                    OrderClass::Unordered,
-                    Priority::Normal,
-                );
-                pushed += 1;
-            }
-            link.advance(now);
-            while link.pop_delivered().is_some() {
-                delivered += 1;
-            }
-        }
-        // 2 flits/cycle nominal after the degrade (down from 6).
-        assert!(delivered > 120 && delivered < 220, "delivered {delivered}");
-    }
-
-    fn drain_all_from(link: &mut HeteroPhyLink, from: Cycle, upto: Cycle) -> Vec<(Flit, PhyKind)> {
-        let mut out = Vec::new();
-        for now in from..=upto {
-            link.advance(now);
-            while let Some(d) = link.pop_delivered() {
-                out.push(d);
-            }
-        }
-        out
+    fn load_rejects_a_lane_count_the_build_does_not_have() {
+        let rig = Rig::new(PhyPolicy::PerformanceFirst, 16);
+        let mut w = ByteWriter::new();
+        rig.link.save_state_with(&rig.arena, &mut w);
+        let blob = w.into_bytes();
+        let mut halved = HeteroPhyLink::new(PhyParams::halved(), PhyPolicy::PerformanceFirst, 16);
+        let err = halved
+            .load_state_with(&mut FlitArena::new(), &mut ByteReader::new(&blob))
+            .unwrap_err();
+        assert!(matches!(err, CodecError::Mismatch(_)), "{err:?}");
     }
 }

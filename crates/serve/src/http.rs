@@ -40,6 +40,17 @@ const MAX_HEADERS: usize = 100;
 /// dropped, so a stalled client cannot hold its handler thread forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// How long a write may wait for the client to drain its receive buffer,
+/// so a client that never reads its response cannot pin the handler
+/// thread either.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Arms both socket timeouts on an accepted connection.
+fn configure_stream(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))
+}
+
 /// One parsed request.
 #[derive(Debug)]
 struct Request {
@@ -187,7 +198,7 @@ pub fn serve(service: Arc<SweepService>, listener: TcpListener) -> ! {
         let Ok((mut stream, _)) = listener.accept() else {
             continue;
         };
-        if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+        if configure_stream(&stream).is_err() {
             continue;
         }
         let service = Arc::clone(&service);
@@ -245,6 +256,16 @@ mod tests {
         let service = Arc::new(SweepService::new(None, 2).expect("service"));
         let addr = spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind");
         (service, addr)
+    }
+
+    #[test]
+    fn accepted_streams_carry_read_and_write_timeouts() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        configure_stream(&stream).expect("configure");
+        assert_eq!(stream.read_timeout().expect("read"), Some(READ_TIMEOUT));
+        assert_eq!(stream.write_timeout().expect("write"), Some(WRITE_TIMEOUT));
     }
 
     #[test]

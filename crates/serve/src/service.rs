@@ -42,7 +42,7 @@ use hetero_if::sweep::{fork_point, warm_checkpoint};
 use simkit::json::Json;
 use simkit::metrics::{MetricId, MetricsRegistry, MetricsSlice, MetricsSnapshot};
 use std::cell::OnceCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -168,6 +168,32 @@ impl ServiceStats {
     }
 }
 
+/// Finished async results kept for polling. Past this many, the oldest
+/// finished job is evicted and its id polls like an unknown one.
+const MAX_FINISHED_JOBS: usize = 256;
+
+/// The async job table: id → rendered result (None while running).
+#[derive(Debug, Default)]
+struct JobTable {
+    results: HashMap<u64, Option<String>>,
+    /// Finished ids, oldest first; running jobs are never listed.
+    finished: VecDeque<u64>,
+}
+
+impl JobTable {
+    /// Records `id`'s result, evicting the oldest finished job past
+    /// [`MAX_FINISHED_JOBS`].
+    fn finish(&mut self, id: u64, rendered: String) {
+        self.results.insert(id, Some(rendered));
+        self.finished.push_back(id);
+        if self.finished.len() > MAX_FINISHED_JOBS {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.results.remove(&oldest);
+            }
+        }
+    }
+}
+
 /// The shared job-execution engine behind the HTTP front end (and usable
 /// directly, as the tests and the bench harness do).
 #[derive(Debug)]
@@ -179,8 +205,7 @@ pub struct SweepService {
     ids: Ids,
     /// Worker threads a job's points fan out over.
     workers: usize,
-    /// Async job table: id → rendered result (None while running).
-    jobs: Mutex<HashMap<u64, Option<String>>>,
+    jobs: Mutex<JobTable>,
     next_job: AtomicU64,
 }
 
@@ -215,7 +240,7 @@ impl SweepService {
             slice: Mutex::new(slice),
             ids,
             workers: workers.max(1),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobTable::default()),
             next_job: AtomicU64::new(1),
         })
     }
@@ -628,7 +653,11 @@ impl SweepService {
     /// leaving it running forever.
     fn spawn_job(self: &Arc<Self>, body: impl FnOnce(&Self) -> Json + Send + 'static) -> u64 {
         let id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        self.jobs.lock().expect("job table").insert(id, None);
+        self.jobs
+            .lock()
+            .expect("job table")
+            .results
+            .insert(id, None);
         let service = Arc::clone(self);
         std::thread::spawn(move || {
             let rendered = match std::panic::catch_unwind(AssertUnwindSafe(|| body(&service))) {
@@ -645,19 +674,20 @@ impl SweepService {
                     j.render()
                 }
             };
-            service
-                .jobs
-                .lock()
-                .expect("job table")
-                .insert(id, Some(rendered));
+            service.jobs.lock().expect("job table").finish(id, rendered);
         });
         id
     }
 
-    /// Polls an async job: `None` = unknown id, `Some(None)` = still
-    /// running, `Some(Some(body))` = finished.
+    /// Polls an async job: `None` = unknown (or evicted) id,
+    /// `Some(None)` = still running, `Some(Some(body))` = finished.
     pub fn job_result(&self, id: u64) -> Option<Option<String>> {
-        self.jobs.lock().expect("job table").get(&id).cloned()
+        self.jobs
+            .lock()
+            .expect("job table")
+            .results
+            .get(&id)
+            .cloned()
     }
 }
 
@@ -956,6 +986,33 @@ mod tests {
         });
         let ok = simkit::json::parse(&poll_finished(&service, next)).expect("JSON");
         assert!(ok.get("jobs").is_some());
+    }
+
+    #[test]
+    fn job_table_evicts_the_oldest_finished_result_never_a_running_job() {
+        let service = Arc::new(SweepService::new(None, 1).expect("service"));
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let running = service.spawn_job(move |_| {
+            gate.recv().expect("released");
+            Json::from("slow")
+        });
+        let done: Vec<u64> = (0..=MAX_FINISHED_JOBS)
+            .map(|i| {
+                let id = service.spawn_job(move |_| Json::from(i as u64));
+                poll_finished(&service, id);
+                id
+            })
+            .collect();
+        // One result too many: the oldest finished id is gone and polls
+        // exactly like an id never issued; the running job stays.
+        assert_eq!(service.job_result(done[0]), None);
+        assert_eq!(service.job_result(running), Some(None));
+        assert!(done[1..].iter().all(|&id| service.job_result(id).is_some()));
+        // Finishing the slow job evicts the next-oldest finished one.
+        release.send(()).expect("release");
+        poll_finished(&service, running);
+        assert_eq!(service.job_result(done[1]), None);
+        assert!(service.job_result(done[2]).is_some());
     }
 
     #[test]

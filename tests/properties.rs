@@ -11,7 +11,8 @@ use hetero_chiplet::noc::packet::PacketId;
 use hetero_chiplet::noc::{
     Flit, FlitArena, FlitRef, OrderClass, PortCandidate, Priority, Router, RouterEnv,
 };
-use hetero_chiplet::phy::{HeteroPhyLink, PhyParams, PhyPolicy};
+use hetero_chiplet::phy::{HeteroPhyLink, PhyKind, PhyParams, PhyPolicy};
+use hetero_chiplet::sim::codec::{ByteReader, ByteWriter};
 use hetero_chiplet::sim::stats::Running;
 use hetero_chiplet::sim::SimRng;
 use hetero_chiplet::topo::routing::for_system;
@@ -176,10 +177,17 @@ fn routing_connects_random_pairs() {
 
 /// The hetero-PHY reorder buffer delivers every packet's flits in
 /// order, for arbitrary interleavings of packets across VCs, classes
-/// and priorities.
+/// and priorities; on each VC the delivered flits form whole packets
+/// back-to-back, head first. Some cases arm BER injection and some fail
+/// a PHY mid-stream (the internal retransmissions must keep both
+/// rules). Every case also saves the link mid-stream into a byte blob
+/// and loads it into a freshly built link with its own arena: the
+/// restored link must deliver exactly the original's remaining
+/// sequence.
 #[test]
 fn rob_preserves_per_packet_order() {
     let mut outer = SimRng::seed(0x0B0B);
+    let mut corrupted = 0u64;
     for case in 0..CASES {
         let seed = outer.below(5000);
         let npkts = 1 + outer.below(5) as usize;
@@ -189,8 +197,31 @@ fn rob_preserves_per_packet_order() {
             PhyPolicy::Balanced { threshold: 8 },
             PhyPolicy::ApplicationAware { threshold: 8 },
         ][outer.index(4)];
+        let ber = case % 4 == 1;
+        // (cycle, PHY) of a hard failure, restored 40 cycles later.
+        let failure = (case % 8 == 3 || case % 8 == 5).then(|| {
+            let kind = if case % 16 < 8 {
+                PhyKind::Parallel
+            } else {
+                PhyKind::Serial
+            };
+            (2 + seed % 20, kind)
+        });
+        let save_at = 3 + seed % 37;
+        let build = || {
+            let mut link = HeteroPhyLink::new(PhyParams::full(), policy, 64);
+            if ber {
+                link.set_fault_injection(SimRng::seed(seed ^ 0xBE4), 0.05, 0.05);
+            }
+            link
+        };
         let mut rng = SimRng::seed(seed);
-        let mut link = HeteroPhyLink::new(PhyParams::full(), policy, 64);
+        let mut link = build();
+        let mut arena = FlitArena::new();
+        // The restored twin, from `save_at` on, and what each link
+        // delivered since then.
+        let mut twin: Option<(HeteroPhyLink, FlitArena)> = None;
+        let mut after_save: [Vec<(Flit, PhyKind)>; 2] = [Vec::new(), Vec::new()];
         // Packets: random length, class, priority. The upstream router
         // holds an output VC busy until a packet's tail is sent, so per VC
         // packets are pushed back-to-back; across VCs pushes interleave
@@ -220,9 +251,36 @@ fn rob_preserves_per_packet_order() {
         let mut vc_head = vec![0usize; vcs as usize];
         let mut now = 0u64;
         let mut delivered: Vec<Vec<u16>> = vec![Vec::new(); npkts];
+        // Per VC, the packet whose flits are being delivered: (pid, next seq).
+        let mut vc_open: Vec<Option<(u32, u16)>> = vec![None; vcs as usize];
         loop {
+            if now == save_at {
+                let mut w = ByteWriter::new();
+                link.save_state_with(&arena, &mut w);
+                let blob = w.into_bytes();
+                let mut restored = build();
+                let mut own = FlitArena::new();
+                restored
+                    .load_state_with(&mut own, &mut ByteReader::new(&blob))
+                    .unwrap_or_else(|e| panic!("case {case}: load failed: {e:?}"));
+                assert_eq!(own.in_flight(), link.in_flight(), "case {case}");
+                twin = Some((restored, own));
+            }
+            if let Some((at, kind)) = failure {
+                let links = std::iter::once(&mut link).chain(twin.as_mut().map(|(l, _)| l));
+                for l in links {
+                    if now == at {
+                        l.fail_phy(kind);
+                    } else if now == at + 40 {
+                        l.restore_phy(kind);
+                    }
+                }
+            }
             // Push a few flits from randomly chosen VCs (head packet only).
             for _ in 0..3 {
+                if let Some((l, _)) = &twin {
+                    assert_eq!(l.space(), link.space(), "case {case}");
+                }
                 if link.space() == 0 {
                     break;
                 }
@@ -241,11 +299,33 @@ fn rob_preserves_per_packet_order() {
                 if *seq == len {
                     vc_head[vc] += 1;
                 }
-                link.push(now, flit, class, pri);
+                link.push(now, arena.alloc(flit), class, pri);
+                if let Some((l, a)) = &mut twin {
+                    l.push(now, a.alloc(flit), class, pri);
+                }
             }
-            link.advance(now);
-            while let Some((f, _)) = link.pop_delivered() {
+            link.advance(now, &arena, &mut |_| {});
+            while let Some((fref, kind)) = link.pop_delivered() {
+                let f = arena.free(fref);
                 delivered[f.pid.0 as usize].push(f.seq);
+                let open = &mut vc_open[f.vc as usize];
+                let (pid, seq) = open.unwrap_or((f.pid.0, 0));
+                assert_eq!(
+                    (f.pid.0, f.seq),
+                    (pid, seq),
+                    "case {case}: VC {} breaks packet contiguity",
+                    f.vc
+                );
+                *open = (!f.last).then_some((pid, seq + 1));
+                if twin.is_some() {
+                    after_save[0].push((f, kind));
+                }
+            }
+            if let Some((l, a)) = &mut twin {
+                l.advance(now, a, &mut |_| {});
+                while let Some((fref, kind)) = l.pop_delivered() {
+                    after_save[1].push((a.free(fref), kind));
+                }
             }
             now += 1;
             let all_pushed = pkts.iter().all(|p| p.4 == p.1);
@@ -258,7 +338,25 @@ fn rob_preserves_per_packet_order() {
             let expect: Vec<u16> = (0..pkts[i].1).collect();
             assert_eq!(seqs, &expect, "case {case}: packet {i} out of order");
         }
+        assert_eq!(arena.in_flight(), 0, "case {case}: leaked handles");
+        if let Some((l, a)) = &twin {
+            assert_eq!(l.in_flight(), 0, "case {case}: restored link did not drain");
+            assert_eq!(
+                a.in_flight(),
+                0,
+                "case {case}: restored link leaked handles"
+            );
+            assert_eq!(
+                after_save[0], after_save[1],
+                "case {case}: restored link diverged from the original"
+            );
+            assert_eq!(l.retx_flits(), link.retx_flits(), "case {case}");
+        }
+        if ber {
+            corrupted += link.corrupt_flits();
+        }
     }
+    assert!(corrupted > 0, "the BER cases never corrupted a flit");
 }
 
 /// A [`RouterEnv`] for property tests: every packet routes to a
@@ -509,7 +607,7 @@ fn arena_drains_clean_across_presets_and_faults() {
         let label = format!("{:?}/{:?}", s.kind, s.flavor);
         assert!(out.drained, "{label}: run did not drain");
         // Arena invariants at drain: every handle allocated at injection
-        // (or re-admission from a hetero adapter) was freed at ejection —
+        // (or re-admission from another shard) was freed at ejection —
         // nothing leaked, nothing double-freed.
         assert_eq!(net.live_packets(), 0, "{label}: live packets after drain");
         assert_eq!(
@@ -547,6 +645,7 @@ fn rob_occupancy_stays_within_eq1_bound() {
                 PhyPolicy::PerformanceFirst,
                 PhyPolicy::Balanced { threshold: 8 },
             ] {
+                let mut arena = FlitArena::new();
                 let mut link = HeteroPhyLink::new(params, policy, 16);
                 link.set_rob_capacity(u16::MAX);
 
@@ -569,10 +668,11 @@ fn rob_occupancy_stays_within_eq1_bound() {
                             seq = 0;
                             pid += 1;
                         }
-                        link.push(now, f, OrderClass::InOrder, Priority::Normal);
+                        link.push(now, arena.alloc(f), OrderClass::InOrder, Priority::Normal);
                     }
-                    link.advance(now);
-                    while link.pop_delivered().is_some() {
+                    link.advance(now, &arena, &mut |_| {});
+                    while let Some((fref, _)) = link.pop_delivered() {
+                        arena.free(fref);
                         delivered += 1;
                     }
                     assert!(
