@@ -1,87 +1,34 @@
-//! The simulator's performance gate.
-//!
-//! Times the reference preset — the hetero-PHY torus at the §8.1.1 medium
-//! scale (256 nodes) under uniform traffic at a fixed seed — and reports
-//! the simulation rate in flits-simulated per second, against the
-//! recorded pre-optimization baseline. Emits `BENCH_perf.json` so CI can
-//! archive the number and regressions stay visible.
+//! The simulator's performance gate: a table of A/B comparisons
+//! ([`rows`]), each timing two arms of one system on this host through
+//! one routine ([`measure`]). No ratio is against a recorded constant.
 //!
 //! ```text
 //! perf_gate [--smoke] [--reps N] [--check-speedup] [--check-overhead]
 //!           [--threads LIST] [--out DIR | --no-out]
 //! ```
 //!
-//! * `--smoke` — run the golden-trace bit-identity check, then a single
-//!   timing rep (the CI configuration: correctness hard-fails, timing is
-//!   recorded but not asserted, since shared runners are noisy);
-//! * `--check-speedup` — additionally fail unless the measured rate
-//!   reaches 1.5× the recorded baseline, and unless the low-rate preset's
-//!   idle-skip speedup reaches its own 3× target (for calibrated
-//!   machines). On a 1-core host either failure is downgraded to a
-//!   recorded warning (`speedup_gate_downgraded` /
-//!   `lowrate.skip_gate_downgraded` in the JSON) — the targets were
-//!   calibrated on multi-core hardware. Also asserts the serve-cache
-//!   gates, which are *not* downgraded on 1-core hosts: a repeated
-//!   identical batch against the `hetero-serve` service must come back
-//!   ≥ 10× faster than the cold batch (pure cache hits), and a
-//!   warm-start sweep on a warmup-heavy schedule must beat the same
-//!   sweep run cold by ≥ 2× at one worker;
-//! * `--check-overhead` — fail if the armed metrics registry costs ≥ 3%
-//!   on either the reference preset or the low-rate preset, or if the
-//!   armed analysis trace (the `link,fault,phase` filter — link state
-//!   changes, fault injections, phase transitions) costs ≥ 3% on the
-//!   reference preset. The *unfiltered* trace — every inject, hop and
-//!   PHY dispatch, ~7M retained events per simulated second — is
-//!   measured and reported (`trace_full_overhead_pct`) but not gated:
-//!   its cost is the per-event emission, merge and retention work, which
-//!   scales with event volume and no ring size makes free; a 3% ceiling
-//!   on it would be a gate against using the firehose at all, not a
-//!   regression guard;
-//! * `--reps N` — timing repetitions (default 5; the best rep wins);
-//! * `--threads LIST` — comma-separated shard-thread counts (e.g.
-//!   `1,2,4,8`): after the serial measurement, time the same preset once
-//!   per count on the sharded engine and record wall-clock speedups into
-//!   a `"scaling"` array.
+//! `--smoke` first checks the golden traces bit-for-bit. The `--check-*`
+//! flags fail on a missed overhead ceiling or speedup floor (the idle-skip
+//! row only warns on a 1-core host). `--reps` sets the rounds per row
+//! (default 10); `--threads 1,2,4` adds a 1-vs-N shard row per count. The
+//! report goes to `DIR/BENCH_perf.json` (default: the repository root).
 //!
-//! Serial reps are timed on **process CPU time** (`/proc/self/stat`,
-//! falling back to wall time off Linux): CPU time measures the same work
-//! while staying immune to the descheduling noise of shared or
-//! quota-throttled runners. The `--threads` scaling sweep and the
-//! low-rate idle-skip comparison necessarily time **wall clock** instead
-//! — parallel speedup (and barrier elision) is the thing being measured,
-//! and CPU time would charge the worker pool's spinning as progress.
-//!
-//! Overhead percentages are computed as **median paired ratios**: each
-//! round times every level once (multi-run blocks in one CPU-clock
-//! interval, disabled blocks bracketing the round, instrumented order
-//! rotating round to round), reduces to one ratio per level against the
-//! round's own bracket mean, and the report takes the median ratio
-//! across rounds. Each piece answers a failure mode this gate has
-//! shipped: `/proc/self/stat` ticks at 10 ms — ~5% of a single ~0.2 s
-//! rep, which once produced a 13.8% "trace overhead" that was mostly
-//! artifact — so samples are blocks of several identical runs;
-//! machine-speed drift on shared hosts runs to double digits over an
-//! experiment, so ratios are taken round-locally against a bracketed
-//! baseline rather than across the whole experiment; and a frequency
-//! step corrupts whole rounds at once, which the cross-round median
-//! discards wholesale where any mean would absorb it.
-//!
-//! The JSON is emitted through [`simkit::json`] — every field set by
-//! name on a tree, rendered by a writer that owns quoting — after a
-//! hand-rolled `format!` emission shipped a report with an unquoted
-//! string value and a boolean in a numeric field. The report is also
-//! mirrored to `BENCH_perf.json` at the repository root so the benchmark
-//! trajectory is tracked alongside `results/`.
+//! A round runs both arms once, alternating AB and BA, and yields one
+//! ratio; the verdict is on the median. Pairing cancels machine drift,
+//! alternation a second-run advantage, and the median the rounds a noisy
+//! neighbour hits. Arms build untimed and run on the wall clock. Always
+//! checked: both arms do the same work (flits, or points answered), the
+//! repeated batch is all cache hits, and a warm sweep pays one warm-up.
 
-use chiplet_fault::{FaultEvent, FaultScript, FaultTarget, TimedFault};
+use chiplet_fault::FaultScript;
 use chiplet_topo::{Geometry, NodeId};
 use chiplet_traffic::{SyntheticWorkload, TrafficPattern};
-use hetero_bench::harness::default_out_dir;
+use hetero_bench::harness::repo_root;
 use hetero_if::golden;
 use hetero_if::presets::{medium_system, parsec_system};
 use hetero_if::scheduler::SchedulingProfile;
 use hetero_if::sim::{run, RunSpec};
-use hetero_if::{Network, NetworkKind, SimConfig};
+use hetero_if::{NetworkKind, SimConfig};
 use hetero_serve::api::{Backend, BatchRequest, JobSpec};
 use hetero_serve::service::SweepService;
 use simkit::json::Json;
@@ -89,355 +36,130 @@ use simkit::TraceFilter;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Pre-optimization simulation rate of the reference preset on the
-/// recording machine (flits/sec, best of 3 reps at the settings below),
-/// measured at the commit immediately before the hot-path rework. The
-/// speedup reported in `BENCH_perf.json` is relative to this number; it
-/// is only meaningful on comparable hardware, which is why the gate
-/// asserts it under `--check-speedup` rather than by default.
-const BASELINE_FLITS_PER_SEC: f64 = 480_000.0;
-const SPEEDUP_TARGET: f64 = 1.5;
-
-/// Ceiling on the armed-observability overhead (`--check-overhead`):
-/// the metrics registry alone, and metrics plus the armed analysis
-/// trace ([`TRACE_GATE_FILTER`]), must each stay under 3%; the disabled
-/// path must stay at its enum-dispatch cost of ~0%.
-const OVERHEAD_TARGET_PCT: f64 = 3.0;
-
-/// The gated trace configuration: the link-level analysis kinds — link
-/// state changes (bursts, retransmits, recovery), fault injections and
-/// phase transitions — which is what the paper's fault/recovery
-/// analyses read and what a user leaves armed across a sweep. On the
-/// clean reference preset these kinds fire rarely, so the configuration
-/// prices what armed tracing costs the hot path: one filter branch per
-/// rejected flit event (~1.8M per rep) plus the per-cycle merge fold.
+/// The gated trace filter. Its kinds fire rarely on the clean reference
+/// system, so the row prices one filter branch per rejected flit event.
 const TRACE_GATE_FILTER: &str = "link,fault,phase";
 
-/// Ring capacity for both trace configurations — the same 64K-event
-/// window either way, so the gated-vs-full comparison isolates *event
-/// volume* as the cost axis rather than ring footprint. 64K events is
-/// the post-mortem window the old gate used; the CLI export path
-/// (`hetero-sim --trace`) uses a 1M-event ring and pays accordingly.
+/// Ring capacity of both trace arms: they differ only in event volume.
 const TRACE_RING_CAP: usize = 1 << 16;
 
-/// Floor on the interleaved overhead-comparison rounds, applied even
-/// under `--smoke` (which pins the headline timing to one rep): with a
-/// 10 ms CPU-clock tick and ~0.25 s reps, anything less leaves the
-/// comparison dominated by quantization rather than by the overhead it
-/// claims to measure.
-const OVERHEAD_MIN_REPS: u32 = 5;
-
-/// Identical runs timed per overhead sample (one CPU-clock interval
-/// around the whole block, builds excluded): a ~0.9 s sample is ~90
-/// CPU-clock ticks, cutting per-sample quantization to well under 1%
-/// and breaking the tick-phase aliasing a train of individually-timed
-/// ~0.2 s reps is prone to.
-const OVERHEAD_BLOCK_RUNS: usize = 4;
-
-/// Median of a set of samples (mean of the middle two when even).
-/// The overhead estimator reduces each round to one ratio and takes the
-/// median across rounds: a frequency step or scheduler burst corrupts
-/// the rounds it lands in, and the median discards those wholesale
-/// instead of letting them shift an average.
-fn median(samples: &[f64]) -> f64 {
-    let mut v = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
-/// The reference workload: uniform traffic on the hetero-PHY torus.
+/// Every system runs uniform traffic on this preset at this seed.
 const PRESET: NetworkKind = NetworkKind::HeteroPhyFull;
-const RATE: f64 = 0.10;
 const PACKET_LEN: u16 = 16;
 const SEED: u64 = 42;
 
-/// The low-rate preset: the same hetero-PHY system at the §8.1.2 PARSEC
-/// scale (64 nodes) at an injection rate low enough that most cycles are
-/// quiescent — the regime the idle-skip fast-forward exists for. Two
-/// shard threads so the skipped cycles elide barrier round-trips, which
-/// is where the wall-clock win lives.
-const LOWRATE: f64 = 0.002;
-const LOWRATE_THREADS: usize = 2;
-
-/// Floor on `lowrate.skip_speedup` under `--check-speedup`: the
-/// event-hybrid loop must fast-forward the low-rate preset at least this
-/// much faster than the cycle-by-cycle loop.
-const SKIP_SPEEDUP_TARGET: f64 = 3.0;
-
-/// Ceiling on the metrics overhead of the low-rate preset. Looser than
-/// the reference preset's 3%: the registry's merge cost is paid only on
-/// active cycles, and idle-skip shrinks the run's denominator faster
-/// than it shrinks the merge work, so the same absolute per-active-cycle
-/// cost reads as a higher percentage here. What this gate bounds is that
-/// the armed registry stays cheap even when most of the run is being
-/// fast-forwarded.
-const LOWRATE_OVERHEAD_TARGET_PCT: f64 = 6.0;
-
-/// Floor on the serve-cache batch speedup under `--check-speedup`: a
-/// repeated identical batch against `hetero-serve`'s [`SweepService`]
-/// must come back at least this much faster than the cold batch that
-/// populated the cache. Unlike the engine-speedup gates this one is
-/// never downgraded on a 1-core host — a cache hit does not simulate
-/// anything, so its latency does not depend on core count.
-const SERVE_BATCH_SPEEDUP_TARGET: f64 = 10.0;
-
-/// Floor on the warm-start sweep speedup under `--check-speedup`: on a
-/// warmup-heavy schedule, a warm-start job (one paid warm-up forked to
-/// every point via checkpoint/restore) must finish at least this much
-/// faster than the same sweep run cold on a fresh service. Measured at
-/// one worker so the comparison is serial-time against serial-time.
-const WARM_SWEEP_SPEEDUP_TARGET: f64 = 2.0;
-
-/// Rates of the serve batch bench (quick schedule, 16-node system):
-/// enough points that the cold batch is real simulation work.
+/// Rates of the serve batch (quick schedule).
 const SERVE_RATES: [f64; 4] = [0.02, 0.03, 0.04, 0.05];
 
-/// Rates of the warm-start sweep bench: a fine low-rate sweep, the
-/// shape warm-start mode exists for (many points, none saturated, all
-/// sharing one long warm-up).
+/// The warm-start sweep: unsaturated points sharing one long warm-up.
 const WARM_RATES: [f64; 6] = [0.010, 0.012, 0.014, 0.016, 0.018, 0.020];
-
-/// Warm-up cycles of the warm-start sweep bench's schedule. Paired with
-/// a short measure window so the warm-up dominates each cold point —
-/// the regime where forking one warmed checkpoint pays.
 const WARM_WARMUP: u64 = 8000;
 
-struct GateOpts {
-    smoke: bool,
-    check_speedup: bool,
-    check_overhead: bool,
-    reps: u32,
-    threads: Vec<usize>,
-    out_dir: Option<PathBuf>,
-}
-
-fn parse_args() -> GateOpts {
-    let mut o = GateOpts {
-        smoke: false,
-        check_speedup: false,
-        check_overhead: false,
-        reps: 5,
-        threads: Vec::new(),
-        out_dir: Some(default_out_dir()),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => o.smoke = true,
-            "--check-speedup" => o.check_speedup = true,
-            "--check-overhead" => o.check_overhead = true,
-            "--reps" => {
-                o.reps = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--reps expects a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--threads" => {
-                let list = args.next().unwrap_or_default();
-                o.threads = list
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                            eprintln!("--threads expects positive integers, e.g. 1,2,4,8");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            "--no-out" => o.out_dir = None,
-            "--out" => o.out_dir = args.next().map(PathBuf::from),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: perf_gate [--smoke] [--reps N] [--check-speedup] \
-                     [--check-overhead] [--threads LIST] [--out DIR | --no-out]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if o.smoke {
-        o.reps = 1;
-    }
-    o
-}
-
-/// Process CPU time (user + system) in seconds, from `/proc/self/stat`.
-///
-/// Returns `None` off Linux or if the file cannot be parsed; the caller
-/// falls back to wall-clock time. Tick rate is `_SC_CLK_TCK`, which is
-/// 100 on every Linux configuration this runs on; the ~10 ms
-/// quantization is why overhead comparisons use summed block totals
-/// rather than single reps.
-fn cpu_seconds() -> Option<f64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // Fields after the parenthesized comm (which may itself contain
-    // spaces): utime and stime are the 12th and 13th.
-    let rest = stat.rsplit(')').next()?;
-    let mut fields = rest.split_ascii_whitespace();
-    let utime: u64 = fields.nth(11)?.parse().ok()?;
-    let stime: u64 = fields.next()?.parse().ok()?;
-    Some((utime + stime) as f64 / 100.0)
-}
-
-/// What the observability layer contributes to a timed rep.
+/// The system a row runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Instrument {
-    /// Nothing armed: the disabled path (one enum-discriminant check).
+enum System {
+    /// The §8.1.1 medium scale (256 nodes) at rate 0.10, one shard thread.
+    Reference,
+    /// The §8.1.2 PARSEC scale (64 nodes) at rate 0.002, mostly idle, on
+    /// two shard threads so skipped cycles also elide barrier rounds.
+    LowRate,
+    /// `hetero-serve`'s [`SweepService`] in process on 16 nodes.
+    Serve,
+}
+
+impl System {
+    fn geometry(self) -> Geometry {
+        match self {
+            System::Reference => medium_system(),
+            System::LowRate => parsec_system(),
+            System::Serve => Geometry::new(2, 2, 2, 2),
+        }
+    }
+}
+
+/// One arm of a comparison. Engine arms run the row's system on the
+/// quick schedule; `Trace*` arms also arm metrics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arm {
     Off,
-    /// Metrics registry armed — the first configuration the <3% gate
-    /// covers.
     Metrics,
-    /// Metrics plus the armed analysis trace ([`TRACE_GATE_FILTER`])
-    /// — the second gated configuration. The flit firehose kinds are
-    /// filtered out at emission, so the hot path pays one branch per
-    /// rejected event and retains only the rare link-level ones.
     Trace,
-    /// Metrics plus a full unfiltered trace into the same ring.
-    /// Informational, never gated: retaining every inject, hop and PHY
-    /// dispatch costs emission + merge + ring-copy work per event
-    /// (~7M events per simulated second on the reference preset), which
-    /// scales with traffic and is the price of the firehose, not a
-    /// regression.
     TraceFull,
+    /// Idle-skip forced off.
+    Tick,
+    Skip,
+    SkipMetrics,
+    Shards(usize),
+    /// The batch over [`SERVE_RATES`] on a fresh service, one worker per
+    /// core; `HotBatch` runs it again on the service it filled.
+    ColdBatch,
+    HotBatch,
+    /// The sweep over [`WARM_RATES`] on a fresh one-worker service, cold
+    /// or in warm-start mode.
+    ColdSweep,
+    WarmSweep,
 }
 
-/// Arms a freshly-built reference network at the given level.
-fn arm(net: &mut Network, instrument: Instrument) {
-    match instrument {
-        Instrument::Off => {}
-        Instrument::Metrics => net.enable_metrics(),
-        Instrument::Trace => {
-            net.enable_metrics();
-            let filter = TraceFilter::parse(TRACE_GATE_FILTER).expect("gate filter parses");
-            net.enable_trace(TRACE_RING_CAP, filter);
-        }
-        Instrument::TraceFull => {
-            net.enable_metrics();
-            net.enable_trace(TRACE_RING_CAP, TraceFilter::all());
-        }
-    }
+/// How a row turns a round's two timings into its ratio.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unit {
+    /// `(B / A − 1) × 100`; its target is a ceiling (`--check-overhead`).
+    Pct,
+    /// `A / B`; its target is a floor (`--check-speedup`).
+    X,
 }
 
-/// One timed rep: build the reference network fresh at the given shard
-/// thread count, run it, and return (CPU seconds, wall seconds, flits
-/// delivered over the whole run). `base` is the one `SimConfig` captured
-/// at startup, so every rep sees the same resolved thread default even
-/// if the environment mutates mid-run.
-fn timed_rep(base: SimConfig, threads: usize, instrument: Instrument) -> (f64, f64, u64) {
-    let geom = medium_system();
-    let config = base.with_shard_threads(threads);
-    let mut net = PRESET.build(geom, config, SchedulingProfile::balanced());
-    arm(&mut net, instrument);
-    let nodes: Vec<NodeId> = (0..geom.nodes()).map(NodeId).collect();
-    let mut w = SyntheticWorkload::new(nodes, TrafficPattern::Uniform, RATE, PACKET_LEN, SEED);
-    let spec = RunSpec::quick();
-    let t0 = Instant::now();
-    let c0 = cpu_seconds();
-    let out = run(&mut net, &mut w, spec);
-    let wall = t0.elapsed().as_secs_f64();
-    let cpu = match (c0, cpu_seconds()) {
-        (Some(a), Some(b)) if b > a => b - a,
-        _ => wall,
+/// One A/B comparison; without a target it is reported only.
+#[derive(Debug, Clone, PartialEq)]
+struct Row {
+    name: String,
+    system: System,
+    arms: [Arm; 2],
+    unit: Unit,
+    target: Option<f64>,
+    /// A miss is only a warning on a 1-core host.
+    downgrade_1core: bool,
+}
+
+/// The table: every comparison the gate makes, plus one shard-scaling
+/// row per `--threads` entry.
+fn rows(threads: &[usize]) -> Vec<Row> {
+    use {Arm::*, System::*, Unit::*};
+    let row = |name: &str, system, arms, unit, target, downgrade_1core| Row {
+        name: name.to_string(),
+        system,
+        arms,
+        unit,
+        target,
+        downgrade_1core,
     };
-    assert!(
-        !out.deadlocked && !out.fault_stalled,
-        "reference preset must run clean"
-    );
-    (cpu, wall, net.collector().delivered_flits)
+    #[rustfmt::skip]
+    let mut table = vec![
+        row("metrics_overhead", Reference, [Off, Metrics], Pct, Some(3.0), false),
+        row("trace_overhead", Reference, [Off, Trace], Pct, Some(3.0), false),
+        // Retaining every flit event costs work that scales with traffic:
+        // the price of the firehose, not a regression.
+        row("trace_full_overhead", Reference, [Off, TraceFull], Pct, None, false),
+        row("skip_speedup", LowRate, [Tick, Skip], X, Some(3.0), true),
+        // Looser than 3%: the registry's merge cost is paid on active
+        // cycles, and idle-skip shrinks the run faster than the merges.
+        row("lowrate_metrics_overhead", LowRate, [Skip, SkipMetrics], Pct, Some(6.0), false),
+        row("cache_speedup", Serve, [ColdBatch, HotBatch], X, Some(10.0), false),
+        row("warm_start_speedup", Serve, [ColdSweep, WarmSweep], X, Some(2.0), false),
+    ];
+    #[rustfmt::skip]
+    let scaling = threads.iter().map(|&n| {
+        row(&format!("shard_scaling_{n}"), Reference, [Shards(1), Shards(n)], X, None, false)
+    });
+    table.extend(scaling);
+    table
 }
 
-/// CPU seconds *per run* over a block of `k` identical reference runs
-/// timed inside one CPU-clock interval (every network and workload is
-/// built, untimed, up front). The simulator is deterministic, so each
-/// run in the block does identical work; a block several ticks long
-/// divides the 10 ms quantization error per sample by `k` and breaks
-/// the tick-phase aliasing that a train of individually-timed ~0.2 s
-/// reps is prone to.
-fn timed_block(base: SimConfig, instrument: Instrument, k: usize) -> (f64, u64) {
-    let geom = medium_system();
-    let config = base.with_shard_threads(1);
-    let mut runs: Vec<(Network, SyntheticWorkload)> = (0..k)
-        .map(|_| {
-            let mut net = PRESET.build(geom, config, SchedulingProfile::balanced());
-            arm(&mut net, instrument);
-            let nodes: Vec<NodeId> = (0..geom.nodes()).map(NodeId).collect();
-            let w = SyntheticWorkload::new(nodes, TrafficPattern::Uniform, RATE, PACKET_LEN, SEED);
-            (net, w)
-        })
-        .collect();
-    let t0 = Instant::now();
-    let c0 = cpu_seconds();
-    let mut flits = 0u64;
-    for (net, w) in &mut runs {
-        let out = run(net, w, RunSpec::quick());
-        assert!(
-            !out.deadlocked && !out.fault_stalled,
-            "reference preset must run clean"
-        );
-        flits = net.collector().delivered_flits;
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let cpu = match (c0, cpu_seconds()) {
-        (Some(a), Some(b)) if b > a => b - a,
-        _ => wall,
-    };
-    (cpu / k as f64, flits)
-}
-
-/// One low-rate rep: the 64-node hetero-PHY system at `LOWRATE` on
-/// `LOWRATE_THREADS` shard threads, with idle-skip forced to `skip`.
-/// A benign two-event fault script (unit-multiplier bursts, invisible to
-/// results) sits in the measure window so the fast-forward has script
-/// edges to stop at — the timed path exercises the same next-event
-/// bound the property tests check. Returns (wall seconds, flits).
-fn lowrate_rep(base: SimConfig, skip: bool, instrument: Instrument) -> (f64, u64) {
-    let geom = parsec_system();
-    let config = base
-        .with_shard_threads(LOWRATE_THREADS)
-        .with_idle_skip(skip);
-    let mut net = PRESET.build(geom, config, SchedulingProfile::balanced());
-    if instrument != Instrument::Off {
-        net.enable_metrics();
-    }
-    let burst = |at| TimedFault {
-        at,
-        target: FaultTarget::Link(0),
-        event: FaultEvent::Burst {
-            mult: 1.0,
-            duration: 50,
-        },
-    };
-    net.set_fault_script(FaultScript::new(vec![burst(3000), burst(8000)]));
-    let nodes: Vec<NodeId> = (0..geom.nodes()).map(NodeId).collect();
-    let mut w = SyntheticWorkload::new(nodes, TrafficPattern::Uniform, LOWRATE, PACKET_LEN, SEED);
-    let t0 = Instant::now();
-    let out = run(&mut net, &mut w, RunSpec::quick());
-    let wall = t0.elapsed().as_secs_f64();
-    assert!(
-        !out.deadlocked && !out.fault_stalled,
-        "low-rate preset must run clean"
-    );
-    (wall, net.collector().delivered_flits)
-}
-
-/// One serve-bench job: the reference preset at the 16-node geometry.
-fn serve_job(rates: &[f64], spec: RunSpec, warm_start: bool) -> JobSpec {
-    JobSpec {
+/// A one-job batch on the serve system.
+fn serve_batch(rates: &[f64], spec: RunSpec, warm_start: bool) -> BatchRequest {
+    let job = JobSpec {
         kind: PRESET,
-        geom: Geometry::new(2, 2, 2, 2),
+        geom: System::Serve.geometry(),
         profile: SchedulingProfile::balanced(),
         pattern: TrafficPattern::Uniform,
         rates: rates.to_vec(),
@@ -448,242 +170,253 @@ fn serve_job(rates: &[f64], spec: RunSpec, warm_start: bool) -> JobSpec {
         warm_start,
         workload: None,
         scales: vec![1.0],
-    }
-}
-
-/// What the serve benches measured.
-struct ServeBench {
-    workers: usize,
-    cold_secs: f64,
-    hot_secs: f64,
-    batch_speedup: f64,
-    warm_cold_secs: f64,
-    warm_secs: f64,
-    warm_speedup: f64,
-    warm_cycles_saved: u64,
-}
-
-/// The `hetero-serve` service benches, exercised through the same
-/// [`SweepService`] the binary serves (no sockets: what is being priced
-/// is the cache and the scheduler, not loopback TCP).
-///
-/// * **batch**: run one batch cold on a fresh in-memory service, then
-///   the identical batch again — the repeat must be pure cache hits.
-///   Wall clock both ways; cold is best-of over fresh services, hot is
-///   best-of against the populated one.
-/// * **warm sweep**: the warmup-heavy sweep ([`WARM_RATES`] ×
-///   [`WARM_WARMUP`]) cold on one fresh service vs warm-start mode on
-///   another, one worker each, fresh services per rep so nothing is
-///   served from a previous rep's cache.
-fn serve_bench(reps: u32) -> ServeBench {
-    let workers = std::thread::available_parallelism().map_or(1, usize::from);
-    let quick_batch = BatchRequest {
-        jobs: vec![serve_job(&SERVE_RATES, RunSpec::quick(), false)],
     };
-    let reps = reps.clamp(2, 3);
-    let mut cold_secs = f64::INFINITY;
-    let mut hot_secs = f64::INFINITY;
-    for _ in 0..reps {
-        let service = SweepService::new(None, workers).expect("in-memory serve service");
-        let t0 = Instant::now();
-        service.run_batch(&quick_batch);
-        cold_secs = cold_secs.min(t0.elapsed().as_secs_f64());
-        let before = service.stats();
-        let t0 = Instant::now();
-        service.run_batch(&quick_batch);
-        hot_secs = hot_secs.min(t0.elapsed().as_secs_f64());
-        let after = service.stats();
-        assert_eq!(
-            after.hits() - before.hits(),
-            after.points - before.points,
-            "a repeated identical batch must be served entirely from cache"
-        );
-    }
+    BatchRequest { jobs: vec![job] }
+}
 
-    let heavy = RunSpec {
-        warmup: WARM_WARMUP,
-        measure: 500,
-        drain: 500,
-        ..RunSpec::quick()
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Builds an arm untimed and returns the part to time, to be called
+/// once, which yields the work it did: flits delivered by an engine run,
+/// points answered by a serve batch. The caller drops the arm's state
+/// outside the timed span. Panics when an always-on check fails.
+fn prepare(system: System, arm: Arm, base: SimConfig) -> Box<dyn FnMut() -> u64> {
+    use Arm::*;
+    if system == System::Serve {
+        let heavy = RunSpec {
+            warmup: WARM_WARMUP,
+            measure: 500,
+            drain: 500,
+            ..RunSpec::quick()
+        };
+        let (rates, workers, spec) = match arm {
+            ColdSweep | WarmSweep => (&WARM_RATES[..], 1, heavy),
+            _ => (&SERVE_RATES[..], host_cores(), RunSpec::quick()),
+        };
+        let service = SweepService::new(None, workers).expect("in-memory service");
+        let batch = serve_batch(rates, spec, arm == WarmSweep);
+        if arm == HotBatch {
+            service.run_batch(&batch);
+        }
+        return Box::new(move || {
+            let before = service.stats();
+            service.run_batch(&batch);
+            let after = service.stats();
+            let points = after.points - before.points;
+            let all_hits = after.hits() - before.hits() == points;
+            assert!(arm != HotBatch || all_hits, "repeat batch missed the cache");
+            let saved = after.warm_cycles_saved;
+            let one_warmup = saved == WARM_WARMUP * (WARM_RATES.len() as u64 - 1);
+            assert!(arm != WarmSweep || one_warmup, "warm sweep saved {saved}");
+            points
+        });
+    }
+    let shards = match arm {
+        Shards(n) => n,
+        _ if system == System::LowRate => 2,
+        _ => 1,
     };
-    let mut warm_cold_secs = f64::INFINITY;
-    let mut warm_secs = f64::INFINITY;
-    let mut warm_cycles_saved = 0;
-    for _ in 0..reps {
-        let cold = SweepService::new(None, 1).expect("in-memory serve service");
-        let batch = BatchRequest {
-            jobs: vec![serve_job(&WARM_RATES, heavy, false)],
-        };
-        let t0 = Instant::now();
-        cold.run_batch(&batch);
-        warm_cold_secs = warm_cold_secs.min(t0.elapsed().as_secs_f64());
-
-        let warm = SweepService::new(None, 1).expect("in-memory serve service");
-        let batch = BatchRequest {
-            jobs: vec![serve_job(&WARM_RATES, heavy, true)],
-        };
-        let t0 = Instant::now();
-        warm.run_batch(&batch);
-        warm_secs = warm_secs.min(t0.elapsed().as_secs_f64());
-        warm_cycles_saved = warm.stats().warm_cycles_saved;
+    let config = base.with_shard_threads(shards).with_idle_skip(arm != Tick);
+    let geom = system.geometry();
+    let mut net = PRESET.build(geom, config, SchedulingProfile::balanced());
+    if matches!(arm, Metrics | Trace | TraceFull | SkipMetrics) {
+        net.enable_metrics();
     }
-    ServeBench {
-        workers,
-        cold_secs,
-        hot_secs,
-        batch_speedup: cold_secs / hot_secs,
-        warm_cold_secs,
-        warm_secs,
-        warm_speedup: warm_cold_secs / warm_secs,
-        warm_cycles_saved,
+    if arm == Trace {
+        let filter = TraceFilter::parse(TRACE_GATE_FILTER).expect("gate filter parses");
+        net.enable_trace(TRACE_RING_CAP, filter);
+    } else if arm == TraceFull {
+        net.enable_trace(TRACE_RING_CAP, TraceFilter::all());
+    }
+    let mut rate = 0.10;
+    if system == System::LowRate {
+        // Unit-multiplier bursts change no result but give the
+        // fast-forward script edges to stop at.
+        let bursts = "3000 burst 1 50 link:0\n8000 burst 1 50 link:0";
+        net.set_fault_script(FaultScript::parse(bursts).expect("burst script parses"));
+        rate = 0.002;
+    }
+    let nodes = (0..geom.nodes()).map(NodeId).collect();
+    let mut w = SyntheticWorkload::new(nodes, TrafficPattern::Uniform, rate, PACKET_LEN, SEED);
+    Box::new(move || {
+        let out = run(&mut net, &mut w, RunSpec::quick());
+        assert!(!out.deadlocked && !out.fault_stalled, "{system:?} stalled");
+        net.collector().delivered_flits
+    })
+}
+
+/// A row's timings: one ratio per round, each arm's seconds, its work.
+#[derive(Debug, Clone, PartialEq)]
+struct Measured {
+    ratios: Vec<f64>,
+    secs: [Vec<f64>; 2],
+    work: u64,
+}
+
+/// The one measurement routine: `rounds` rounds, each timing both arms
+/// once through `time_arm(i)` (0 = A, 1 = B, returning seconds and
+/// work), A first on even rounds and B first on odd ones. Panics if the
+/// two arms do different work.
+fn measure(rounds: u32, unit: Unit, mut time_arm: impl FnMut(usize) -> (f64, u64)) -> Measured {
+    let mut m = Measured {
+        ratios: Vec::new(),
+        secs: [Vec::new(), Vec::new()],
+        work: 0,
+    };
+    for round in 0..rounds {
+        let mut t = [0.0; 2];
+        let mut work = [0; 2];
+        for i in if round % 2 == 0 { [0, 1] } else { [1, 0] } {
+            (t[i], work[i]) = time_arm(i);
+            m.secs[i].push(t[i]);
+        }
+        assert_eq!(work[0], work[1], "both arms of a row must do the same work");
+        m.work = work[0];
+        m.ratios.push(match unit {
+            Unit::Pct => (t[1] / t[0] - 1.0) * 100.0,
+            Unit::X => t[0] / t[1],
+        });
+    }
+    m
+}
+
+/// `[lower quartile, median, upper quartile]`: the median, and the
+/// medians of the halves below and above it (one sample is all three).
+fn quartiles(samples: &[f64]) -> [f64; 3] {
+    let median = |v: &[f64]| (v[(v.len() - 1) / 2] + v[v.len() / 2]) / 2.0;
+    let mut v = samples.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n == 1 {
+        return [v[0]; 3];
+    }
+    [median(&v[..n / 2]), median(&v), median(&v[n.div_ceil(2)..])]
+}
+
+/// `"pass"` or `"fail"` against the row's target; `"warn"` for a miss
+/// on a row downgraded on a 1-core host; `"reported"` without a target.
+fn verdict(row: &Row, median: f64, cores: usize) -> &'static str {
+    let meets = |t| match row.unit {
+        Unit::Pct => median < t,
+        Unit::X => median >= t,
+    };
+    match row.target {
+        None => "reported",
+        Some(t) if meets(t) => "pass",
+        Some(_) if row.downgrade_1core && cores == 1 => "warn",
+        Some(_) => "fail",
     }
 }
 
-/// One scaling-sweep point: best wall-clock over `reps` at `threads`.
-struct ScalePoint {
-    threads: usize,
-    wall_secs: f64,
-    flits: u64,
+/// The report's name for a table value: its lower-case `Debug` form.
+fn lower(v: impl std::fmt::Debug) -> Json {
+    Json::from(format!("{v:?}").to_lowercase())
 }
 
-/// Everything the report records, gathered before emission so the JSON
-/// assembly is a flat list of named `set` calls.
-struct ReportData {
-    reps: u32,
-    flits: u64,
-    best_secs: f64,
-    flits_per_sec: f64,
-    speedup: f64,
-    speedup_gate_downgraded: bool,
-    overhead_reps: u32,
-    metrics_secs: f64,
-    metrics_overhead_pct: f64,
-    trace_secs: f64,
-    trace_overhead_pct: f64,
-    trace_full_secs: f64,
-    trace_full_overhead_pct: f64,
-    host_cores: usize,
-    scaling: Vec<ScalePoint>,
-    lowrate_tick_secs: f64,
-    lowrate_skip_secs: f64,
-    lowrate_flits: u64,
-    skip_speedup: f64,
-    skip_gate_downgraded: bool,
-    lowrate_metrics_secs: f64,
-    lowrate_overhead_pct: f64,
-    serve: ServeBench,
-}
-
-/// Assembles the `BENCH_perf.json` tree. Every field is set by name —
-/// the positional `format!` emission this replaces once rotated its
-/// argument list by one slot and shipped `"nodes": hetero-phy-full`.
-fn build_report(r: &ReportData) -> Json {
-    let mut doc = Json::obj();
-    doc.set("preset", Json::from(PRESET.label()))
-        .set("nodes", Json::from(medium_system().nodes()))
-        .set("rate", Json::from(RATE))
-        .set("packet_len", Json::from(u64::from(PACKET_LEN)))
-        .set("seed", Json::from(SEED))
-        .set("reps", Json::from(u64::from(r.reps)))
-        .set("flits", Json::from(r.flits))
-        .set("best_secs", Json::from(r.best_secs))
-        .set("flits_per_sec", Json::from(r.flits_per_sec))
-        .set("baseline_flits_per_sec", Json::from(BASELINE_FLITS_PER_SEC))
-        .set("speedup", Json::from(r.speedup))
-        .set("speedup_target", Json::from(SPEEDUP_TARGET))
-        .set("overhead_reps", Json::from(u64::from(r.overhead_reps)))
-        .set("metrics_secs", Json::from(r.metrics_secs))
-        .set("metrics_overhead_pct", Json::from(r.metrics_overhead_pct))
-        .set("trace_ring_cap", Json::from(TRACE_RING_CAP))
-        .set("trace_filter", Json::from(TRACE_GATE_FILTER))
-        .set("trace_secs", Json::from(r.trace_secs))
-        .set("trace_overhead_pct", Json::from(r.trace_overhead_pct))
-        .set("trace_full_secs", Json::from(r.trace_full_secs))
-        .set(
-            "trace_full_overhead_pct",
-            Json::from(r.trace_full_overhead_pct),
-        )
-        .set("overhead_target_pct", Json::from(OVERHEAD_TARGET_PCT))
-        .set("host_cores", Json::from(r.host_cores))
-        .set(
-            "speedup_gate_downgraded",
-            Json::from(r.speedup_gate_downgraded),
-        );
-
-    let base_wall = r
-        .scaling
-        .iter()
-        .find(|p| p.threads == 1)
-        .map(|p| p.wall_secs);
-    let scaling = r
-        .scaling
-        .iter()
-        .map(|p| {
+/// The `BENCH_perf.json` tree: the host, then one entry per row.
+fn build_report(cores: usize, cpu_model: &str, results: &[(Row, Measured)]) -> Json {
+    let entries = results.iter().map(|(row, m)| {
+        let [q1, median, q3] = quartiles(&m.ratios);
+        let arm = |i: usize| {
+            let secs = quartiles(&m.secs[i])[1];
             let mut o = Json::obj();
-            o.set("threads", Json::from(p.threads))
-                .set("wall_secs", Json::from(p.wall_secs))
-                .set("flits", Json::from(p.flits))
-                .set("flits_per_sec", Json::from(p.flits as f64 / p.wall_secs))
-                .set(
-                    "speedup_vs_1t",
-                    Json::from(base_wall.unwrap_or(p.wall_secs) / p.wall_secs),
-                );
+            o.set("arm", lower(row.arms[i]))
+                .set("median_secs", Json::from(secs))
+                .set("work_per_sec", Json::from(m.work as f64 / secs));
             o
-        })
-        .collect();
-    doc.set("scaling", Json::Arr(scaling));
-
-    let mut lowrate = Json::obj();
-    lowrate
-        .set("preset", Json::from(PRESET.label()))
-        .set("nodes", Json::from(parsec_system().nodes()))
-        .set("rate", Json::from(LOWRATE))
-        .set("threads", Json::from(LOWRATE_THREADS))
-        .set("tick_wall_secs", Json::from(r.lowrate_tick_secs))
-        .set("skip_wall_secs", Json::from(r.lowrate_skip_secs))
-        .set("flits", Json::from(r.lowrate_flits))
-        .set("skip_speedup", Json::from(r.skip_speedup))
-        .set("skip_speedup_target", Json::from(SKIP_SPEEDUP_TARGET))
-        .set("skip_gate_downgraded", Json::from(r.skip_gate_downgraded))
-        .set("metrics_wall_secs", Json::from(r.lowrate_metrics_secs))
-        .set("overhead_pct", Json::from(r.lowrate_overhead_pct))
-        .set(
-            "overhead_target_pct",
-            Json::from(LOWRATE_OVERHEAD_TARGET_PCT),
-        );
-    doc.set("lowrate", lowrate);
-
-    let s = &r.serve;
-    let mut serve = Json::obj();
-    serve
-        .set("preset", Json::from(PRESET.label()))
-        .set("nodes", Json::from(Geometry::new(2, 2, 2, 2).nodes()))
-        .set("workers", Json::from(s.workers))
-        .set("batch_rates", Json::from(SERVE_RATES.len()))
-        .set("cold_secs", Json::from(s.cold_secs))
-        .set("hot_secs", Json::from(s.hot_secs))
-        .set("batch_speedup", Json::from(s.batch_speedup))
-        .set(
-            "batch_speedup_target",
-            Json::from(SERVE_BATCH_SPEEDUP_TARGET),
-        )
-        .set("warm_rates", Json::from(WARM_RATES.len()))
-        .set("warm_warmup", Json::from(WARM_WARMUP))
-        .set("warm_cold_secs", Json::from(s.warm_cold_secs))
-        .set("warm_secs", Json::from(s.warm_secs))
-        .set("warm_speedup", Json::from(s.warm_speedup))
-        .set("warm_speedup_target", Json::from(WARM_SWEEP_SPEEDUP_TARGET))
-        .set("warm_cycles_saved", Json::from(s.warm_cycles_saved));
-    doc.set("serve", serve);
+        };
+        let work_unit = if row.system == System::Serve {
+            "points"
+        } else {
+            "flits"
+        };
+        let mut e = Json::obj();
+        e.set("name", Json::from(row.name.as_str()))
+            .set("system", lower(row.system))
+            .set("nodes", Json::from(row.system.geometry().nodes()))
+            .set("a", arm(0))
+            .set("b", arm(1))
+            .set("work", Json::from(m.work))
+            .set("work_unit", Json::from(work_unit))
+            .set("unit", lower(row.unit))
+            .set("median", Json::from(median))
+            .set("q1", Json::from(q1))
+            .set("q3", Json::from(q3))
+            .set("rounds", Json::from(m.ratios.len()))
+            .set("target", row.target.map_or(Json::Null, Json::from))
+            .set("verdict", Json::from(verdict(row, median, cores)));
+        e
+    });
+    let mut doc = Json::obj();
+    doc.set("host_cores", Json::from(cores))
+        .set("cpu_model", Json::from(cpu_model))
+        .set("rows", Json::Arr(entries.collect()));
     doc
 }
 
-fn main() {
-    let opts = parse_args();
-    // Resolve the config (including the HETERO_SIM_THREADS default) once,
-    // up front: reps must not re-read the environment.
-    let base_config = SimConfig::default();
+fn cpu_model() -> String {
+    let info = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let line = info.lines().find(|l| l.starts_with("model name"));
+    let model = line.and_then(|l| l.split_once(':')).map(|(_, m)| m.trim());
+    model.unwrap_or("unknown").to_string()
+}
 
+struct GateOpts {
+    smoke: bool,
+    check_speedup: bool,
+    check_overhead: bool,
+    reps: u32,
+    threads: Vec<usize>,
+    out_dir: Option<PathBuf>,
+}
+
+const USAGE: &str = "usage: perf_gate [--smoke] [--reps N] [--check-speedup] \
+                     [--check-overhead] [--threads LIST] [--out DIR | --no-out]";
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<GateOpts, String> {
+    let mut o = GateOpts {
+        smoke: false,
+        check_speedup: false,
+        check_overhead: false,
+        reps: 10,
+        threads: Vec::new(),
+        out_dir: Some(repo_root()),
+    };
+    while let Some(a) = args.next() {
+        let positive = |s: &str| s.trim().parse().ok().filter(|&n| n > 0);
+        match a.as_str() {
+            "--smoke" => o.smoke = true,
+            "--check-speedup" => o.check_speedup = true,
+            "--check-overhead" => o.check_overhead = true,
+            "--reps" => {
+                let reps = args.next().and_then(|s| positive(&s));
+                o.reps = reps.ok_or("--reps expects a positive integer")? as u32;
+            }
+            "--threads" => {
+                let list = args.next().unwrap_or_default();
+                let threads = list.split(',').map(positive).collect::<Option<_>>();
+                o.threads = threads.ok_or("--threads expects positive integers, e.g. 1,2,4")?;
+            }
+            "--no-out" => o.out_dir = None,
+            "--out" => o.out_dir = Some(args.next().ok_or("--out expects a directory")?.into()),
+            other => return Err(format!("unknown argument: {other}\n{USAGE}")),
+        }
+    }
+    Ok(o)
+}
+
+fn main() {
+    if std::env::args().any(|a| a == "--help" || a == "-h") {
+        return eprintln!("{USAGE}");
+    }
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    // Resolve the config (and its environment defaults) once, up front.
+    let base = SimConfig::default();
     if opts.smoke {
         let dir = golden::default_fixture_dir();
         print!("perf_gate: golden-trace check ({}) ... ", dir.display());
@@ -697,353 +430,46 @@ fn main() {
         }
     }
 
-    println!(
-        "perf_gate: timing {} at {} nodes, rate {RATE}, seed {SEED}, {} rep(s)",
-        PRESET.label(),
-        medium_system().nodes(),
-        opts.reps
-    );
-    // One round per rep. Each round samples the disabled level at both
-    // ends (bracketing) with the three instrumented levels in between,
-    // rotating the instrumented order from round to round, and reduces
-    // to one ratio per level: level time over the bracket mean. The
-    // reported overhead is the *median* ratio across rounds. Each
-    // defence targets a failure mode this gate has actually shipped:
-    // blocks of `OVERHEAD_BLOCK_RUNS` identical runs per sample beat
-    // the 10 ms CPU-tick quantization (a single-rep comparison once
-    // reported 13.8% that was mostly artifact); bracketing centres
-    // slow machine drift on the baseline; rotation keeps a repeating
-    // intra-round drift pattern from always taxing the same level; and
-    // the median discards the rounds a frequency step or noisy
-    // neighbour lands on wholesale. The rounds are floored at
-    // `OVERHEAD_MIN_REPS` even under `--smoke`.
-    let oh_reps = opts.reps.max(OVERHEAD_MIN_REPS);
-    let mut best_secs = f64::INFINITY;
-    let mut flits = 0u64;
-    let mut off_reps: Vec<f64> = Vec::new();
-    let mut metrics_reps: Vec<f64> = Vec::new();
-    let mut trace_reps: Vec<f64> = Vec::new();
-    let mut full_reps: Vec<f64> = Vec::new();
-    let mut metrics_ratios: Vec<f64> = Vec::new();
-    let mut trace_ratios: Vec<f64> = Vec::new();
-    let mut full_ratios: Vec<f64> = Vec::new();
-    for rep in 1..=oh_reps {
-        let (off_a, f) = timed_block(base_config, Instrument::Off, OVERHEAD_BLOCK_RUNS);
+    let (reps, cores) = (opts.reps, host_cores());
+    println!("perf_gate: {reps} rounds, {cores} core(s); median [quartiles]");
+    let mut results = Vec::new();
+    let mut failed = Vec::new();
+    for row in rows(&opts.threads) {
+        let m = measure(reps, row.unit, |i| {
+            let mut timed = prepare(row.system, row.arms[i], base);
+            let t0 = Instant::now();
+            let work = timed();
+            (t0.elapsed().as_secs_f64(), work)
+        });
+        let [q1, median, q3] = quartiles(&m.ratios);
+        let verdict = verdict(&row, median, cores);
+        let ([a, b], unit) = (row.arms, row.unit);
+        let target = row.target.map(|t| format!(", target {t}"));
         println!(
-            "  round {rep}: {off_a:.4}s/run  ({:.0} flits/s)",
-            f as f64 / off_a
+            "  {:<26} {a:?} -> {b:?}: {median:.2} {unit:?} [{q1:.2}, {q3:.2}]{}: {verdict}",
+            row.name,
+            target.unwrap_or_default()
         );
-        off_reps.push(off_a);
-        if off_a < best_secs {
-            best_secs = off_a;
-            flits = f;
-        }
-        let order = match rep % 3 {
-            0 => [
-                Instrument::Metrics,
-                Instrument::Trace,
-                Instrument::TraceFull,
-            ],
-            1 => [
-                Instrument::Trace,
-                Instrument::TraceFull,
-                Instrument::Metrics,
-            ],
-            _ => [
-                Instrument::TraceFull,
-                Instrument::Metrics,
-                Instrument::Trace,
-            ],
+        let checked = match row.unit {
+            Unit::Pct => opts.check_overhead,
+            Unit::X => opts.check_speedup,
         };
-        let mut round = [0.0f64; 3];
-        for inst in order {
-            let (secs, _) = timed_block(base_config, inst, OVERHEAD_BLOCK_RUNS);
-            let slot = match inst {
-                Instrument::Metrics => 0,
-                Instrument::Trace => 1,
-                _ => 2,
-            };
-            round[slot] = secs;
+        if checked && verdict == "fail" {
+            failed.push(row.name.clone());
         }
-        metrics_reps.push(round[0]);
-        trace_reps.push(round[1]);
-        full_reps.push(round[2]);
-        let (off_b, f) = timed_block(base_config, Instrument::Off, OVERHEAD_BLOCK_RUNS);
-        off_reps.push(off_b);
-        if off_b < best_secs {
-            best_secs = off_b;
-            flits = f;
-        }
-        let bracket = (off_a + off_b) / 2.0;
-        metrics_ratios.push(round[0] / bracket);
-        trace_ratios.push(round[1] / bracket);
-        full_ratios.push(round[2] / bracket);
+        results.push((row, m));
     }
-    let metrics_secs = metrics_reps.iter().copied().fold(f64::INFINITY, f64::min);
-    let trace_secs = trace_reps.iter().copied().fold(f64::INFINITY, f64::min);
-    let trace_full_secs = full_reps.iter().copied().fold(f64::INFINITY, f64::min);
-    let flits_per_sec = flits as f64 / best_secs;
-    let speedup = if BASELINE_FLITS_PER_SEC > 0.0 {
-        flits_per_sec / BASELINE_FLITS_PER_SEC
-    } else {
-        0.0
-    };
-    println!(
-        "perf_gate: {flits} flits in {best_secs:.3}s -> {flits_per_sec:.0} flits/s \
-         (baseline {BASELINE_FLITS_PER_SEC:.0}, speedup {speedup:.2}x)"
-    );
-
-    // Observability overhead: the metrics registry armed, and the armed
-    // analysis trace on top — both gated < 3% under --check-overhead —
-    // plus the full unfiltered firehose (informational: retaining every
-    // flit event costs per-event emission + merge + copy work that
-    // scales with traffic by construction). Each percentage is the
-    // median across rounds of that level's per-round ratio against the
-    // bracketed disabled baseline (see the round loop above). Clamp
-    // negative overheads to 0: an instrumented level beating the
-    // disabled level is timing noise (scheduler jitter, cache warmth),
-    // and a negative percentage in the report reads as a claim that
-    // instrumentation speeds the simulator up.
-    let off_mean = median(&off_reps);
-    let metrics_mean = median(&metrics_reps);
-    let trace_mean = median(&trace_reps);
-    let full_mean = median(&full_reps);
-    let metrics_overhead_pct = ((median(&metrics_ratios) - 1.0) * 100.0).max(0.0);
-    let trace_overhead_pct = ((median(&trace_ratios) - 1.0) * 100.0).max(0.0);
-    let trace_full_overhead_pct = ((median(&full_ratios) - 1.0) * 100.0).max(0.0);
-    println!(
-        "perf_gate: observability overhead (median paired ratio over {oh_reps} round(s)): \
-         metrics {metrics_overhead_pct:+.2}% ({metrics_mean:.4}s/rep), \
-         metrics+trace[{TRACE_GATE_FILTER}] {trace_overhead_pct:+.2}% ({trace_mean:.4}s/rep), \
-         metrics+trace[all] {trace_full_overhead_pct:+.2}% ({full_mean:.4}s/rep) \
-         vs disabled {off_mean:.4}s/rep"
-    );
-
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut scaling: Vec<ScalePoint> = Vec::new();
-    if !opts.threads.is_empty() {
-        println!("perf_gate: shard-thread scaling sweep (wall clock, {host_cores} host cores)");
-        for &threads in &opts.threads {
-            let mut best_wall = f64::INFINITY;
-            let mut f_at_best = 0u64;
-            for _ in 1..=opts.reps {
-                let (_, wall, f) = timed_rep(base_config, threads, Instrument::Off);
-                if wall < best_wall {
-                    best_wall = wall;
-                    f_at_best = f;
-                }
-            }
-            scaling.push(ScalePoint {
-                threads,
-                wall_secs: best_wall,
-                flits: f_at_best,
-            });
-        }
-        let base_wall = scaling
-            .iter()
-            .find(|p| p.threads == 1)
-            .map_or(scaling[0].wall_secs, |p| p.wall_secs);
-        for p in &scaling {
-            println!(
-                "  {} thread(s): {:.3}s wall  ({:.0} flits/s, {:.2}x vs 1 thread)",
-                p.threads,
-                p.wall_secs,
-                p.flits as f64 / p.wall_secs,
-                base_wall / p.wall_secs
-            );
-        }
-    }
-
-    // Low-rate idle-skip comparison: same binary, same workload, the
-    // only axis is the event-hybrid fast-forward. Wall clock, best of
-    // reps each way; the runs are short (tens of ms) so reps are cheap.
-    let lowrate_reps = opts.reps.max(3) * 2;
-    let mut lowrate_tick_secs = f64::INFINITY;
-    let mut lowrate_skip_secs = f64::INFINITY;
-    let mut lowrate_metrics_secs = f64::INFINITY;
-    let mut lowrate_flits = 0u64;
-    let mut tick_flits = 0u64;
-    for _ in 1..=lowrate_reps {
-        let (wall, f) = lowrate_rep(base_config, false, Instrument::Off);
-        if wall < lowrate_tick_secs {
-            lowrate_tick_secs = wall;
-            tick_flits = f;
-        }
-        let (wall, f) = lowrate_rep(base_config, true, Instrument::Off);
-        if wall < lowrate_skip_secs {
-            lowrate_skip_secs = wall;
-            lowrate_flits = f;
-        }
-        let (wall, _) = lowrate_rep(base_config, true, Instrument::Metrics);
-        lowrate_metrics_secs = lowrate_metrics_secs.min(wall);
-    }
-    assert_eq!(
-        tick_flits, lowrate_flits,
-        "idle-skip must not change delivered flits"
-    );
-    let skip_speedup = lowrate_tick_secs / lowrate_skip_secs;
-    // Best-of comparison here, unlike the reference preset's block
-    // totals: these runs are ~15-20 ms of wall clock, where block sums
-    // accumulate every scheduler hiccup of every rep while best-of
-    // discards them. Wall (not CPU) because the 10 ms CPU tick is the
-    // size of the whole run.
-    let lowrate_overhead_pct = ((lowrate_metrics_secs / lowrate_skip_secs - 1.0) * 100.0).max(0.0);
-    println!(
-        "perf_gate: low-rate preset ({} nodes, rate {LOWRATE}, {LOWRATE_THREADS} threads, \
-         best of {lowrate_reps}): tick {lowrate_tick_secs:.4}s, skip {lowrate_skip_secs:.4}s \
-         -> skip speedup {skip_speedup:.2}x (target {SKIP_SPEEDUP_TARGET}x), \
-         metrics overhead {lowrate_overhead_pct:+.2}% \
-         (target {LOWRATE_OVERHEAD_TARGET_PCT}%)",
-        parsec_system().nodes()
-    );
-
-    // Serve-cache benches: the repeated-batch cache speedup and the
-    // warm-start sweep speedup, through the same SweepService the
-    // hetero-serve binary fronts.
-    let serve = serve_bench(opts.reps);
-    println!(
-        "perf_gate: serve batch ({} nodes, {} rates, {} worker(s)): cold {:.4}s, \
-         hot {:.5}s -> {:.1}x (target {SERVE_BATCH_SPEEDUP_TARGET}x, all hits)",
-        Geometry::new(2, 2, 2, 2).nodes(),
-        SERVE_RATES.len(),
-        serve.workers,
-        serve.cold_secs,
-        serve.hot_secs,
-        serve.batch_speedup
-    );
-    println!(
-        "perf_gate: serve warm-start sweep ({} rates, warmup {WARM_WARMUP}, 1 worker): \
-         cold {:.4}s, warm {:.4}s -> {:.2}x (target {WARM_SWEEP_SPEEDUP_TARGET}x, \
-         {} warm-up cycles saved)",
-        WARM_RATES.len(),
-        serve.warm_cold_secs,
-        serve.warm_secs,
-        serve.warm_speedup,
-        serve.warm_cycles_saved
-    );
-
-    let speedup_gate_downgraded = host_cores == 1 && opts.check_speedup && speedup < SPEEDUP_TARGET;
-    let skip_gate_downgraded =
-        host_cores == 1 && opts.check_speedup && skip_speedup < SKIP_SPEEDUP_TARGET;
-    let report = ReportData {
-        reps: opts.reps,
-        flits,
-        best_secs,
-        flits_per_sec,
-        speedup,
-        speedup_gate_downgraded,
-        overhead_reps: oh_reps,
-        metrics_secs,
-        metrics_overhead_pct,
-        trace_secs,
-        trace_overhead_pct,
-        trace_full_secs,
-        trace_full_overhead_pct,
-        host_cores,
-        scaling,
-        lowrate_tick_secs,
-        lowrate_skip_secs,
-        lowrate_flits,
-        skip_speedup,
-        skip_gate_downgraded,
-        lowrate_metrics_secs,
-        lowrate_overhead_pct,
-        serve,
-    };
 
     if let Some(dir) = &opts.out_dir {
-        let json = build_report(&report).render();
         let path = dir.join("BENCH_perf.json");
-        match std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, &json)) {
+        let json = build_report(cores, &cpu_model(), &results).render();
+        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json)) {
             Ok(()) => println!("perf_gate: wrote {}", path.display()),
             Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
         }
-        // Mirror to the repository root so the benchmark trajectory is
-        // reviewable next to the sources, not only under results/.
-        if let Some(root) = dir.parent() {
-            let mirror = root.join("BENCH_perf.json");
-            match std::fs::write(&mirror, &json) {
-                Ok(()) => println!("perf_gate: wrote {}", mirror.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", mirror.display()),
-            }
-        }
     }
-
-    if opts.check_speedup && speedup < SPEEDUP_TARGET {
-        if host_cores == 1 {
-            // A single-core host can't be expected to hit a target
-            // calibrated on multi-core machines; record the miss in the
-            // JSON (`speedup_gate_downgraded`) instead of failing.
-            eprintln!(
-                "perf_gate: WARNING speedup gate downgraded on a 1-core host: \
-                 {speedup:.2}x < {SPEEDUP_TARGET}x \
-                 ({flits_per_sec:.0} vs baseline {BASELINE_FLITS_PER_SEC:.0} flits/s)"
-            );
-        } else {
-            eprintln!(
-                "perf_gate: FAILED speedup gate: {speedup:.2}x < {SPEEDUP_TARGET}x \
-                 ({flits_per_sec:.0} vs baseline {BASELINE_FLITS_PER_SEC:.0} flits/s)"
-            );
-            std::process::exit(1);
-        }
-    }
-    if opts.check_speedup && skip_speedup < SKIP_SPEEDUP_TARGET {
-        if host_cores == 1 {
-            eprintln!(
-                "perf_gate: WARNING idle-skip gate downgraded on a 1-core host: \
-                 {skip_speedup:.2}x < {SKIP_SPEEDUP_TARGET}x on the low-rate preset"
-            );
-        } else {
-            eprintln!(
-                "perf_gate: FAILED idle-skip gate: {skip_speedup:.2}x < \
-                 {SKIP_SPEEDUP_TARGET}x on the low-rate preset \
-                 (tick {lowrate_tick_secs:.4}s vs skip {lowrate_skip_secs:.4}s)"
-            );
-            std::process::exit(1);
-        }
-    }
-    // The serve gates are never downgraded on a 1-core host: a cache
-    // hit simulates nothing, and the warm-start comparison is pinned to
-    // one worker on both sides, so neither depends on core count.
-    if opts.check_speedup && report.serve.batch_speedup < SERVE_BATCH_SPEEDUP_TARGET {
-        eprintln!(
-            "perf_gate: FAILED serve-cache gate: repeated identical batch came back \
-             {:.1}x faster < {SERVE_BATCH_SPEEDUP_TARGET}x (cold {:.4}s vs hot {:.5}s)",
-            report.serve.batch_speedup, report.serve.cold_secs, report.serve.hot_secs
-        );
-        std::process::exit(1);
-    }
-    if opts.check_speedup && report.serve.warm_speedup < WARM_SWEEP_SPEEDUP_TARGET {
-        eprintln!(
-            "perf_gate: FAILED warm-start gate: warm sweep only {:.2}x faster < \
-             {WARM_SWEEP_SPEEDUP_TARGET}x (cold {:.4}s vs warm {:.4}s)",
-            report.serve.warm_speedup, report.serve.warm_cold_secs, report.serve.warm_secs
-        );
-        std::process::exit(1);
-    }
-    if opts.check_overhead && metrics_overhead_pct >= OVERHEAD_TARGET_PCT {
-        eprintln!(
-            "perf_gate: FAILED overhead gate: metrics registry costs \
-             {metrics_overhead_pct:.2}% >= {OVERHEAD_TARGET_PCT}% \
-             ({metrics_mean:.4}s/rep vs {off_mean:.4}s/rep disabled)"
-        );
-        std::process::exit(1);
-    }
-    if opts.check_overhead && trace_overhead_pct >= OVERHEAD_TARGET_PCT {
-        eprintln!(
-            "perf_gate: FAILED overhead gate: armed analysis trace \
-             ({TRACE_GATE_FILTER}) costs {trace_overhead_pct:.2}% >= \
-             {OVERHEAD_TARGET_PCT}% ({trace_mean:.4}s/rep vs {off_mean:.4}s/rep \
-             disabled)"
-        );
-        std::process::exit(1);
-    }
-    if opts.check_overhead && lowrate_overhead_pct >= LOWRATE_OVERHEAD_TARGET_PCT {
-        eprintln!(
-            "perf_gate: FAILED overhead gate (low-rate preset): metrics registry \
-             costs {lowrate_overhead_pct:.2}% >= {LOWRATE_OVERHEAD_TARGET_PCT}% \
-             ({lowrate_metrics_secs:.4}s vs {lowrate_skip_secs:.4}s disabled)"
-        );
+    if !failed.is_empty() {
+        eprintln!("perf_gate: FAILED {}", failed.join(", "));
         std::process::exit(1);
     }
 }
@@ -1051,144 +477,120 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::json::{parse, Json};
+    use simkit::json::parse;
 
-    fn sample() -> ReportData {
-        ReportData {
-            reps: 5,
-            flits: 1_234_567,
-            best_secs: 0.271,
-            flits_per_sec: 4_555_966.8,
-            speedup: 9.49,
-            speedup_gate_downgraded: false,
-            overhead_reps: 5,
-            metrics_secs: 0.273,
-            metrics_overhead_pct: 0.74,
-            trace_secs: 0.277,
-            trace_overhead_pct: 1.4,
-            trace_full_secs: 0.301,
-            trace_full_overhead_pct: 9.8,
-            host_cores: 4,
-            scaling: vec![
-                ScalePoint {
-                    threads: 1,
-                    wall_secs: 0.28,
-                    flits: 1_234_567,
-                },
-                ScalePoint {
-                    threads: 4,
-                    wall_secs: 0.09,
-                    flits: 1_234_567,
-                },
-            ],
-            lowrate_tick_secs: 0.0542,
-            lowrate_skip_secs: 0.0148,
-            lowrate_flits: 4_242,
-            skip_speedup: 3.66,
-            skip_gate_downgraded: false,
-            lowrate_metrics_secs: 0.0150,
-            lowrate_overhead_pct: 1.35,
-            serve: ServeBench {
-                workers: 4,
-                cold_secs: 0.062,
-                hot_secs: 0.0011,
-                batch_speedup: 56.4,
-                warm_cold_secs: 0.131,
-                warm_secs: 0.038,
-                warm_speedup: 3.45,
-                warm_cycles_saved: 40_000,
-            },
+    fn row(name: &str) -> Row {
+        let table = rows(&[1, 4]);
+        table.into_iter().find(|r| r.name == name).expect("row")
+    }
+
+    #[test]
+    fn table_keeps_every_gate_and_its_threshold() {
+        use Unit::*;
+        for (name, want) in [
+            ("metrics_overhead", (Pct, Some(3.0), false)),
+            ("trace_overhead", (Pct, Some(3.0), false)),
+            ("trace_full_overhead", (Pct, None, false)),
+            ("skip_speedup", (X, Some(3.0), true)),
+            ("lowrate_metrics_overhead", (Pct, Some(6.0), false)),
+            ("cache_speedup", (X, Some(10.0), false)),
+            ("warm_start_speedup", (X, Some(2.0), false)),
+            ("shard_scaling_4", (X, None, false)),
+        ] {
+            let r = row(name);
+            assert_eq!((r.unit, r.target, r.downgrade_1core), want, "{name}");
+        }
+        assert_eq!(rows(&[1, 4]).len(), 9);
+    }
+
+    #[test]
+    fn quartiles_on_odd_and_even_counts() {
+        assert_eq!(quartiles(&[7.0]), [7.0; 3]);
+        assert_eq!(quartiles(&[5.0, 1.0, 3.0, 2.0, 4.0]), [1.5, 3.0, 4.5]);
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0]), [1.5, 2.5, 3.5]);
+        assert_eq!(quartiles(&[6.0, 2.0, 5.0, 1.0, 4.0, 3.0]), [2.0, 3.5, 5.0]);
+    }
+
+    #[test]
+    fn rounds_alternate_ab_and_ba() {
+        let mut calls = Vec::new();
+        let m = measure(4, Unit::X, |i| {
+            calls.push(i);
+            ([2.0, 1.0][i], 7)
+        });
+        assert_eq!(calls, [0, 1, 1, 0, 0, 1, 1, 0]);
+        assert_eq!(m.secs, [vec![2.0; 4], vec![1.0; 4]]);
+        assert_eq!((m.ratios, m.work), (vec![2.0; 4], 7));
+    }
+
+    #[test]
+    #[should_panic(expected = "same work")]
+    fn arms_doing_different_work_fail() {
+        measure(1, Unit::Pct, |i| (1.0, i as u64));
+    }
+
+    #[test]
+    fn one_slowed_round_does_not_change_a_verdict() {
+        let mut b_runs = 0;
+        let m = measure(10, Unit::Pct, |i| {
+            b_runs += i;
+            // A 1% overhead, and one round where arm B hits a stall.
+            ([1.0, if b_runs == 4 { 1.5 } else { 1.01 }][i], 1)
+        });
+        assert!(m.ratios.iter().any(|&r| r > 40.0));
+        let median = quartiles(&m.ratios)[1];
+        assert!((median - 1.0).abs() < 1e-9, "{median}");
+        assert_eq!(verdict(&row("metrics_overhead"), median, 2), "pass");
+    }
+
+    #[test]
+    fn one_core_downgrade_applies_only_to_its_row() {
+        let skip = row("skip_speedup");
+        assert_eq!(verdict(&skip, 2.0, 1), "warn");
+        assert_eq!(verdict(&skip, 2.0, 2), "fail");
+        assert_eq!(verdict(&skip, 3.0, 1), "pass");
+        assert_eq!(verdict(&row("cache_speedup"), 9.0, 1), "fail");
+        assert_eq!(verdict(&row("metrics_overhead"), 3.0, 1), "fail");
+        assert_eq!(verdict(&row("trace_full_overhead"), 50.0, 1), "reported");
+    }
+
+    #[test]
+    fn report_has_one_typed_entry_per_row() {
+        let m = Measured {
+            ratios: vec![1.0, 5.0, 2.0],
+            secs: [vec![0.2, 0.3, 0.25], vec![0.1; 3]],
+            work: 1000,
+        };
+        let results: Vec<_> = rows(&[2]).into_iter().map(|r| (r, m.clone())).collect();
+        let doc = parse(&build_report(4, "Some CPU", &results).render()).expect("valid JSON");
+        assert_eq!(doc.get("host_cores").and_then(Json::as_u64), Some(4));
+        assert_eq!(doc.get("cpu_model"), Some(&Json::from("Some CPU")));
+        let entries = doc.get("rows").and_then(Json::as_arr).expect("rows array");
+        assert_eq!(entries.len(), results.len());
+        for (e, (row, _)) in entries.iter().zip(&results) {
+            let s = |k| e.get(k).and_then(Json::as_str);
+            let n = |k| e.get(k).and_then(Json::as_f64);
+            assert_eq!(s("name"), Some(row.name.as_str()));
+            assert_eq!(["q1", "median", "q3"].map(n), [1.0, 2.0, 5.0].map(Some));
+            assert_eq!(["rounds", "work"].map(n), [3.0, 1000.0].map(Some));
+            assert_eq!(n("target"), row.target);
+            assert_eq!(e.get("target") == Some(&Json::Null), row.target.is_none());
+            assert_eq!(s("verdict"), Some(verdict(row, 2.0, 4)));
+            let a = e.get("a").expect("arm a");
+            assert_eq!(a.get("arm"), Some(&lower(row.arms[0])));
+            let n = |k| a.get(k).and_then(Json::as_f64);
+            let want = [0.25, 4000.0].map(Some);
+            assert_eq!(["median_secs", "work_per_sec"].map(n), want);
         }
     }
 
-    /// The report must round-trip through the parser with every field
-    /// carrying the type CI reads it as — the regression this guards
-    /// shipped `"nodes": hetero-phy-full` (unquoted) and
-    /// `"preset": "false"`.
     #[test]
-    fn report_parses_with_correct_types() {
-        let text = build_report(&sample()).render();
-        let doc = parse(&text).expect("emitted report must be valid JSON");
-
-        assert_eq!(
-            doc.get("preset").and_then(Json::as_str),
-            Some(PRESET.label())
-        );
-        assert_eq!(
-            doc.get("nodes").and_then(Json::as_u64),
-            Some(medium_system().nodes() as u64)
-        );
-        assert_eq!(doc.get("rate").and_then(Json::as_f64), Some(RATE));
-        assert_eq!(doc.get("seed").and_then(Json::as_u64), Some(SEED));
-        assert_eq!(doc.get("flits").and_then(Json::as_u64), Some(1_234_567));
-        assert_eq!(
-            doc.get("speedup_gate_downgraded").and_then(Json::as_bool),
-            Some(false)
-        );
-        assert_eq!(
-            doc.get("overhead_target_pct").and_then(Json::as_f64),
-            Some(OVERHEAD_TARGET_PCT)
-        );
-
-        let scaling = doc
-            .get("scaling")
-            .and_then(Json::as_arr)
-            .expect("scaling array");
-        assert_eq!(scaling.len(), 2);
-        assert_eq!(scaling[0].get("threads").and_then(Json::as_u64), Some(1));
-        assert!(
-            scaling[1]
-                .get("speedup_vs_1t")
-                .and_then(Json::as_f64)
-                .unwrap()
-                > 3.0
-        );
-
-        let lowrate = doc.get("lowrate").expect("lowrate object");
-        assert_eq!(
-            lowrate.get("nodes").and_then(Json::as_u64),
-            Some(parsec_system().nodes() as u64)
-        );
-        assert_eq!(lowrate.get("rate").and_then(Json::as_f64), Some(LOWRATE));
-        assert_eq!(
-            lowrate.get("skip_speedup").and_then(Json::as_f64),
-            Some(3.66)
-        );
-        assert_eq!(
-            lowrate.get("skip_speedup_target").and_then(Json::as_f64),
-            Some(SKIP_SPEEDUP_TARGET)
-        );
-
-        let serve = doc.get("serve").expect("serve object");
-        assert_eq!(serve.get("nodes").and_then(Json::as_u64), Some(16));
-        assert_eq!(
-            serve.get("batch_speedup").and_then(Json::as_f64),
-            Some(56.4)
-        );
-        assert_eq!(
-            serve.get("batch_speedup_target").and_then(Json::as_f64),
-            Some(SERVE_BATCH_SPEEDUP_TARGET)
-        );
-        assert_eq!(
-            serve.get("warm_speedup_target").and_then(Json::as_f64),
-            Some(WARM_SWEEP_SPEEDUP_TARGET)
-        );
-        assert_eq!(
-            serve.get("warm_cycles_saved").and_then(Json::as_u64),
-            Some(40_000)
-        );
-    }
-
-    /// An empty scaling sweep must still emit a valid (empty) array.
-    #[test]
-    fn report_without_scaling_sweep_is_valid() {
-        let mut r = sample();
-        r.scaling.clear();
-        let text = build_report(&r).render();
-        let doc = parse(&text).expect("valid JSON");
-        assert_eq!(
-            doc.get("scaling").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(0)
-        );
+    fn out_needs_a_value() {
+        let parse = |args: &[&str]| parse_args(args.iter().map(|a| a.to_string()));
+        let o = parse(&["--out", "dir", "--reps", "3"]).unwrap();
+        assert_eq!((o.out_dir, o.reps), (Some(PathBuf::from("dir")), 3));
+        assert!(parse(&["--out"]).err().is_some_and(|e| e.contains("--out")));
+        assert_eq!(parse(&["--no-out"]).unwrap().out_dir, None);
+        assert_eq!(parse(&[]).unwrap().out_dir, Some(repo_root()));
     }
 }

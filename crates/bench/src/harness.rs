@@ -14,7 +14,8 @@ pub struct Opts {
     /// Run at the paper's exact scale and schedule instead of the reduced
     /// default.
     pub full: bool,
-    /// Directory for CSV output (`results/` by default; `-` disables).
+    /// Directory for CSV output (`results/` by default; `None` after
+    /// `--no-out`).
     pub out_dir: Option<PathBuf>,
     /// Worker threads for independent simulation jobs (results are
     /// identical for any value; 1 = fully sequential).
@@ -22,49 +23,56 @@ pub struct Opts {
 }
 
 impl Opts {
-    /// Parses `--full` / `--out <dir>` / `--no-out` / `--threads <n>` from
-    /// `std::env::args`, returning the options and the positional
-    /// arguments (the artifact names) in order.
+    /// Parses the process arguments with [`Opts::parse`], printing the
+    /// usage and exiting 0 on `--help`, or exiting 2 on a parse error.
     pub fn from_args() -> (Self, Vec<String>) {
-        let mut full = false;
-        let mut out_dir = Some(default_out_dir());
-        let mut threads = 1;
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            eprintln!("{USAGE}");
+            std::process::exit(0);
+        }
+        Self::parse(args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `--full` / `--out <dir>` / `--no-out` / `--threads <n>`,
+    /// returning the options and the positional arguments (the artifact
+    /// names) in order.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, or a flag missing its value.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<(Self, Vec<String>), String> {
+        let mut opts = Self {
+            full: false,
+            out_dir: Some(default_out_dir()),
+            threads: 1,
+        };
         let mut names = Vec::new();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--full" => full = true,
-                "--no-out" => out_dir = None,
+                "--full" => opts.full = true,
+                "--no-out" => opts.out_dir = None,
                 "--out" => {
-                    out_dir = args.next().map(PathBuf::from);
+                    opts.out_dir = Some(args.next().ok_or("--out expects a directory")?.into())
                 }
                 "--threads" => {
-                    threads = args
+                    opts.threads = args
                         .next()
                         .and_then(|s| s.parse().ok())
                         .filter(|&n| n > 0)
-                        .unwrap_or_else(|| {
-                            eprintln!("--threads expects a positive integer");
-                            std::process::exit(2);
-                        });
-                }
-                "--help" | "-h" => {
-                    eprintln!("{USAGE}");
-                    std::process::exit(0);
+                        .ok_or("--threads expects a positive integer")?;
                 }
                 other if other.starts_with('-') => {
-                    eprintln!("unknown argument: {other}");
-                    std::process::exit(2);
+                    return Err(format!("unknown argument: {other}\n{USAGE}"));
                 }
                 name => names.push(name.to_string()),
             }
         }
-        let opts = Self {
-            full,
-            out_dir,
-            threads,
-        };
-        (opts, names)
+        Ok((opts, names))
     }
 
     /// The reduced-by-default run schedule (`--full` → the paper's
@@ -88,16 +96,19 @@ impl Default for Opts {
     }
 }
 
-/// The default CSV directory: `results/` next to the workspace root
-/// (located via `CARGO_MANIFEST_DIR`, so `cargo bench`/`cargo run` agree
-/// regardless of their working directory).
-pub fn default_out_dir() -> PathBuf {
+/// The repository root (located via `CARGO_MANIFEST_DIR`, so
+/// `cargo run` agrees regardless of its working directory).
+pub fn repo_root() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     manifest
         .parent()
         .and_then(|p| p.parent())
-        .map(|ws| ws.join("results"))
-        .unwrap_or_else(|| PathBuf::from("results"))
+        .map_or_else(|| PathBuf::from("."), PathBuf::from)
+}
+
+/// The default CSV directory: `results/` under the repository root.
+pub fn default_out_dir() -> PathBuf {
+    repo_root().join("results")
 }
 
 /// A textual report plus its machine-readable CSV twin.
@@ -188,6 +199,19 @@ mod tests {
         assert!(!o.full);
         assert!(o.out_dir.is_none());
         assert_eq!(o.spec(), RunSpec::quick());
+    }
+
+    #[test]
+    fn out_needs_a_value() {
+        let parse = |args: &[&str]| Opts::parse(args.iter().map(|a| a.to_string()));
+        let (o, names) = parse(&["fig08", "--out", "dir"]).unwrap();
+        assert_eq!(o.out_dir, Some(PathBuf::from("dir")));
+        assert_eq!(names, ["fig08"]);
+        let e = parse(&["fig08", "--out"]).expect_err("a trailing --out has no directory");
+        assert!(e.contains("--out"), "{e}");
+        assert_eq!(parse(&["--no-out"]).unwrap().0.out_dir, None);
+        assert!(parse(&["--threads", "0"]).is_err());
+        assert!(parse(&["--bogus"]).is_err());
     }
 
     #[test]

@@ -1,21 +1,14 @@
-//! The checked-in `BENCH_perf.json` must actually parse.
+//! The checked-in `BENCH_perf.json` must parse, with every field typed.
 //!
-//! The report is machine-read (CI archives it; the scaling dashboards
-//! plot it), and a hand-rolled emitter once shipped it with an unquoted
-//! string value — syntactically invalid, silently, for a whole release.
-//! This test parses the real artifact at the repository root with the
-//! same parser CI uses and checks the fields the dashboards key on.
+//! The report is machine-read (CI archives it), and a hand-rolled
+//! emitter once shipped it with an unquoted string value — syntactically
+//! invalid, silently, for a whole release. This test parses the real
+//! artifact at the repository root with the same parser CI uses and
+//! checks every field of every row against the schema `perf_gate`
+//! writes: the host, then one A/B comparison per row.
 
+use hetero_bench::harness::repo_root;
 use simkit::json::{parse, Json};
-use std::path::PathBuf;
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .expect("bench crate lives two levels below the repo root")
-        .to_path_buf()
-}
 
 #[test]
 fn checked_in_bench_report_is_valid_json() {
@@ -24,107 +17,77 @@ fn checked_in_bench_report_is_valid_json() {
         .unwrap_or_else(|e| panic!("{} must exist and be readable: {e}", path.display()));
     let doc = parse(&text).unwrap_or_else(|e| panic!("{} is not valid JSON: {e}", path.display()));
 
-    // The two fields the original bug corrupted: `nodes` must be a
-    // number and `preset` a non-boolean string.
-    let nodes = doc
-        .get("nodes")
-        .and_then(Json::as_u64)
-        .expect("`nodes` must be a number");
-    assert!(nodes > 0);
-    let preset = doc
-        .get("preset")
-        .and_then(Json::as_str)
-        .expect("`preset` must be a string");
-    assert!(!preset.is_empty());
-    assert_ne!(preset, "false", "`preset` must not hold a stray boolean");
+    let cores = doc.get("host_cores").and_then(Json::as_u64);
+    assert!(cores.is_some_and(|n| n > 0), "`host_cores` must be a count");
+    let model = doc.get("cpu_model").and_then(Json::as_str);
+    assert!(model.is_some_and(|m| !m.is_empty() && m != "false"));
 
-    // Numeric fields the dashboards read.
-    for key in [
-        "rate",
-        "flits",
-        "best_secs",
-        "flits_per_sec",
-        "speedup",
-        "metrics_overhead_pct",
-        "trace_overhead_pct",
-        "trace_full_overhead_pct",
+    let rows = doc
+        .get("rows")
+        .and_then(Json::as_arr)
+        .expect("`rows` array");
+    let names: Vec<&str> = rows
+        .iter()
+        .map(|r| r.get("name").and_then(Json::as_str).expect("`name` string"))
+        .collect();
+    // Every gated comparison is present, with the threshold it enforces.
+    for (name, target) in [
+        ("metrics_overhead", 3.0),
+        ("trace_overhead", 3.0),
+        ("skip_speedup", 3.0),
+        ("lowrate_metrics_overhead", 6.0),
+        ("cache_speedup", 10.0),
+        ("warm_start_speedup", 2.0),
     ] {
-        let v = doc.get(key).and_then(Json::as_f64);
-        assert!(
-            v.is_some(),
-            "`{key}` must be a number, got {:?}",
-            doc.get(key)
+        let row = &rows[names.iter().position(|&n| n == name).expect(name)];
+        assert_eq!(
+            row.get("target").and_then(Json::as_f64),
+            Some(target),
+            "{name}"
         );
     }
-    assert!(doc.get("scaling").and_then(Json::as_arr).is_some());
+    assert!(names.contains(&"trace_full_overhead"));
 
-    // The low-rate idle-skip block.
-    let lowrate = doc.get("lowrate").expect("`lowrate` object");
-    let skip_speedup = lowrate
-        .get("skip_speedup")
-        .and_then(Json::as_f64)
-        .expect("`lowrate.skip_speedup` must be a number");
-    assert!(skip_speedup > 0.0);
-    assert!(lowrate
-        .get("tick_wall_secs")
-        .and_then(Json::as_f64)
-        .is_some());
-    assert!(lowrate
-        .get("skip_wall_secs")
-        .and_then(Json::as_f64)
-        .is_some());
-
-    // The gated trace is the armed analysis filter, not the firehose:
-    // the filter string is recorded so a dashboard (or a reviewer) can
-    // see exactly which event classes the 3% promise covers.
-    let filter = doc
-        .get("trace_filter")
-        .and_then(Json::as_str)
-        .expect("`trace_filter` must be a string");
-    assert!(!filter.is_empty());
-
-    // The serve-layer block: cold/hot batch and warm-start sweep
-    // timings plus the targets the local gate enforces.
-    let serve = doc.get("serve").expect("`serve` object");
-    for key in [
-        "cold_secs",
-        "hot_secs",
-        "batch_speedup",
-        "batch_speedup_target",
-        "warm_cold_secs",
-        "warm_secs",
-        "warm_speedup",
-        "warm_speedup_target",
-        "warm_cycles_saved",
-    ] {
-        let v = serve.get(key).and_then(Json::as_f64);
+    for row in rows {
+        let name = row
+            .get("name")
+            .and_then(Json::as_str)
+            .expect("checked above");
+        let str_field = |k| row.get(k).and_then(Json::as_str);
+        let num = |k| row.get(k).and_then(Json::as_f64);
+        for key in ["system", "work_unit", "unit", "verdict"] {
+            assert!(str_field(key).is_some(), "{name}: `{key}` must be a string");
+        }
+        for key in ["nodes", "work", "rounds"] {
+            let v = row.get(key).and_then(Json::as_u64);
+            assert!(v.is_some_and(|n| n > 0), "{name}: `{key}` must be a count");
+        }
+        let [q1, median, q3] = ["q1", "median", "q3"].map(|k| num(k).expect(k));
         assert!(
-            v.is_some(),
-            "`serve.{key}` must be a number, got {:?}",
-            serve.get(key)
+            q1 <= median && median <= q3,
+            "{name}: quartiles out of order"
         );
+        let target = row.get("target").expect("`target` present");
+        assert!(
+            *target == Json::Null || target.as_f64().is_some(),
+            "{name}: target"
+        );
+        let verdicts: &[&str] = match target {
+            Json::Null => &["reported"],
+            _ => &["pass", "fail", "warn"],
+        };
+        assert!(verdicts.contains(&str_field("verdict").unwrap()), "{name}");
+        assert!(["pct", "x"].contains(&str_field("unit").unwrap()), "{name}");
+        for arm in ["a", "b"] {
+            let arm = row.get(arm).expect("arm object");
+            assert!(arm.get("arm").and_then(Json::as_str).is_some(), "{name}");
+            for key in ["median_secs", "work_per_sec"] {
+                let v = arm.get(key).and_then(Json::as_f64);
+                assert!(
+                    v.is_some_and(|x| x > 0.0),
+                    "{name}: `{key}` must be positive"
+                );
+            }
+        }
     }
-    let batch_target = serve
-        .get("batch_speedup_target")
-        .and_then(Json::as_f64)
-        .expect("checked above");
-    assert!(batch_target >= 10.0, "the batch gate must stay at >=10x");
-}
-
-/// The report is published twice — at the repository root (the
-/// documented artifact) and under `results/` (what CI uploads). They
-/// must be the same bytes: `perf_gate --out results` writes both from
-/// one buffer, and any divergence means one copy went stale.
-#[test]
-fn root_and_results_bench_reports_are_byte_identical() {
-    let root = repo_root();
-    let canonical = std::fs::read(root.join("BENCH_perf.json"))
-        .expect("root BENCH_perf.json must exist and be readable");
-    let mirror = std::fs::read(root.join("results/BENCH_perf.json"))
-        .expect("results/BENCH_perf.json must exist and be readable");
-    assert!(
-        canonical == mirror,
-        "BENCH_perf.json and results/BENCH_perf.json have diverged; \
-         regenerate both with `perf_gate --out results`"
-    );
 }

@@ -106,12 +106,26 @@ impl NetworkKind {
     }
 
     /// Checks that this preset can be built on `geom`, naming the problem
-    /// when it cannot: every system needs at least two nodes, and the
-    /// hypercube presets need a power-of-two chiplet count of at least 2
-    /// whose chiplet rim has a node per hypercube dimension. Request
-    /// parsers call this so a geometry the topology builders would panic
-    /// on is rejected up front.
+    /// when it cannot: the global grid's width, height and chiplet count
+    /// must each fit the 16-bit coordinates [`Geometry`] computes them in,
+    /// every system needs at least two nodes, and the hypercube presets
+    /// need a power-of-two chiplet count of at least 2 whose chiplet rim
+    /// has a node per hypercube dimension. Request parsers call this so a
+    /// geometry the topology builders would panic on (or silently wrap)
+    /// is rejected up front.
     pub fn check_geometry(self, geom: Geometry) -> Result<(), String> {
+        let (cx, cy) = (geom.chiplets_x(), geom.chiplets_y());
+        let (w, h) = (geom.chip_w(), geom.chip_h());
+        let fits = [(cx, w), (cy, h), (cx, cy)]
+            .iter()
+            .all(|&(a, b)| a.checked_mul(b).is_some());
+        if !fits {
+            return Err(format!(
+                "{self} on {cx}x{cy} chiplets of {w}x{h} nodes overflows the \
+                 16-bit grid (width, height and chiplet count must each be at most {})",
+                u16::MAX
+            ));
+        }
         if geom.nodes() < 2 {
             return Err(format!(
                 "{self} needs at least two nodes, got {}",
@@ -322,6 +336,12 @@ mod tests {
             "power-of-two",
         );
         reject(NetworkKind::HeteroChannelHalf, [4, 4, 1, 1], "rim nodes");
+        // Width, height or chiplet count past u16 used to wrap silently.
+        for g in [[300, 1, 300, 1], [1, 300, 1, 300], [300, 300, 1, 1]] {
+            for kind in crate::golden::ALL_KINDS {
+                reject(kind, g, "16-bit");
+            }
+        }
     }
 
     #[test]

@@ -142,11 +142,7 @@ impl JobSpec {
     ///
     /// The first check that fails.
     pub fn validate(&self) -> Result<(), ApiError> {
-        let g = self.geom;
-        self.kind.check_geometry(g).map_err(|e| {
-            let dims = [g.chiplets_x(), g.chiplets_y(), g.chip_w(), g.chip_h()];
-            err(format!("geom {dims:?}: {e}"))
-        })?;
+        check_geometry(self.kind, self.geom)?;
         if self.packet_len == 0 {
             return Err(err("packet_len must be a positive integer"));
         }
@@ -166,7 +162,7 @@ impl JobSpec {
             ));
         }
         graph
-            .check_nodes(g.nodes())
+            .check_nodes(self.geom.nodes())
             .map_err(|e| err(format!("workload: {e}")))
     }
 }
@@ -200,6 +196,20 @@ impl std::fmt::Display for ApiError {
 }
 
 impl std::error::Error for ApiError {}
+
+/// [`NetworkKind::check_geometry`] as an error on the `geom` field: the
+/// first check of [`JobSpec::validate`], which the front ends also run
+/// before they size anything by the geometry's node count.
+///
+/// # Errors
+///
+/// `kind` cannot be built on `g`.
+pub fn check_geometry(kind: NetworkKind, g: Geometry) -> Result<(), ApiError> {
+    kind.check_geometry(g).map_err(|e| {
+        let dims = [g.chiplets_x(), g.chiplets_y(), g.chip_w(), g.chip_h()];
+        err(format!("geom {dims:?}: {e}"))
+    })
+}
 
 fn err(msg: impl Into<String>) -> ApiError {
     ApiError(msg.into())
@@ -273,6 +283,7 @@ fn parse_job(v: &Json) -> Result<JobSpec, ApiError> {
         Some(g) => parse_geom(g)?,
         None => Geometry::new(2, 2, 2, 2),
     };
+    check_geometry(kind, geom)?;
     let numbers = |key: &str| {
         field(v, key, "an array of numbers", |j| {
             j.as_arr()?
@@ -611,6 +622,10 @@ mod tests {
             (
                 r#"{"jobs": [{"preset": "uni-parallel-mesh", "rates": [0.1], "geom": [1]}]}"#,
                 "geom",
+            ),
+            (
+                r#"{"jobs": [{"preset": "uni-parallel-mesh", "rates": [0.1], "geom": [300, 1, 300, 1]}]}"#,
+                "16-bit",
             ),
             (
                 r#"{"jobs": [{"preset": "uni-parallel-mesh", "rates": [0.1], "warm_start": "yes"}]}"#,

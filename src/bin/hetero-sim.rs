@@ -21,7 +21,7 @@ use hetero_if::presets::NetworkKind;
 use hetero_if::sim::{run, run_timeline, run_until, RunOutcome, RunSpec, Sample};
 use hetero_if::sweep::{default_rate_ladder, latency_sweep, latency_sweep_warm_start, SweepPoint};
 use hetero_if::{Network, SchedulingProfile, SimConfig, SimResults};
-use hetero_serve::api::{ApiError, Backend, JobSpec};
+use hetero_serve::api::{check_geometry, ApiError, Backend, JobSpec};
 use hetero_serve::service::SweepService;
 use simkit::codec::{ByteReader, ByteWriter, LoadState, SaveState};
 use simkit::{Cycle, TraceFilter};
@@ -336,6 +336,10 @@ fn parse() -> Args {
         watchdog: 5_000,
         drain_offers: false,
     };
+    if let Err(e) = check_geometry(a.job.kind, a.job.geom) {
+        eprintln!("{}", flag_error(&e));
+        std::process::exit(2);
+    }
     let nodes = a.job.geom.nodes();
     a.job.workload = match (workload, workload_trace) {
         (Some(_), Some(_)) => {

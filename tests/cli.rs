@@ -34,6 +34,7 @@ fn invalid_points_exit_2_naming_the_flag() {
         (&["--rate", "nan"], "--rate"),
         (&["--pattern", "zigzag"], "--pattern"),
         (&["--chiplets", "1x1", "--chip", "1x1"], "--chiplets"),
+        (&["--chiplets", "300x1", "--chip", "300x1"], "--chiplets"),
     ] {
         let out = hetero_sim(&[&SMALL[..], args].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
