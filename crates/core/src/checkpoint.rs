@@ -44,7 +44,8 @@
 
 use crate::network::{Collector, Network};
 use crate::shard::{CreditMsg, FaultCore, LinkFaultSnap, Medium, Shard};
-use chiplet_noc::Flit;
+use crate::wheel::Due;
+use chiplet_noc::{Flit, FlitRef};
 use chiplet_topo::{LinkClass, LinkId, SystemTopology};
 use simkit::codec::{crc32, ByteReader, ByteWriter, CodecError, LoadState, SaveState};
 use simkit::metrics::MetricKind;
@@ -208,10 +209,30 @@ fn load_collector(c: &mut Collector, r: &mut ByteReader) -> Result<(), CodecErro
 
 fn medium_tag(m: &Medium) -> u8 {
     match m {
-        Medium::Plain { .. } => 0,
-        Medium::Guarded { .. } => 1,
+        Medium::Plain(_) => 0,
+        Medium::Guarded(_) => 1,
         Medium::Hetero(_) => 2,
     }
+}
+
+/// Reads a wheel entry's due cycle: a checkpoint taken between cycles,
+/// at cycle `now`, holds nothing due earlier.
+fn due_at_or_after(r: &mut ByteReader, now: u64) -> Result<u64, CodecError> {
+    let at = r.get_u64()?;
+    if at < now {
+        return Err(CodecError::Corrupt(
+            "link entry due before the checkpoint cycle",
+        ));
+    }
+    Ok(at)
+}
+
+/// The leading run of `pending` on link `li`, advancing `pending` past it.
+fn take_link<'a, T>(pending: &mut &'a [Due<T>], li: usize) -> &'a [Due<T>] {
+    let n = pending.iter().take_while(|d| d.link as usize == li).count();
+    let (run, rest) = pending.split_at(n);
+    *pending = rest;
+    run
 }
 
 impl Network {
@@ -293,45 +314,78 @@ impl Network {
         }
         w.end_section(t);
 
+        // A plain link's flits and every link's returning credits live on
+        // the owner's wheel; the blob records them per link, as the
+        // pipeline and credit queues the link would otherwise own:
+        // ascending link, then arrival order. A link's entries sit in one
+        // shard's wheel, within a bucket in send order, so a stable sort
+        // by `(link, due)` restores each queue exactly.
+        let mut flits: Vec<Due<FlitRef>> = guards
+            .iter()
+            .flat_map(|g| g.wheel.flit_entries().copied())
+            .collect();
+        flits.sort_by_key(|d| (d.link, d.at));
+        let mut credits: Vec<Due<u8>> = guards
+            .iter()
+            .flat_map(|g| g.wheel.credit_entries().copied())
+            .collect();
+        credits.sort_by_key(|d| (d.link, d.at));
+        let (mut flits_left, mut credits_left) = (&flits[..], &credits[..]);
         let t = w.begin_section(SEC_LINKS);
         for li in 0..links {
             let g = &*guards[part.link_owner[li] as usize];
             let m = g.media[li].as_ref().expect("owner holds the medium");
             w.put_u8(medium_tag(m));
             match m {
-                Medium::Plain { line, .. } => {
-                    line.save_state_with(&mut w, |fr, w| g.arena.get(*fr).save_state(w));
+                Medium::Plain(lanes) => {
+                    lanes.save_state(&mut w);
+                    let run = take_link(&mut flits_left, li);
+                    w.put_usize(run.len());
+                    for d in run {
+                        w.put_u64(d.at);
+                        g.arena.get(d.item).save_state(&mut w);
+                    }
                 }
-                Medium::Guarded { line, .. } => line.save_state_with(&g.arena, &mut w),
+                Medium::Guarded(line) => line.save_state_with(&g.arena, &mut w),
                 Medium::Hetero(h) => h.save_state_with(&g.arena, &mut w),
             }
-            g.credit_lines[li]
-                .as_ref()
-                .expect("owner holds the credit line")
-                .save_state(&mut w);
+            let run = take_link(&mut credits_left, li);
+            w.put_usize(run.len());
+            for d in run {
+                w.put_u64(d.at);
+                w.put_u8(d.item);
+            }
             w.put_u64(g.link_flits[li]);
             g.faults.save_link(li, &mut w);
         }
         w.end_section(t);
 
         // Active sets as global sorted member lists (each entry only ever
-        // set by its owner, so the per-shard sets are disjoint).
+        // set by its owner, so the per-shard sets are disjoint). Links
+        // with wheel entries count as active media (plain links with
+        // flits in flight) and as active credit returns, the membership
+        // per-link queues behind active sets had.
         let t = w.begin_section(SEC_ACTIVE);
         let mut members = Vec::new();
         let mut scratch = Vec::new();
         for pick in [0usize, 1, 2, 3] {
             members.clear();
+            match pick {
+                1 => members.extend(flits.iter().map(|d| d.link as usize)),
+                2 => members.extend(credits.iter().map(|d| d.link as usize)),
+                _ => {}
+            }
             for g in &guards {
-                let set = match pick {
-                    0 => &g.active_routers,
-                    1 => &g.active_media,
-                    2 => &g.active_credits,
-                    _ => &g.active_nics,
-                };
-                set.members_into(&mut scratch);
+                match pick {
+                    0 => g.active_routers.members_into(&mut scratch),
+                    1 => g.active_media.members_into(&mut scratch),
+                    2 => {}
+                    _ => g.active_nics.members_into(&mut scratch),
+                }
                 members.append(&mut scratch);
             }
             members.sort_unstable();
+            members.dedup();
             w.put_usize(members.len());
             for &m in &members {
                 w.put_u32(m as u32);
@@ -341,9 +395,9 @@ impl Network {
 
         // In-transit cross-shard credits, canonicalized to (link id,
         // per-link send order). Per-link order is what replay semantics
-        // (and a later re-checkpoint of the credit lines) depend on;
-        // cross-link order within the mailbox is immaterial because each
-        // link has its own credit line.
+        // (and a later re-checkpoint of the link's returning credits)
+        // depend on; cross-link order within the mailbox is immaterial
+        // because each credit is replayed onto its own link.
         let t = w.begin_section(SEC_CREDITS);
         let mut msgs: Vec<(u32, u32, u8)> = Vec::new();
         let mut seq = vec![0u32; links];
@@ -529,7 +583,7 @@ impl Network {
                 .expect("shard lock poisoned");
             let Shard {
                 media,
-                credit_lines,
+                wheel,
                 link_flits,
                 arena,
                 ..
@@ -537,10 +591,15 @@ impl Network {
             let tag = r.get_u8()?;
             let m = media[li].as_mut().expect("owner holds the medium");
             match (tag, m) {
-                (0, Medium::Plain { line, .. }) => {
-                    line.load_state_with(&mut r, |r| Flit::read_from(r).map(|f| arena.alloc(f)))?;
+                (0, Medium::Plain(lanes)) => {
+                    lanes.load_state(&mut r)?;
+                    for _ in 0..r.get_usize()? {
+                        let at = due_at_or_after(&mut r, now)?;
+                        let flit = Flit::read_from(&mut r)?;
+                        wheel.push_flit(at, li as u32, arena.alloc(flit));
+                    }
                 }
-                (1, Medium::Guarded { line, .. }) => line.load_state_with(arena, &mut r)?,
+                (1, Medium::Guarded(line)) => line.load_state_with(arena, &mut r)?,
                 (2, Medium::Hetero(h)) => h.load_state_with(arena, &mut r)?,
                 (t @ 0..=2, _) => {
                     return Err(CodecError::Mismatch(format!(
@@ -549,10 +608,14 @@ impl Network {
                 }
                 _ => return Err(CodecError::Corrupt("medium kind tag")),
             }
-            credit_lines[li]
-                .as_mut()
-                .expect("owner holds the credit line")
-                .load_state(&mut r)?;
+            for _ in 0..r.get_usize()? {
+                let at = due_at_or_after(&mut r, now)?;
+                let vc = r.get_u8()?;
+                if vc >= self.config.vcs {
+                    return Err(CodecError::Corrupt("returning credit names a missing VC"));
+                }
+                wheel.push_credit(at, li as u32, vc);
+            }
             link_flits[li] = r.get_u64()?;
             fault_snaps.push(FaultCore::read_link(&mut r)?);
         }
@@ -570,7 +633,6 @@ impl Network {
             let sh = s.get_mut().expect("shard lock poisoned");
             sh.active_routers.clear();
             sh.active_media.clear();
-            sh.active_credits.clear();
             sh.active_nics.clear();
         }
         for pick in [0usize, 1, 2, 3] {
@@ -595,8 +657,12 @@ impl Network {
                     .expect("shard lock poisoned");
                 match pick {
                     0 => sh.active_routers.insert(i),
-                    1 => sh.active_media.insert(i),
-                    2 => sh.active_credits.insert(i),
+                    // Plain links and credit returns are scheduled by
+                    // their wheel entries, loaded above.
+                    1 if !matches!(sh.media[i], Some(Medium::Plain(_))) => {
+                        sh.active_media.insert(i)
+                    }
+                    1 | 2 => {}
                     _ => sh.active_nics.insert(i),
                 }
             }
@@ -612,9 +678,12 @@ impl Network {
             if li >= links {
                 return Err(CodecError::Corrupt("credit message link out of range"));
             }
+            if vc >= self.config.vcs {
+                return Err(CodecError::Corrupt("credit message names a missing VC"));
+            }
             // Producer = shard of the link's destination router (the
             // crediting side); consumer = the link's owner, which replays
-            // the credit into its credit line next phase 1.
+            // the credit onto its wheel next phase 1.
             let producer = self.engine.part.node_shard[link_dst[li] as usize] as usize;
             let consumer = self.engine.part.link_owner[li] as usize;
             self.engine
@@ -775,9 +844,10 @@ impl Network {
 
     /// Structural invariant check over the full engine state, run after
     /// every restore (and available to tests): per-router counter and
-    /// credit consistency, arena occupancy == live handles held by
-    /// routers and link pipelines, per-VC credit conservation on plain
-    /// links, and an empty cross-shard flit mailbox.
+    /// credit consistency, per-VC credit conservation on plain links
+    /// (counting the flits and credits on the shards' wheels), arena
+    /// occupancy == live handles held by routers, wheels and link
+    /// pipelines, and an empty cross-shard flit mailbox.
     ///
     /// # Errors
     ///
@@ -794,48 +864,45 @@ impl Network {
             .collect();
         let part = &self.engine.part;
         let topo = self.topo.read().expect("topology lock poisoned");
+        let vcs = self.config.vcs as usize;
 
-        // Per-shard handle accounting: every arena handle is held by
-        // exactly one router VC buffer, plain pipeline slot, retry
-        // window (forward frames + delivered queue) or hetero-PHY adapter.
         for (sid, g) in guards.iter().enumerate() {
-            let mut held = 0usize;
             for &node in &g.nodes {
                 let i = node.index();
                 g.routers[i]
                     .check_invariants()
                     .map_err(|e| format!("shard {sid} router {i}: {e}"))?;
-                held += g.routers[i].buffered_flits();
-            }
-            for m in g.media.iter().flatten() {
-                held += match m {
-                    Medium::Plain { line, .. } => line.in_flight(),
-                    Medium::Guarded { line, .. } => line.held_handles(),
-                    Medium::Hetero(h) => h.in_flight(),
-                };
-            }
-            if g.arena.in_flight() != held {
-                return Err(format!(
-                    "shard {sid}: arena holds {} flits but routers/links account for {held}",
-                    g.arena.in_flight()
-                ));
             }
         }
 
         // Per-VC credit conservation on plain links: transmitter credits
-        // + flits in the pipeline + receiver buffer occupancy + credits
-        // in flight back (credit line + cross-shard mailbox) must equal
-        // the receiver's buffer depth.
-        let mut mail_credits = vec![0u32; part.link_owner.len() * self.config.vcs as usize];
+        // + flits on the wheel + receiver buffer occupancy + credits in
+        // flight back (wheel + cross-shard mailbox) must equal the
+        // receiver's buffer depth. Checked per link before the per-shard
+        // handle totals, so a lost flit or credit names its link.
+        let mut in_line = vec![0usize; part.link_owner.len() * vcs];
+        let mut returning = vec![0usize; part.link_owner.len() * vcs];
         self.engine.mail.credits.for_each(|_, _, m| {
-            mail_credits[m.li as usize * self.config.vcs as usize + m.vc as usize] += 1;
+            returning[m.li as usize * vcs + m.vc as usize] += 1;
         });
+        for g in &guards {
+            for d in g.wheel.flit_entries() {
+                let (li, vc) = (d.link as usize, g.arena.get(d.item).vc);
+                if vc as usize >= vcs {
+                    return Err(format!("link {li}: flit on missing vc {vc} in the wheel"));
+                }
+                in_line[li * vcs + vc as usize] += 1;
+            }
+            for d in g.wheel.credit_entries() {
+                returning[d.link as usize * vcs + d.item as usize] += 1;
+            }
+        }
         for link in topo.links() {
             let li = link.id.index();
             let g = &guards[part.link_owner[li] as usize];
-            let Some(Medium::Plain { line, .. }) = &g.media[li] else {
+            if !matches!(g.media[li], Some(Medium::Plain(_))) {
                 continue;
-            };
+            }
             let depth = match link.class {
                 LinkClass::OnChip => self.config.onchip_vc_depth,
                 _ => self.config.iface_vc_depth,
@@ -844,26 +911,40 @@ impl Network {
             let dst = &guards[part.node_shard[link.dst.index()] as usize].routers[link.dst.index()];
             for vc in 0..self.config.vcs {
                 let credits = src.out_vc_credits(self.link_out_port[li], vc) as usize;
-                let in_line = line
-                    .iter_in_flight()
-                    .filter(|fr| g.arena.get(**fr).vc == vc)
-                    .count();
+                let on_wire = in_line[li * vcs + vc as usize];
                 let occupancy = dst.in_occupancy(self.link_in_port[li], vc);
-                let returning = g.credit_lines[li]
-                    .as_ref()
-                    .expect("owner holds the credit line")
-                    .iter_pending()
-                    .filter(|&&(_, v)| v == vc)
-                    .count()
-                    + mail_credits[li * self.config.vcs as usize + vc as usize] as usize;
-                let total = credits + in_line + occupancy + returning;
+                let back = returning[li * vcs + vc as usize];
+                let total = credits + on_wire + occupancy + back;
                 if total != depth {
                     return Err(format!(
                         "link {li} vc {vc}: credit conservation violated \
-                         ({credits} credits + {in_line} in line + {occupancy} buffered + \
-                         {returning} returning != depth {depth})"
+                         ({credits} credits + {on_wire} in line + {occupancy} buffered + \
+                         {back} returning != depth {depth})"
                     ));
                 }
+            }
+        }
+
+        // Per-shard handle accounting: every arena handle is held by
+        // exactly one router VC buffer, wheel entry, retry window
+        // (forward frames + delivered queue) or hetero-PHY adapter.
+        for (sid, g) in guards.iter().enumerate() {
+            let mut held = g.wheel.flits();
+            for &node in &g.nodes {
+                held += g.routers[node.index()].buffered_flits();
+            }
+            for m in g.media.iter().flatten() {
+                held += match m {
+                    Medium::Plain(_) => 0,
+                    Medium::Guarded(line) => line.held_handles(),
+                    Medium::Hetero(h) => h.in_flight(),
+                };
+            }
+            if g.arena.in_flight() != held {
+                return Err(format!(
+                    "shard {sid}: arena holds {} flits but routers/links account for {held}",
+                    g.arena.in_flight()
+                ));
             }
         }
 
@@ -1026,6 +1107,42 @@ mod tests {
             traced.restore(&blob).unwrap_err(),
             CodecError::Mismatch(_)
         ));
+    }
+
+    #[test]
+    fn validator_names_the_link_of_a_lost_wheel_flit_or_credit() {
+        for lose_credit in [false, true] {
+            let mut net = mesh_net(1);
+            inject_and_step(&mut net, 12);
+            net.validate_invariants().unwrap();
+            let sh = net.engine.shards[0].get_mut().unwrap();
+            let wheel = &mut sh.wheel;
+            // Take every entry of one due cycle off the wheel and put all
+            // but the first back.
+            let link = if lose_credit {
+                let at = wheel.credit_entries().next().expect("credits returning").at;
+                let mut due = Vec::new();
+                wheel.drain_credits(at, |l, vc| due.push((l, vc)));
+                for &(l, vc) in &due[1..] {
+                    wheel.push_credit(at, l, vc);
+                }
+                due[0].0
+            } else {
+                let at = wheel.flit_entries().next().expect("flits in flight").at;
+                let mut due = Vec::new();
+                wheel.drain_flits(at, |l, f| due.push((l, f)));
+                for &(l, f) in &due[1..] {
+                    wheel.push_flit(at, l, f);
+                }
+                due[0].0
+            };
+            let e = net.validate_invariants().unwrap_err();
+            assert!(
+                e.contains(&format!("link {link} ")),
+                "lost {} on link {link}: {e}",
+                if lose_credit { "credit" } else { "flit" }
+            );
+        }
     }
 
     #[test]

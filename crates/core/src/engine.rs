@@ -6,9 +6,11 @@
 //! engine ran — credits → media → inject → route — but grouped into two
 //! phases per shard with a synchronization point between them:
 //!
-//! 1. **Phase 1** (credits + media): every shard advances its owned
-//!    credit lines and link media. Flits arriving at a router owned by
-//!    another shard are posted to that shard's mailbox.
+//! 1. **Phase 1** (credits + media): every shard returns the credits and
+//!    delivers the plain-link flits due this cycle from its timing wheel,
+//!    and steps its active guarded and hetero-PHY media. Flits arriving
+//!    at a router owned by another shard are posted to that shard's
+//!    mailbox.
 //! 2. **Phase 2** (inject + route): every shard drains its inbound flit
 //!    mailbox into its routers, then runs its NICs and router pipelines.
 //!    Credits for other shards' links are posted back through the credit
@@ -33,8 +35,9 @@ use crate::config::SimConfig;
 use crate::energy::EnergyModel;
 use crate::network::Collector;
 use crate::shard::{Delivery, FaultCore, Mail, Medium, MetricIds, Partition, Shard, ShardMetrics};
+use crate::wheel::LinkWheel;
 use chiplet_fault::FaultScript;
-use chiplet_noc::{CreditLine, PacketId, PacketInfo, PacketStore, Router};
+use chiplet_noc::{PacketId, PacketInfo, PacketStore, Router};
 use chiplet_topo::routing::Routing;
 use chiplet_topo::{LinkId, SystemTopology};
 use chiplet_traffic::PacketRequest;
@@ -217,8 +220,10 @@ impl ShardedEngine {
     /// Distributes the assembled components over `part`'s shards.
     ///
     /// Every shard gets full-length vectors: routers it does not own are
-    /// replaced by portless stubs (never activated), media and credit
-    /// lines it does not own by `None`. Each shard also builds the *full*
+    /// replaced by portless stubs (never activated), media it does not
+    /// own by `None`. `credit_latency` gives each link's credit return
+    /// delay; together with the plain links' latencies it sizes every
+    /// shard's timing wheel. Each shard also builds the *full*
     /// fault core from the same seed — RNG streams are forked by global
     /// link id, so every shard derives the identical stream set and only
     /// the owner of a link ever draws from it. That makes fault draws
@@ -227,21 +232,31 @@ impl ShardedEngine {
     pub fn new(
         routers: Vec<Router>,
         media: Vec<Medium>,
-        credit_lines: Vec<CreditLine>,
+        credit_latency: Vec<u32>,
         link_ps: &[f64],
         seed: u64,
         part: Partition,
     ) -> Self {
         let n = routers.len();
-        let links = media.len();
         let ns = part.nshards as usize;
+        let plain_latency = media.iter().filter_map(|m| match m {
+            Medium::Plain(lanes) => Some(lanes.latency()),
+            _ => None,
+        });
+        let span = credit_latency
+            .iter()
+            .copied()
+            .chain(plain_latency)
+            .max()
+            .unwrap_or(1);
         let mut shards: Vec<Shard> = (0..ns)
             .map(|sid| {
                 Shard::new(
                     sid as u16,
                     part.shard_nodes[sid].clone(),
                     n,
-                    links,
+                    credit_latency.clone(),
+                    LinkWheel::new(span),
                     ns,
                     FaultCore::new(link_ps, seed),
                 )
@@ -252,9 +267,6 @@ impl ShardedEngine {
         }
         for (li, m) in media.into_iter().enumerate() {
             shards[part.link_owner[li] as usize].media[li] = Some(m);
-        }
-        for (li, c) in credit_lines.into_iter().enumerate() {
-            shards[part.link_owner[li] as usize].credit_lines[li] = Some(c);
         }
         Self {
             shards: shards.into_iter().map(Mutex::new).collect(),

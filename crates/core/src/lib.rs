@@ -75,6 +75,7 @@ pub mod scheduler;
 mod shard;
 pub mod sim;
 pub mod sweep;
+mod wheel;
 
 pub use cache::{CacheKey, CacheSource, CachedPoint, PointDesc, ResultCache};
 pub use checkpoint::CHECKPOINT_VERSION;

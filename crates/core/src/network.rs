@@ -1,10 +1,11 @@
-//! Network assembly: routers, media, credit lines and port maps.
+//! Network assembly: routers, media, credit latencies and port maps.
 //!
 //! A [`Network`] instantiates one router per node of a
-//! [`SystemTopology`], one medium per directed link (a plain
-//! [`DelayLine`](chiplet_noc::DelayLine) for on-chip/parallel/serial
-//! links, a [`HeteroPhyLink`] for hetero-PHY links), the reverse credit
-//! lines, and per-node NICs (injection queues + ejection accounting),
+//! [`SystemTopology`], one medium per directed link (the lane budget of
+//! a plain fixed-latency pipeline for on-chip/parallel/serial links, a
+//! retry-guarded pipeline when the fault model is armed, a
+//! [`HeteroPhyLink`] for hetero-PHY links), each link's credit return
+//! latency, and per-node NICs (injection queues + ejection accounting),
 //! then partitions them into chiplet-group shards. The per-cycle
 //! execution lives in [`crate::engine::ShardedEngine`] (staged cycles
 //! over the shards, serial or on a worker pool — see
@@ -16,7 +17,7 @@ use crate::energy::EnergyModel;
 use crate::engine::{EngineCtx, Hub, ShardedEngine};
 use crate::shard::{Medium, MetricIds, Partition, Shard};
 use chiplet_fault::{FaultEvent, FaultScript, FaultTarget, TimedFault};
-use chiplet_noc::{CreditLine, DelayLine, PacketId, RetryLine, Router};
+use chiplet_noc::{Lanes, PacketId, RetryLine, Router};
 use chiplet_phy::{HeteroPhyLink, PhyKind};
 use chiplet_topo::routing::Routing;
 use chiplet_topo::{LinkClass, LinkId, SystemTopology};
@@ -275,7 +276,7 @@ impl Network {
 
         let mut routers: Vec<Router> = (0..n).map(|_| Router::new(config.vcs)).collect();
         let mut media = Vec::with_capacity(topo.links().len());
-        let mut credit_lines = Vec::with_capacity(topo.links().len());
+        let mut credit_latency = Vec::with_capacity(topo.links().len());
         let mut link_out_port = vec![0u16; topo.links().len()];
         let mut link_in_port = vec![0u16; topo.links().len()];
         let mut outport_links: Vec<Vec<LinkId>> = vec![Vec::new(); n];
@@ -349,15 +350,13 @@ impl Network {
                         LinkClass::Parallel => config.fault.p_flit_parallel(),
                         _ => config.fault.p_flit_serial(),
                     };
-                    Medium::Guarded {
-                        line: RetryLine::new(lat + 1, bw, config.fault.retry_timeout),
-                        class,
-                    }
+                    Medium::Guarded(Box::new(RetryLine::new(
+                        lat + 1,
+                        bw,
+                        config.fault.retry_timeout,
+                    )))
                 }
-                class => Medium::Plain {
-                    line: DelayLine::new(lat + 1, bw),
-                    class,
-                },
+                _ => Medium::Plain(Lanes::new(lat + 1, bw)),
             };
             media.push(medium);
             let credit_lat = match link.class {
@@ -365,11 +364,12 @@ impl Network {
                 LinkClass::Parallel | LinkClass::HeteroPhy => config.parallel.latency,
                 LinkClass::Serial => serial.latency,
             };
-            credit_lines.push(CreditLine::new(credit_lat.max(1)));
+            credit_latency.push(credit_lat.max(1));
         }
 
         let part = Partition::new(&topo, config.resolved_shard_threads());
-        let engine = ShardedEngine::new(routers, media, credit_lines, &link_ps, config.seed, part);
+        let engine =
+            ShardedEngine::new(routers, media, credit_latency, &link_ps, config.seed, part);
         Self {
             topo: RwLock::new(topo),
             routing,
@@ -748,6 +748,7 @@ fn apply_fault(
         for &id in &links {
             let li = id.index();
             let sh: &mut Shard = &mut guards[engine.part.link_owner[li] as usize];
+            let class = topo.read().expect("topology lock poisoned").link(id).class;
             match tf.event {
                 FaultEvent::PhyDown(kind) => match sh.media[li].as_mut().expect("owner") {
                     Medium::Hetero(h) => {
@@ -758,9 +759,7 @@ fn apply_fault(
                             emitted.push((li as u32, LinkEvent::Failover));
                         }
                     }
-                    Medium::Plain { class, .. } | Medium::Guarded { class, .. }
-                        if class_matches(*class, kind) =>
-                    {
+                    Medium::Plain(_) | Medium::Guarded(_) if class_matches(class, kind) => {
                         sh.faults.set_blocked(li, true);
                         reroute |= topo
                             .write()
@@ -775,9 +774,7 @@ fn apply_fault(
                         h.restore_phy(kind);
                         emitted.push((li as u32, LinkEvent::PhyUp));
                     }
-                    Medium::Plain { class, .. } | Medium::Guarded { class, .. }
-                        if class_matches(*class, kind) =>
-                    {
+                    Medium::Plain(_) | Medium::Guarded(_) if class_matches(class, kind) => {
                         sh.faults.set_blocked(li, false);
                         reroute |= topo
                             .write()
@@ -823,12 +820,14 @@ fn apply_fault(
                 g.route_table.invalidate();
             }
         }
-        // Re-activate every touched medium (via its owner) so the next
-        // media pass runs even if the link looked idle.
+        // Re-activate every touched stepping medium (via its owner) so
+        // the next media pass runs even if the link looked idle. Plain
+        // links have nothing to step: their flits are on the wheel.
         for &id in &links {
-            guards[engine.part.link_owner[id.index()] as usize]
-                .active_media
-                .insert(id.index());
+            let g = &mut guards[engine.part.link_owner[id.index()] as usize];
+            if !matches!(g.media[id.index()], Some(Medium::Plain(_))) {
+                g.active_media.insert(id.index());
+            }
         }
     }
     for &(_, ev) in &emitted {

@@ -1,11 +1,11 @@
 //! One shard of the partitioned network: state, phases, router window.
 //!
 //! The network is partitioned into chiplet-group **shards**. Every shard
-//! owns the routers of its nodes and the media + credit lines of the
+//! owns the routers of its nodes and the media + credit returns of the
 //! links *leaving* those nodes (link owner = shard of `link.src`), plus
 //! private copies of everything a cycle touches: a [`FlitArena`], a
-//! route table, active sets, per-link fault streams and NICs. A cycle
-//! runs in two phases per shard:
+//! route table, a [`LinkWheel`] for fixed-latency traffic, active sets,
+//! per-link fault streams and NICs. A cycle runs in two phases per shard:
 //!
 //! * [`Shard::phase1`] — replay inbound cross-shard credits, then the
 //!   credit and media stages. Flits arriving over an owned link whose
@@ -31,10 +31,11 @@
 use crate::energy::EnergyModel;
 use crate::engine::EngineCtx;
 use crate::network::DeliveryEvent;
+use crate::wheel::LinkWheel;
 use chiplet_noc::router::PipelineStage;
 use chiplet_noc::{
-    CreditLine, DelayLine, Flit, FlitArena, FlitRef, PacketId, PacketInfo, PacketStore,
-    PortCandidate, RetryLine, Router, RouterEnv, ShardMailbox,
+    Flit, FlitArena, FlitRef, Lanes, PacketId, PacketInfo, PacketStore, PortCandidate, RetryLine,
+    Router, RouterEnv, ShardMailbox,
 };
 use chiplet_phy::{HeteroPhyLink, PhyKind};
 use chiplet_topo::routing::{RouteTable, Routing};
@@ -49,31 +50,25 @@ use std::sync::atomic::Ordering::Relaxed;
 /// One directed link's physical medium.
 #[derive(Debug)]
 pub(crate) enum Medium {
-    /// A plain fixed-latency pipeline (on-chip, parallel or serial link).
-    Plain {
-        /// The flit pipeline (carrying arena handles).
-        line: DelayLine<FlitRef>,
-        /// The link class (for per-class energy accounting).
-        class: LinkClass,
-    },
+    /// A plain fixed-latency pipeline (on-chip, parallel or serial link):
+    /// only its lane budget lives here; the flits in flight are in the
+    /// owner shard's [`LinkWheel`].
+    Plain(Lanes),
     /// A plain pipeline wrapped in the CRC/replay retry link layer (built
     /// for interface links when the fault model is armed; error-free it is
     /// cycle-for-cycle identical to [`Medium::Plain`]).
-    Guarded {
-        /// The retrying flit pipeline.
-        line: RetryLine,
-        /// The link class (for per-class energy accounting).
-        class: LinkClass,
-    },
+    Guarded(Box<RetryLine>),
     /// A hetero-PHY adapter (parallel + serial PHYs with scheduling).
     Hetero(Box<HeteroPhyLink>),
 }
 
 impl Medium {
+    /// Flits held by a medium that steps on the active-media set (a plain
+    /// link holds none: its flits are on the wheel).
     fn in_flight(&self) -> usize {
         match self {
-            Medium::Plain { line, .. } => line.in_flight(),
-            Medium::Guarded { line, .. } => line.in_flight(),
+            Medium::Plain(_) => 0,
+            Medium::Guarded(line) => line.in_flight(),
             Medium::Hetero(h) => h.in_flight(),
         }
     }
@@ -86,8 +81,8 @@ impl Medium {
     /// (a loaded adapter link keeps its shard active anyway).
     fn next_event_at(&self, now: Cycle) -> Cycle {
         match self {
-            Medium::Plain { line, .. } => line.next_ready_at(),
-            Medium::Guarded { line, .. } => line.next_event_at(now),
+            Medium::Plain(_) => Cycle::MAX,
+            Medium::Guarded(line) => line.next_event_at(now),
             Medium::Hetero(h) => {
                 if h.in_flight() > 0 {
                     now
@@ -315,7 +310,7 @@ pub(crate) struct FlitMsg {
 }
 
 /// A credit issued by a non-owner shard for a link's input buffer,
-/// replayed into the owner's credit line next cycle.
+/// replayed onto the owner's wheel next cycle.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CreditMsg {
     /// Global index of the credited link.
@@ -442,8 +437,8 @@ impl Nic {
 ///
 /// Vectors are full-length (indexed by global node/link id) with only the
 /// owned entries populated — unowned routers are portless stubs that are
-/// never activated, unowned media/credit slots are `None`. This keeps
-/// every stage's indexing identical to the serial engine at the cost of
+/// never activated, unowned media slots are `None`. This keeps every
+/// stage's indexing identical to the serial engine at the cost of
 /// `O(nshards)` stub storage.
 #[derive(Debug)]
 pub(crate) struct Shard {
@@ -452,7 +447,11 @@ pub(crate) struct Shard {
     pub nodes: Vec<NodeId>,
     pub routers: Vec<Router>,
     pub media: Vec<Option<Medium>>,
-    pub credit_lines: Vec<Option<CreditLine>>,
+    /// Link → cycles a credit takes back to the transmitter (global map).
+    pub credit_latency: Vec<u32>,
+    /// Flits on owned plain links and credits returning to owned
+    /// transmitters, by due cycle.
+    pub wheel: LinkWheel,
     pub faults: FaultCore,
     pub nics: Vec<Nic>,
     /// Flits delivered over each owned directed link.
@@ -462,11 +461,15 @@ pub(crate) struct Shard {
     /// Memoized routes for packets currently at an owned node.
     pub route_table: RouteTable,
     pub active_routers: ActiveSet,
+    /// Owned guarded and hetero-PHY media with work (plain links are on
+    /// the wheel instead).
     pub active_media: ActiveSet,
-    pub active_credits: ActiveSet,
     pub active_nics: ActiveSet,
     /// Reused drain buffer for the active sets.
     ids: Vec<usize>,
+    /// Reused buffer for the flits one active medium delivers in a cycle,
+    /// with the hetero-PHY lane each came off.
+    arrivals: Vec<(FlitRef, Option<PhyKind>)>,
     /// Per-consumer out-buffers, flushed to the mailboxes once per phase.
     out_flits: Vec<Vec<FlitMsg>>,
     out_credits: Vec<Vec<CreditMsg>>,
@@ -490,16 +493,19 @@ impl Shard {
         id: u16,
         nodes: Vec<NodeId>,
         node_count: usize,
-        link_count: usize,
+        credit_latency: Vec<u32>,
+        wheel: LinkWheel,
         nshards: usize,
         faults: FaultCore,
     ) -> Self {
+        let link_count = credit_latency.len();
         Self {
             id,
             nodes,
             routers: (0..node_count).map(|_| Router::new(1)).collect(),
             media: (0..link_count).map(|_| None).collect(),
-            credit_lines: (0..link_count).map(|_| None).collect(),
+            credit_latency,
+            wheel,
             faults,
             nics: (0..node_count).map(|_| Nic::default()).collect(),
             link_flits: vec![0; link_count],
@@ -507,9 +513,9 @@ impl Shard {
             route_table: RouteTable::new(),
             active_routers: ActiveSet::new(node_count),
             active_media: ActiveSet::new(link_count),
-            active_credits: ActiveSet::new(link_count),
             active_nics: ActiveSet::new(node_count),
             ids: Vec::new(),
+            arrivals: Vec::new(),
             out_flits: (0..nshards).map(|_| Vec::new()).collect(),
             out_credits: (0..nshards).map(|_| Vec::new()).collect(),
             deliveries: Vec::new(),
@@ -537,23 +543,19 @@ impl Shard {
     ///
     /// Active routers and NICs act *every* cycle (pipeline stages and
     /// injection have no future timestamp), so either being non-empty
-    /// pins the bound to `now`. Active media and credit lines are timed:
-    /// their members stay in the set with future dues, and the minimum of
-    /// those dues bounds the next delivery, ack, or retry timeout. The
+    /// pins the bound to `now`. The wheel and the active media are
+    /// timed: the wheel's first non-empty bucket and each medium's own
+    /// due bound the next delivery, credit, ack, or retry timeout. The
     /// bound is what the idle-skip loop uses — it never needs to be
     /// tight, only never *late*.
     pub fn next_event(&self, now: Cycle) -> Cycle {
         if !self.active_routers.is_empty() || !self.active_nics.is_empty() {
             return now;
         }
-        let mut at = Cycle::MAX;
+        let mut at = self.wheel.next_due(now);
         for li in self.active_media.iter() {
             let m = self.media[li].as_ref().expect("unowned active medium");
             at = at.min(m.next_event_at(now));
-        }
-        for li in self.active_credits.iter() {
-            let line = self.credit_lines[li].as_ref().expect("unowned credit");
-            at = at.min(line.next_ready_at());
         }
         at
     }
@@ -572,22 +574,18 @@ impl Shard {
         let sid = self.id as usize;
         {
             // Replay credits the consumer shards issued in last cycle's
-            // phase 2. `send(now - 1, vc)` reproduces the serial engine's
-            // call at the original cycle exactly — a credit line buffers
-            // `(t + latency, vc)` and latency ≥ 1, so nothing was due
-            // before this cycle. (No message can exist at cycle 0.)
+            // phase 2 as sent then: due `now - 1 + latency`, exactly what
+            // the serial engine's direct send gave them. Latency ≥ 1, so
+            // nothing replayed was due before this cycle. (No message can
+            // exist at cycle 0.)
             let Shard {
-                credit_lines,
-                active_credits,
+                wheel,
+                credit_latency,
                 ..
             } = self;
             mail.credits.drain(sid, |_, m: CreditMsg| {
-                let li = m.li as usize;
-                credit_lines[li]
-                    .as_mut()
-                    .expect("credit routed to non-owner")
-                    .send(now - 1, m.vc);
-                active_credits.insert(li);
+                let at = now - 1 + credit_latency[m.li as usize] as Cycle;
+                wheel.push_credit(at, m.li, m.vc);
             });
         }
         self.stage_credits(ctx, now);
@@ -638,30 +636,20 @@ impl Shard {
         }
     }
 
-    /// Completed credit returns are restored to the transmitting router.
+    /// Credits due this cycle are restored to the transmitting router.
     fn stage_credits(&mut self, ctx: &EngineCtx<'_>, now: Cycle) {
-        let mut ids = std::mem::take(&mut self.ids);
-        self.active_credits.drain_into(&mut ids);
-        for &li in &ids {
-            let line = self.credit_lines[li].as_mut().expect("unowned credit line");
-            let link = ctx.topo.link(LinkId(li as u32));
-            let port = ctx.link_out_port[li];
-            while let Some(vc) = line.pop_ready(now) {
-                // Credits top up counters only; they cannot give a
-                // quiescent router work, so no router activation here.
-                self.routers[link.src.index()].add_credit(port, vc);
-            }
-            if line.in_flight() > 0 {
-                self.active_credits.insert(li);
-            }
-        }
-        self.ids = ids;
+        let Shard { wheel, routers, .. } = self;
+        wheel.drain_credits(now, |li, vc| {
+            // Credits top up counters only; they cannot give a quiescent
+            // router work, so no router activation here.
+            let src = ctx.topo.link(LinkId(li)).src.index();
+            routers[src].add_credit(ctx.link_out_port[li as usize], vc);
+        });
     }
 
-    /// Media deliver arrived flits: into the local input buffers when the
-    /// destination router is owned, into the destination shard's mailbox
-    /// otherwise. All per-link/per-packet accounting happens here, at the
-    /// owner — the serial engine's accounting site.
+    /// Media deliver arrived flits: the wheel hands over the plain-link
+    /// flits due this cycle, then every active guarded or hetero-PHY
+    /// medium steps and hands over what it delivered.
     fn stage_media(
         &mut self,
         ctx: &EngineCtx<'_>,
@@ -669,116 +657,58 @@ impl Shard {
         store: &PacketStore,
         part: &Partition,
     ) {
+        // `deliver` needs the whole shard; the wheel goes back right after.
+        let mut wheel = std::mem::take(&mut self.wheel);
+        wheel.drain_flits(now, |li, fref| {
+            self.deliver(ctx, now, store, part, li as usize, fref, None)
+        });
+        self.wheel = wheel;
+
         let mut ids = std::mem::take(&mut self.ids);
+        let mut arrivals = std::mem::take(&mut self.arrivals);
         self.active_media.drain_into(&mut ids);
-        let sid = self.id;
-        let Shard {
-            routers,
-            media,
-            link_flits,
-            active_routers,
-            active_media,
-            activity,
-            faults,
-            arena,
-            out_flits,
-            link_events,
-            tracer,
-            metrics,
-            ..
-        } = self;
         for &li in &ids {
-            let link = ctx.topo.link(LinkId(li as u32));
-            let in_port = ctx.link_in_port[li];
-            let dst = link.dst.index();
-            let dst_shard = part.node_shard[dst];
-            let local = dst_shard == sid;
+            let Shard {
+                media,
+                active_media,
+                activity,
+                faults,
+                arena,
+                link_events,
+                tracer,
+                metrics,
+                ..
+            } = self;
             let medium = media[li].as_mut().expect("stepping unowned medium");
-            {
-                let mut ev = |e: LinkEvent| {
-                    link_events.push(e);
-                    tracer.emit(
-                        link_key(li as u32),
-                        now,
-                        TraceKind::Link,
-                        NO_PID,
-                        li as u32,
-                        link_event_code(e),
-                    );
-                    if e == LinkEvent::Retransmit {
-                        // Recovery traffic is forward progress: it must
-                        // hold the deadlock watchdog off.
-                        *activity = true;
-                    }
-                };
-                match &mut *medium {
-                    Medium::Plain { .. } => {}
-                    Medium::Guarded { line, .. } => {
-                        let lf = &mut faults.links[li];
-                        line.advance(now, arena, &mut || lf.draw(now), &mut ev);
-                    }
-                    Medium::Hetero(h) => h.advance(now, arena, &mut ev),
+            let mut ev = |e: LinkEvent| {
+                link_events.push(e);
+                tracer.emit(
+                    link_key(li as u32),
+                    now,
+                    TraceKind::Link,
+                    NO_PID,
+                    li as u32,
+                    link_event_code(e),
+                );
+                if e == LinkEvent::Retransmit {
+                    // Recovery traffic is forward progress: it must
+                    // hold the deadlock watchdog off.
+                    *activity = true;
                 }
-            }
-            // Every medium hands over arena handles; `phy` names the
-            // hetero-PHY adapter lane a flit came off, if any.
-            let mut deliver = |fref: FlitRef, class: LinkClass, phy: Option<PhyKind>| {
-                let flit = arena.get(fref);
-                link_flits[li] += 1;
-                let info = store.get(flit.pid);
-                match class {
-                    LinkClass::OnChip => {
-                        info.onchip_flits.fetch_add(1, Relaxed);
-                    }
-                    LinkClass::Parallel => {
-                        info.parallel_flits.fetch_add(1, Relaxed);
-                    }
-                    LinkClass::Serial => {
-                        info.serial_flits.fetch_add(1, Relaxed);
-                    }
-                    LinkClass::HeteroPhy => unreachable!(),
-                }
-                if flit.is_head() {
-                    info.hops.fetch_add(1, Relaxed);
-                }
-                let (kind, arg) = match phy {
-                    None => (TraceKind::Hop, flit.is_head() as u32),
-                    Some(lane) => {
-                        if let Some(m) = metrics.as_mut() {
-                            m.slice.add(m.ids.phy_dispatch[lane as usize], 1);
-                        }
-                        (TraceKind::PhyDispatch, lane as u32)
-                    }
-                };
-                tracer.emit(link_key(li as u32), now, kind, flit.pid.0, li as u32, arg);
-                if local {
-                    routers[dst].receive(in_port, fref, flit.vc);
-                    active_routers.insert(dst);
-                } else {
-                    let flit = arena.free(fref);
-                    out_flits[dst_shard as usize].push(FlitMsg {
-                        li: li as u32,
-                        flit,
-                    });
-                }
-                *activity = true;
             };
-            match medium {
-                Medium::Plain { line, class } => {
-                    let class = *class;
-                    line.drain_ready(now, |fref| deliver(fref, class, None));
-                }
-                Medium::Guarded { line, class } => {
-                    let class = *class;
-                    line.drain_delivered(|fref| deliver(fref, class, None));
+            match &mut *medium {
+                // Plain links never join the set; their flits are on the
+                // wheel.
+                Medium::Plain(_) => {}
+                Medium::Guarded(line) => {
+                    let lf = &mut faults.links[li];
+                    line.advance(now, arena, &mut || lf.draw(now), &mut ev);
+                    line.drain_delivered(|fref| arrivals.push((fref, None)));
                 }
                 Medium::Hetero(h) => {
+                    h.advance(now, arena, &mut ev);
                     while let Some((fref, lane)) = h.pop_delivered() {
-                        let class = match lane {
-                            PhyKind::Parallel => LinkClass::Parallel,
-                            PhyKind::Serial => LinkClass::Serial,
-                        };
-                        deliver(fref, class, Some(lane));
+                        arrivals.push((fref, Some(lane)));
                     }
                     if let Some(m) = metrics.as_mut() {
                         if let Some(id) = m.ids.rob_gauge[li] {
@@ -790,11 +720,82 @@ impl Shard {
                     }
                 }
             }
-            if media[li].as_ref().expect("unowned medium").in_flight() > 0 {
+            if medium.in_flight() > 0 {
                 active_media.insert(li);
             }
+            for (fref, phy) in arrivals.drain(..) {
+                self.deliver(ctx, now, store, part, li, fref, phy);
+            }
         }
+        self.arrivals = arrivals;
         self.ids = ids;
+    }
+
+    /// Hands a flit that arrived over owned link `li` to its destination:
+    /// the input buffer when the destination router is owned, the
+    /// destination shard's mailbox otherwise. All per-link/per-packet
+    /// accounting happens here, at the owner — the serial engine's
+    /// accounting site. `phy` names the hetero-PHY adapter lane the flit
+    /// came off, if any.
+    #[allow(clippy::too_many_arguments)]
+    fn deliver(
+        &mut self,
+        ctx: &EngineCtx<'_>,
+        now: Cycle,
+        store: &PacketStore,
+        part: &Partition,
+        li: usize,
+        fref: FlitRef,
+        phy: Option<PhyKind>,
+    ) {
+        let link = ctx.topo.link(LinkId(li as u32));
+        let dst = link.dst.index();
+        let dst_shard = part.node_shard[dst];
+        let flit = self.arena.get(fref);
+        self.link_flits[li] += 1;
+        let info = store.get(flit.pid);
+        let class = match phy {
+            None => link.class,
+            Some(PhyKind::Parallel) => LinkClass::Parallel,
+            Some(PhyKind::Serial) => LinkClass::Serial,
+        };
+        match class {
+            LinkClass::OnChip => {
+                info.onchip_flits.fetch_add(1, Relaxed);
+            }
+            LinkClass::Parallel => {
+                info.parallel_flits.fetch_add(1, Relaxed);
+            }
+            LinkClass::Serial => {
+                info.serial_flits.fetch_add(1, Relaxed);
+            }
+            LinkClass::HeteroPhy => unreachable!(),
+        }
+        if flit.is_head() {
+            info.hops.fetch_add(1, Relaxed);
+        }
+        let (kind, arg) = match phy {
+            None => (TraceKind::Hop, flit.is_head() as u32),
+            Some(lane) => {
+                if let Some(m) = self.metrics.as_mut() {
+                    m.slice.add(m.ids.phy_dispatch[lane as usize], 1);
+                }
+                (TraceKind::PhyDispatch, lane as u32)
+            }
+        };
+        self.tracer
+            .emit(link_key(li as u32), now, kind, flit.pid.0, li as u32, arg);
+        if dst_shard == self.id {
+            self.routers[dst].receive(ctx.link_in_port[li], fref, flit.vc);
+            self.active_routers.insert(dst);
+        } else {
+            let flit = self.arena.free(fref);
+            self.out_flits[dst_shard as usize].push(FlitMsg {
+                li: li as u32,
+                flit,
+            });
+        }
+        self.activity = true;
     }
 
     /// NICs stream queued packets into injection ports.
@@ -881,7 +882,8 @@ impl Shard {
             routing: ctx.routing,
             store,
             media: &mut self.media,
-            credit_lines: &mut self.credit_lines,
+            wheel: &mut self.wheel,
+            credit_latency: &self.credit_latency,
             faults: &mut self.faults,
             outport_link: &[],
             inport_link: &[],
@@ -895,7 +897,6 @@ impl Shard {
             sid: self.id,
             activity: &mut self.activity,
             active_media: &mut self.active_media,
-            active_credits: &mut self.active_credits,
             deliveries: &mut self.deliveries,
             out_credits: &mut self.out_credits,
             tracer: &mut self.tracer,
@@ -927,7 +928,8 @@ struct ShardEnv<'a> {
     routing: &'a dyn Routing,
     store: &'a PacketStore,
     media: &'a mut [Option<Medium>],
-    credit_lines: &'a mut [Option<CreditLine>],
+    wheel: &'a mut LinkWheel,
+    credit_latency: &'a [u32],
     faults: &'a mut FaultCore,
     /// out_port (1-based; 0 is ejection) → LinkId, per this node.
     outport_link: &'a [LinkId],
@@ -945,7 +947,6 @@ struct ShardEnv<'a> {
     sid: u16,
     activity: &'a mut bool,
     active_media: &'a mut ActiveSet,
-    active_credits: &'a mut ActiveSet,
     deliveries: &'a mut Vec<Delivery>,
     out_credits: &'a mut [Vec<CreditMsg>],
     tracer: &'a mut Tracer,
@@ -1003,8 +1004,8 @@ impl RouterEnv for ShardEnv<'_> {
             return 0; // hard-failed link: nothing enters (upstream stalls)
         }
         let cap = match self.media[li].as_mut().expect("out over unowned link") {
-            Medium::Plain { line, .. } => line.capacity(self.now) as u16,
-            Medium::Guarded { line, .. } => line.capacity(self.now) as u16,
+            Medium::Plain(lanes) => lanes.capacity(self.now) as u16,
+            Medium::Guarded(line) => line.capacity(self.now) as u16,
             Medium::Hetero(h) => h.space(),
         };
         match self.faults.lane_cap(li) {
@@ -1047,19 +1048,20 @@ impl RouterEnv for ShardEnv<'_> {
             return;
         }
         let link = self.outport_link[(out_port - 1) as usize];
-        self.active_media.insert(link.index());
-        match self.media[link.index()]
-            .as_mut()
-            .expect("send over unowned link")
-        {
-            Medium::Plain { line, .. } => {
-                let ok = line.try_send(self.now, fref);
-                debug_assert!(ok, "plain link over capacity");
+        let li = link.index();
+        match self.media[li].as_mut().expect("send over unowned link") {
+            Medium::Plain(lanes) => {
+                let at = lanes.try_take(self.now);
+                debug_assert!(at.is_some(), "plain link over capacity");
+                if let Some(at) = at {
+                    self.wheel.push_flit(at, link.0, fref);
+                }
+                return;
             }
-            Medium::Guarded { line, .. } => {
+            Medium::Guarded(line) => {
                 // Corruption strikes the wire at transmission time; the
                 // receiver's CRC catches it and the replay buffer recovers.
-                let corrupt = self.faults.draw(link.index(), self.now);
+                let corrupt = self.faults.draw(li, self.now);
                 let ok = line.try_send(self.now, fref, arena, corrupt);
                 debug_assert!(ok, "guarded link over capacity");
             }
@@ -1068,6 +1070,7 @@ impl RouterEnv for ShardEnv<'_> {
                 h.push(self.now, fref, info.class, info.priority);
             }
         }
+        self.active_media.insert(li);
     }
 
     fn credit(&mut self, in_port: u16, vc: u8) {
@@ -1078,13 +1081,10 @@ impl RouterEnv for ShardEnv<'_> {
         let li = link.index();
         let owner = self.link_owner[li];
         if owner == self.sid {
-            self.credit_lines[li]
-                .as_mut()
-                .expect("owner holds the credit line")
-                .send(self.now, vc);
-            self.active_credits.insert(li);
+            let at = self.now + self.credit_latency[li] as Cycle;
+            self.wheel.push_credit(at, link.0, vc);
         } else {
-            // The credit line lives with the link's source shard; post the
+            // The link's transmitter lives in its source shard; post the
             // credit for replay at the top of the next cycle.
             self.out_credits[owner as usize].push(CreditMsg { li: li as u32, vc });
         }

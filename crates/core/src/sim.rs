@@ -311,21 +311,23 @@ pub(crate) fn drive<D: CycleDriver>(
     let skip = net.skip_enabled();
     let mut skip_until: Cycle = 0;
     // Ejection feedback for dependency-driven workloads: cumulative
-    // per-tag delivered counts copied out of the collector once per cycle
-    // (deliveries merge at the end of cycle T, the workload observes them
-    // at the top of T+1, so a dependent phase starts strictly after its
-    // predecessor's last ejection). Stays empty — one `is_empty` check —
-    // for untagged workloads.
+    // per-tag delivered counts copied out of the collector (deliveries
+    // merge at the end of cycle T, the workload observes them at the top
+    // of T+1, so a dependent phase starts strictly after its
+    // predecessor's last ejection). The copy is refreshed only in cycles
+    // after a delivery merged; it stays empty for untagged workloads.
     let mut tag_scratch: Vec<u64> = Vec::new();
+    let mut tags_as_of = u64::MAX;
 
     // One cycle: poll (optionally), step or skip, sample, watchdog.
     macro_rules! cycle {
         ($poll:expr) => {{
             if $poll {
-                let by_tag = &net.collector().by_tag;
-                if !by_tag.is_empty() {
+                let c = net.collector();
+                if c.delivered_packets != tags_as_of {
+                    tags_as_of = c.delivered_packets;
                     tag_scratch.clear();
-                    tag_scratch.extend(by_tag.iter().map(|s| s.delivered));
+                    tag_scratch.extend(c.by_tag.iter().map(|s| s.delivered));
                 }
                 workload.observe(net.now(), &tag_scratch);
                 workload.poll(net.now(), &mut buf);

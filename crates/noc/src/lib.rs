@@ -10,8 +10,8 @@
 //!   steady-state hot path performs no allocation;
 //! * [`channel`] — behavioral channel models: a [`channel::DelayLine`]
 //!   ("multiple virtual pipeline registers": latency → pipeline stages,
-//!   bandwidth → lanes) and the matching [`channel::CreditLine`] for
-//!   credit-based flow control with realistic feedback lag;
+//!   bandwidth → lanes) and its entry half [`channel::Lanes`] for a link
+//!   whose in-flight flits live elsewhere;
 //! * [`mailbox`] — the double-buffered [`mailbox::ShardMailbox`] carrying
 //!   flit and credit values across shard boundaries in the parallel
 //!   engine, with a drain order fixed by shard id rather than scheduling;
@@ -43,7 +43,7 @@ pub mod retry;
 pub mod router;
 
 pub use arena::{FlitArena, FlitRef, Slab};
-pub use channel::{CreditLine, DelayLine};
+pub use channel::{DelayLine, Lanes};
 pub use flit::{Flit, OrderClass, Priority};
 pub use mailbox::ShardMailbox;
 pub use packet::{PacketId, PacketInfo, PacketStore};

@@ -575,9 +575,8 @@ mod tests {
         let mut seq = 0u16;
         for now in 0..200u64 {
             retry.advance(now, &mut arena, &mut || false, &mut |_| {});
-            let mut a = Vec::new();
+            let a: Vec<_> = std::iter::from_fn(|| plain.pop_ready(now)).collect();
             let mut b = Vec::new();
-            plain.drain_ready(now, |f| a.push(f));
             retry.drain_delivered(|r| b.push(arena.free(r)));
             assert_eq!(a, b, "cycle {now}");
             if now % 3 != 2 {

@@ -54,6 +54,35 @@ impl ActiveSet {
         }
     }
 
+    /// Removes `i`; removing a non-member is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn remove(&mut self, i: usize) {
+        let word = &mut self.words[i / 64];
+        let bit = 1u64 << (i % 64);
+        if *word & bit != 0 {
+            *word &= !bit;
+            self.len -= 1;
+        }
+    }
+
+    /// The smallest member `>= from`, if any. It reads the set as it is
+    /// now, so a scan that advances `from` past each visited member also
+    /// visits members inserted above it along the way.
+    pub fn next_from(&self, from: usize) -> Option<usize> {
+        let mut wi = from / 64;
+        let mut w = self.words.get(wi)? & (!0u64 << (from % 64));
+        loop {
+            if w != 0 {
+                return Some(wi * 64 + w.trailing_zeros() as usize);
+            }
+            wi += 1;
+            w = *self.words.get(wi)?;
+        }
+    }
+
     /// Whether `i` is in the set.
     pub fn contains(&self, i: usize) -> bool {
         self.words
@@ -192,6 +221,24 @@ mod tests {
         s.insert(2);
         s.drain_into(&mut out);
         assert_eq!(out, vec![2, 7]);
+    }
+
+    #[test]
+    fn remove_and_next_from_walk_a_live_set() {
+        let mut s = ActiveSet::new(200);
+        for i in [3, 64, 130] {
+            s.insert(i);
+        }
+        s.remove(64);
+        s.remove(64);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.next_from(0), Some(3));
+        assert_eq!(s.next_from(4), Some(130));
+        // A member inserted above the cursor is seen by the next step.
+        s.insert(100);
+        assert_eq!(s.next_from(4), Some(100));
+        assert_eq!(s.next_from(131), None);
+        assert_eq!(s.next_from(500), None);
     }
 
     #[test]

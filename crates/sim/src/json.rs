@@ -261,6 +261,7 @@ impl std::error::Error for JsonError {}
 /// Parses a complete JSON document (one value plus trailing whitespace).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -278,6 +279,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    /// The document; `bytes` is the same text as bytes.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -390,6 +393,18 @@ impl Parser<'_> {
         self.eat(b'"', "expected '\"'")?;
         let mut s = String::new();
         loop {
+            // Copy the run up to the next quote, escape or control byte
+            // as one slice. Those bytes are ASCII, which never occurs
+            // inside a multi-byte UTF-8 sequence, so both ends of the run
+            // are char boundaries of the `&str` input.
+            let start = self.pos;
+            while self
+                .peek()
+                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+            {
+                self.pos += 1;
+            }
+            s.push_str(&self.src[start..self.pos]);
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
@@ -425,20 +440,7 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                b if b < 0x20 => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Re-sync to the char boundary: step back and take
-                    // the full UTF-8 scalar.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -505,6 +507,34 @@ mod tests {
         assert!(text.contains(r"\u0001"));
         let back = parse(&text).unwrap();
         assert_eq!(back, doc);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of mixed one-, two-, three- and four-byte characters with
+        // an escape every so often; quadratic scanning took minutes here.
+        let unit = "ab\u{e9}\u{4e2d}\u{1f600}xyz";
+        let mut value = String::new();
+        while value.len() < 1 << 20 {
+            value.push_str(unit);
+            if value.len() % 1000 < unit.len() {
+                value.push('"');
+            }
+        }
+        let mut doc = Json::obj();
+        doc.set("preset", Json::from(value.as_str()));
+        let text = doc.render();
+        let t = std::time::Instant::now();
+        let back = parse(&text).unwrap();
+        assert_eq!(
+            back.get("preset").and_then(Json::as_str),
+            Some(value.as_str())
+        );
+        assert!(
+            t.elapsed() < std::time::Duration::from_secs(5),
+            "parsing 1 MiB took {:?}",
+            t.elapsed()
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ use chiplet_noc::{OrderClass, Priority};
 use chiplet_topo::NodeId;
 use simkit::codec::{ByteReader, ByteWriter, CodecError, LoadState, SaveState};
 use simkit::hash::sha256_hex;
-use simkit::Cycle;
+use simkit::{ActiveSet, Cycle};
 
 /// The on-disk phase-trace format header. Version bumps on any change
 /// to the line grammar.
@@ -100,14 +100,32 @@ impl PhaseRt {
 /// docs). Implements [`Workload`]; drive it with drain-offers enabled
 /// (`RunSpec::with_drain_offers`) so the drain phase keeps polling until
 /// the whole graph has injected.
+///
+/// The per-cycle calls visit only the dependency frontier: each phase
+/// counts its incomplete dependencies, a completing phase decrements its
+/// dependents' counts, and two bitsets name the phases
+/// [`Workload::poll`] and [`Workload::observe`] have work for. All of it
+/// is derived from `phases` and `rt` and rebuilt whenever `rt` is
+/// replaced, so only `rt` is saved.
 #[derive(Debug, Clone)]
 pub struct PhaseGraph {
     phases: Vec<PhaseSpec>,
     rt: Vec<PhaseRt>,
-    /// Every phase below this index is complete, so the per-cycle
-    /// [`Workload::poll`] and [`Workload::observe`] loops start here.
-    /// Derived from `rt`; not part of the saved state.
-    first_incomplete: usize,
+    /// Dependents of phase `i`, as
+    /// `dependents[dependents_at[i]..dependents_at[i + 1]]` (a phase
+    /// listing a dependency twice appears twice).
+    dependents_at: Vec<usize>,
+    dependents: Vec<usize>,
+    /// Incomplete dependencies per phase, counted like `dependents`.
+    unmet: Vec<u32>,
+    /// Incomplete phases whose dependencies are complete and that still
+    /// have to be released, inject, or (with no events) complete.
+    to_poll: ActiveSet,
+    /// Incomplete phases with events, all injected, waiting on delivery.
+    to_observe: ActiveSet,
+    /// Phases not yet released and fully injected; [`Workload::done`]
+    /// once it reaches zero.
+    pending: usize,
 }
 
 impl PhaseGraph {
@@ -137,11 +155,71 @@ impl PhaseGraph {
                 );
             }
         }
-        let rt = vec![PhaseRt::fresh(); phases.len()];
-        Self {
+        let n = phases.len();
+        let mut dependents_at = vec![0usize; n + 1];
+        for p in &phases {
+            for &d in &p.deps {
+                dependents_at[d + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            dependents_at[i + 1] += dependents_at[i];
+        }
+        let mut dependents = vec![0usize; dependents_at[n]];
+        let mut fill = dependents_at.clone();
+        for (idx, p) in phases.iter().enumerate() {
+            for &d in &p.deps {
+                dependents[fill[d]] = idx;
+                fill[d] += 1;
+            }
+        }
+        let mut g = Self {
             phases,
-            rt,
-            first_incomplete: 0,
+            rt: vec![PhaseRt::fresh(); n],
+            dependents_at,
+            dependents,
+            unmet: vec![0; n],
+            to_poll: ActiveSet::new(n),
+            to_observe: ActiveSet::new(n),
+            pending: 0,
+        };
+        g.derive();
+        g
+    }
+
+    /// Rebuilds the frontier from `rt`, which must be consistent (see
+    /// [`LoadState`] for the rules).
+    fn derive(&mut self) {
+        self.to_poll.clear();
+        self.to_observe.clear();
+        self.pending = 0;
+        for (idx, (p, rt)) in self.phases.iter().zip(&self.rt).enumerate() {
+            let unmet = p.deps.iter().filter(|&&d| !self.rt[d].complete).count();
+            self.unmet[idx] = unmet as u32;
+            let injected = rt.cursor == p.events.len();
+            if rt.released_at.is_none() || !injected {
+                self.pending += 1;
+            }
+            if rt.complete {
+                continue;
+            }
+            if injected && !p.events.is_empty() {
+                self.to_observe.insert(idx);
+            } else if unmet == 0 {
+                self.to_poll.insert(idx);
+            }
+        }
+    }
+
+    /// Marks phase `idx` complete and moves every dependent whose last
+    /// dependency this was onto the poll frontier.
+    fn complete(&mut self, idx: usize) {
+        self.rt[idx].complete = true;
+        for &d in &self.dependents[self.dependents_at[idx]..self.dependents_at[idx + 1]] {
+            self.unmet[d] -= 1;
+            if self.unmet[d] == 0 {
+                self.to_poll.insert(d);
+            }
         }
     }
 
@@ -179,9 +257,11 @@ impl PhaseGraph {
         self.rt[idx].complete
     }
 
-    /// Whether every phase has completed.
+    /// Whether every phase has completed. The lowest incomplete phase,
+    /// if any, has only complete dependencies and so sits on one of the
+    /// frontiers; both are empty exactly when everything completed.
     pub fn all_complete(&self) -> bool {
-        self.rt.iter().all(|r| r.complete)
+        self.to_poll.is_empty() && self.to_observe.is_empty()
     }
 
     /// Resets the runtime state so the same graph can be replayed.
@@ -189,18 +269,7 @@ impl PhaseGraph {
         for r in &mut self.rt {
             *r = PhaseRt::fresh();
         }
-        self.first_incomplete = 0;
-    }
-
-    /// Moves [`Self::first_incomplete`] past every completed phase.
-    fn skip_completed(&mut self) {
-        while self
-            .rt
-            .get(self.first_incomplete)
-            .is_some_and(|r| r.complete)
-        {
-            self.first_incomplete += 1;
-        }
+        self.derive();
     }
 
     /// Scales every phase's compute window by `factor` (the sweep axis
@@ -586,46 +655,44 @@ impl PhaseGraph {
 
 impl Workload for PhaseGraph {
     fn observe(&mut self, _now: Cycle, delivered_by_tag: &[u64]) {
-        let first = self.first_incomplete;
-        for (idx, rt) in self.rt.iter_mut().enumerate().skip(first) {
-            if rt.complete {
-                continue;
-            }
-            let p = &self.phases[idx];
-            if p.events.is_empty() || rt.cursor < p.events.len() {
-                continue; // empty phases complete in poll; not fully injected yet
-            }
+        let mut from = 0;
+        while let Some(idx) = self.to_observe.next_from(from) {
+            from = idx + 1;
+            let expected = self.phases[idx].events.len() as u64;
             let tag = Self::tag_of(idx) as usize;
             let delivered = delivered_by_tag.get(tag).copied().unwrap_or(0);
-            debug_assert!(delivered <= p.events.len() as u64);
-            if delivered == p.events.len() as u64 {
-                rt.complete = true;
+            debug_assert!(delivered <= expected);
+            if delivered == expected {
+                self.to_observe.remove(idx);
+                self.complete(idx);
             }
         }
-        self.skip_completed();
     }
 
     fn poll(&mut self, now: Cycle, out: &mut Vec<PacketRequest>) {
-        // Ascending index order: deps always point backwards, so a chain
-        // of zero-cost phases (empty events, zero compute) cascades
-        // within a single poll instead of costing a cycle per link.
-        for idx in self.first_incomplete..self.phases.len() {
-            if self.rt[idx].complete {
-                continue;
-            }
-            if self.rt[idx].released_at.is_none()
-                && self.phases[idx].deps.iter().all(|&d| self.rt[d].complete)
-            {
-                self.rt[idx].released_at = Some(now + self.phases[idx].compute);
-            }
-            let Some(at) = self.rt[idx].released_at else {
-                continue;
+        // Ascending index order, re-reading the frontier each step: deps
+        // always point backwards, so a chain of zero-cost phases (empty
+        // events, zero compute) cascades within a single poll instead of
+        // costing a cycle per link.
+        let mut from = 0;
+        while let Some(idx) = self.to_poll.next_from(from) {
+            from = idx + 1;
+            let p = &self.phases[idx];
+            let rt = &mut self.rt[idx];
+            let at = match rt.released_at {
+                Some(at) => at,
+                None => {
+                    let at = now + p.compute;
+                    rt.released_at = Some(at);
+                    if p.events.is_empty() {
+                        self.pending -= 1;
+                    }
+                    at
+                }
             };
             if now < at {
                 continue;
             }
-            let p = &self.phases[idx];
-            let rt = &mut self.rt[idx];
             let tag = Self::tag_of(idx);
             while let Some(&(rel, req)) = p.events.get(rt.cursor) {
                 if at + rel > now {
@@ -635,10 +702,14 @@ impl Workload for PhaseGraph {
                 rt.cursor += 1;
             }
             if p.events.is_empty() {
-                rt.complete = true;
+                self.to_poll.remove(idx);
+                self.complete(idx);
+            } else if rt.cursor == p.events.len() {
+                self.pending -= 1;
+                self.to_poll.remove(idx);
+                self.to_observe.insert(idx);
             }
         }
-        self.skip_completed();
     }
 
     fn done(&self) -> bool {
@@ -646,10 +717,7 @@ impl Workload for PhaseGraph {
         // been released and fully injected. Completion of the *last*
         // phases still needs their packets to eject, which the drain
         // loop's live-packet check covers.
-        self.rt
-            .iter()
-            .zip(&self.phases)
-            .all(|(rt, p)| rt.released_at.is_some() && rt.cursor == p.events.len())
+        self.pending == 0
     }
 }
 
@@ -674,6 +742,11 @@ impl SaveState for PhaseGraph {
 }
 
 impl LoadState for PhaseGraph {
+    /// Overlays saved runtime state, which must be one a run can reach:
+    /// every cursor within its phase's events, nothing injected before
+    /// release, completion only after release and full injection, and no
+    /// release before every dependency completed. Anything else is
+    /// [`CodecError::Corrupt`] and leaves the graph unchanged.
     fn load_state(&mut self, r: &mut ByteReader) -> Result<(), CodecError> {
         let n = r.get_usize()?;
         if n != self.rt.len() {
@@ -682,20 +755,41 @@ impl LoadState for PhaseGraph {
                 self.rt.len()
             )));
         }
-        for rt in &mut self.rt {
-            rt.complete = r.get_bool()?;
-            rt.released_at = if r.get_bool()? {
+        let mut rts = Vec::with_capacity(n);
+        for _ in 0..n {
+            let complete = r.get_bool()?;
+            let released_at = if r.get_bool()? {
                 Some(r.get_u64()?)
             } else {
                 None
             };
-            rt.cursor = r.get_usize()?;
-            if rt.cursor > usize::MAX / 2 {
-                return Err(CodecError::Corrupt("phase event cursor"));
+            let cursor = r.get_usize()?;
+            rts.push(PhaseRt {
+                released_at,
+                cursor,
+                complete,
+            });
+        }
+        for (p, rt) in self.phases.iter().zip(&rts) {
+            if rt.cursor > p.events.len() {
+                return Err(CodecError::Corrupt("phase event cursor past its events"));
+            }
+            if rt.released_at.is_none() && rt.cursor > 0 {
+                return Err(CodecError::Corrupt("unreleased phase has injected events"));
+            }
+            if rt.complete && (rt.released_at.is_none() || rt.cursor < p.events.len()) {
+                return Err(CodecError::Corrupt(
+                    "phase complete before it fully injected",
+                ));
+            }
+            if rt.released_at.is_some() && p.deps.iter().any(|&d| !rts[d].complete) {
+                return Err(CodecError::Corrupt(
+                    "phase released before its dependencies completed",
+                ));
             }
         }
-        self.first_incomplete = 0;
-        self.skip_completed();
+        self.rt = rts;
+        self.derive();
         Ok(())
     }
 }
@@ -1084,6 +1178,207 @@ mod tests {
         out.clear();
         g.poll(0, &mut out);
         assert_eq!(out.len(), 1, "phase 0 injects after reset");
+    }
+
+    /// The scan scheduler the frontier replaced, kept as the reference:
+    /// every call visits every phase.
+    struct ScanGraph {
+        phases: Vec<PhaseSpec>,
+        rt: Vec<PhaseRt>,
+    }
+
+    impl ScanGraph {
+        fn observe(&mut self, delivered_by_tag: &[u64]) {
+            for (idx, rt) in self.rt.iter_mut().enumerate() {
+                let p = &self.phases[idx];
+                if rt.complete || p.events.is_empty() || rt.cursor < p.events.len() {
+                    continue;
+                }
+                let tag = PhaseGraph::tag_of(idx) as usize;
+                if delivered_by_tag.get(tag).copied().unwrap_or(0) == p.events.len() as u64 {
+                    rt.complete = true;
+                }
+            }
+        }
+
+        fn poll(&mut self, now: Cycle, out: &mut Vec<PacketRequest>) {
+            for idx in 0..self.phases.len() {
+                if self.rt[idx].complete {
+                    continue;
+                }
+                if self.rt[idx].released_at.is_none()
+                    && self.phases[idx].deps.iter().all(|&d| self.rt[d].complete)
+                {
+                    self.rt[idx].released_at = Some(now + self.phases[idx].compute);
+                }
+                let Some(at) = self.rt[idx].released_at else {
+                    continue;
+                };
+                if now < at {
+                    continue;
+                }
+                let p = &self.phases[idx];
+                let rt = &mut self.rt[idx];
+                while let Some(&(rel, req)) = p.events.get(rt.cursor) {
+                    if at + rel > now {
+                        break;
+                    }
+                    out.push(req.with_tag(PhaseGraph::tag_of(idx)));
+                    rt.cursor += 1;
+                }
+                if p.events.is_empty() {
+                    rt.complete = true;
+                }
+            }
+        }
+
+        fn done(&self) -> bool {
+            self.rt
+                .iter()
+                .zip(&self.phases)
+                .all(|(rt, p)| rt.released_at.is_some() && rt.cursor == p.events.len())
+        }
+
+        fn all_complete(&self) -> bool {
+            self.rt.iter().all(|r| r.complete)
+        }
+    }
+
+    /// A random topologically ordered DAG: 0–3 dependencies per phase
+    /// (repeats allowed, as the trace format allows them), empty phases
+    /// and zero compute windows common enough that releases cascade
+    /// within one poll.
+    fn random_specs(rng: &mut simkit::SimRng) -> Vec<PhaseSpec> {
+        let n = 1 + rng.index(12);
+        (0..n)
+            .map(|idx| {
+                let ndeps = if idx == 0 { 0 } else { rng.index(4) };
+                let deps = (0..ndeps).map(|_| rng.index(idx)).collect();
+                let compute = if rng.chance(0.5) { 0 } else { rng.below(4) };
+                let mut events: Vec<(Cycle, PacketRequest)> = (0..rng.index(4))
+                    .map(|_| {
+                        let src = rng.index(4) as u32;
+                        let dst = (src + 1 + rng.index(3) as u32) % 4;
+                        let len = 1 + rng.index(3) as u16;
+                        (
+                            rng.below(4),
+                            PacketRequest::new(NodeId(src), NodeId(dst), len),
+                        )
+                    })
+                    .collect();
+                events.sort_by_key(|&(t, _)| t);
+                PhaseSpec {
+                    name: format!("p{idx}"),
+                    deps,
+                    compute,
+                    events,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn frontier_matches_the_scan_scheduler_on_random_dags() {
+        let mut rng = simkit::SimRng::seed(0xF40_7713);
+        for case in 0..400 {
+            let specs = random_specs(&mut rng);
+            let mut reference = ScanGraph {
+                phases: specs.clone(),
+                rt: vec![PhaseRt::fresh(); specs.len()],
+            };
+            let mut g = PhaseGraph::new(specs.clone());
+            // Cumulative deliveries per tag, fed by a random-latency
+            // network: every emitted packet ejects 1–5 cycles later.
+            let mut delivered = vec![0u64; specs.len() + 1];
+            let mut in_flight: Vec<(Cycle, usize)> = Vec::new();
+            let restore_at = rng.below(30);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for now in 0..400 {
+                if now == restore_at {
+                    let mut w = ByteWriter::new();
+                    g.save_state(&mut w);
+                    g = PhaseGraph::new(specs.clone());
+                    g.load_state(&mut ByteReader::new(&w.into_bytes())).unwrap();
+                }
+                g.observe(now, &delivered);
+                reference.observe(&delivered);
+                got.clear();
+                want.clear();
+                g.poll(now, &mut got);
+                reference.poll(now, &mut want);
+                let ctx = format!("case {case} cycle {now}");
+                assert_eq!(got, want, "{ctx}: requests");
+                assert_eq!(g.rt, reference.rt, "{ctx}: runtime state");
+                assert_eq!(g.done(), reference.done(), "{ctx}: done");
+                assert_eq!(
+                    g.all_complete(),
+                    reference.all_complete(),
+                    "{ctx}: all_complete"
+                );
+                for r in &got {
+                    in_flight.push((now + 1 + rng.below(5), r.tag as usize));
+                }
+                in_flight.retain(|&(at, tag)| {
+                    if at == now {
+                        delivered[tag] += 1;
+                    }
+                    at > now
+                });
+                if reference.all_complete() {
+                    break;
+                }
+            }
+            assert!(
+                reference.all_complete(),
+                "case {case} must run to completion"
+            );
+        }
+    }
+
+    /// Saves `g`'s state with phase `idx`'s runtime fields replaced.
+    fn edited_blob(g: &PhaseGraph, idx: usize, edit: impl FnOnce(&mut PhaseRt)) -> Vec<u8> {
+        let mut edited = g.clone();
+        edit(&mut edited.rt[idx]);
+        let mut w = ByteWriter::new();
+        edited.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn load_state_rejects_states_no_run_reaches() {
+        // Phase 0 has released and injected its one event; phase 1 waits.
+        let mut g = two_phase_chain();
+        g.poll(0, &mut Vec::new());
+        for (what, blob) in [
+            (
+                "cursor past the events",
+                edited_blob(&g, 0, |rt| rt.cursor = 2),
+            ),
+            (
+                "events injected before release",
+                edited_blob(&g, 1, |rt| rt.cursor = 1),
+            ),
+            (
+                "complete before fully injected",
+                edited_blob(&g, 1, |rt| rt.complete = true),
+            ),
+            (
+                "released on an incomplete dependency",
+                edited_blob(&g, 1, |rt| rt.released_at = Some(3)),
+            ),
+        ] {
+            let mut target = two_phase_chain();
+            let e = target
+                .load_state(&mut ByteReader::new(&blob))
+                .expect_err(what);
+            assert!(matches!(e, CodecError::Corrupt(_)), "{what}: {e:?}");
+            assert_eq!(target.released_at(0), None, "{what}: graph left unchanged");
+        }
+        // The unedited state still loads.
+        let blob = edited_blob(&g, 0, |_| {});
+        let mut target = two_phase_chain();
+        target.load_state(&mut ByteReader::new(&blob)).unwrap();
+        assert!(target.done() == g.done() && target.released_at(0) == Some(0));
     }
 
     #[test]
