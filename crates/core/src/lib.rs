@@ -40,7 +40,8 @@
 //! * [`sim`] — warm-up/measure/drain driver with a deadlock watchdog and
 //!   an optional progress timeline ([`sim::run_timeline`]);
 //! * [`sweep`] — injection-rate sweeps (latency–throughput curves),
-//!   sequential or multi-threaded ([`sweep::latency_sweep`]);
+//!   sequential or multi-threaded ([`sweep::latency_sweep`]), and the one
+//!   early-exit rule every sweep uses ([`sweep::until_saturated`]);
 //! * fault model — [`SimConfig::with_ber`] arms BER-driven corruption and
 //!   the CRC/replay retry layer ([`chiplet_fault`] holds the config and
 //!   scripts; [`Network::set_fault_script`] schedules hard failures);

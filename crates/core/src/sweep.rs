@@ -1,35 +1,101 @@
 //! Injection-rate sweeps: the latency–throughput curves of Figs. 11/13/14.
 //!
-//! [`latency_sweep`] distributes the points of one curve over a worker
-//! pool ([`simkit::par::map`]; one thread = plain sequential loop). Every
-//! point is an independent simulation on a fresh network with the same
-//! seed, so the result is bit-identical for any thread count: the
-//! "stop two points past saturation" rule is applied over the completed
-//! points in rate order, and workers skip a point only when enough earlier
-//! points are already known saturated that the sequential sweep provably
-//! never reaches it.
+//! One rule ends every curve: [`until_saturated`] keeps points in rate
+//! order and stops two points past saturation (the curves of Fig. 11 end
+//! just past the saturation throughput). It consumes a lazily produced
+//! sequence, so a sequential caller computes nothing past the cut. Every
+//! sweep uses it: [`sweep_points`] runs the points of one curve on a
+//! worker pool ([`simkit::par::map`]; one thread = plain sequential loop)
+//! and cuts them with it, [`latency_sweep`] runs cold engine points
+//! through [`sweep_points`], the analytical estimator cuts its model
+//! points with it, and `hetero-serve`'s sweep service runs its cached
+//! engine points (cold and warm-started) through [`sweep_points`].
+//! [`saturation_rate`] reads the knee off any such curve.
 //!
-//! [`latency_sweep_warm_start`] additionally amortizes the warm-up: it
-//! pays it once ([`warm_checkpoint`]), and starts every point from the
-//! restored state ([`fork_point`]; an approximation — see its docs).
+//! Warm-started sweeps pay the warm-up once ([`warm_checkpoint`]) and
+//! start every point from the restored state ([`fork_point`]; an
+//! approximation — see its docs). The sweep service composes the two.
 
+use crate::cache::CachedPoint;
 use crate::network::Network;
-use crate::results::SimResults;
 use crate::sim::{run, run_until, RunOutcome, RunSpec};
 use chiplet_topo::NodeId;
 use chiplet_traffic::{SyntheticWorkload, TrafficPattern};
-use simkit::Cycle;
 use std::sync::Mutex;
 
-/// One point of a latency–injection curve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
+/// One point of a latency–injection curve, as the early-exit rule and
+/// [`saturation_rate`] see it.
+pub trait CurvePoint {
     /// Offered injection rate, flits/cycle/node.
-    pub rate: f64,
-    /// Measured results at that rate.
-    pub results: SimResults,
-    /// Whether the run drained completely.
-    pub drained: bool,
+    fn rate(&self) -> f64;
+    /// Whether the network saturated at this rate.
+    fn saturated(&self) -> bool;
+}
+
+impl CurvePoint for CachedPoint {
+    fn rate(&self) -> f64 {
+        self.rate
+    }
+
+    fn saturated(&self) -> bool {
+        self.results.is_saturated()
+    }
+}
+
+/// A point with something attached (a served point and its source).
+impl<P: CurvePoint, T> CurvePoint for (P, T) {
+    fn rate(&self) -> f64 {
+        self.0.rate()
+    }
+
+    fn saturated(&self) -> bool {
+        self.0.saturated()
+    }
+}
+
+/// The early-exit rule of every sweep: takes `points` in rate order and
+/// stops after the second saturated one. The sequence is consumed
+/// lazily, so nothing past the cut is produced.
+pub fn until_saturated<P: CurvePoint>(points: impl IntoIterator<Item = P>) -> Vec<P> {
+    let mut out = Vec::new();
+    let mut past_saturation = 0;
+    for point in points {
+        past_saturation += usize::from(point.saturated());
+        out.push(point);
+        if past_saturation == 2 {
+            break;
+        }
+    }
+    out
+}
+
+/// Runs `point(rate)` for each rate on a pool of `threads` workers and
+/// keeps what [`until_saturated`] keeps. Every point is independent, so
+/// the result is the same, in the same order, for any thread count:
+/// workers skip a point only when two earlier points are already known
+/// saturated, so the sequential sweep provably never reaches it, and a
+/// skipped point ends the curve. With more than one worker, points past
+/// the cut may still run; `point` sees every one that does.
+pub fn sweep_points<P: CurvePoint + Send>(
+    rates: &[f64],
+    threads: usize,
+    point: impl Fn(f64) -> P + Sync,
+) -> Vec<P> {
+    let jobs: Vec<(usize, f64)> = rates.iter().copied().enumerate().collect();
+    let saturated_idx: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+    let slots = simkit::par::map(&jobs, threads, |&(i, rate)| {
+        let sat = saturated_idx.lock().expect("sweep lock");
+        if sat.iter().filter(|&&s| s < i).count() >= 2 {
+            return None;
+        }
+        drop(sat);
+        let p = point(rate);
+        if p.saturated() {
+            saturated_idx.lock().expect("sweep lock").push(i);
+        }
+        Some(p)
+    });
+    until_saturated(slots.into_iter().map_while(|p| p))
 }
 
 /// The synthetic workload of one sweep point on `net`'s nodes.
@@ -58,112 +124,6 @@ pub(crate) fn run_synthetic(
     run(net, &mut w, spec)
 }
 
-/// Runs one point forked from a warm checkpoint ([`warm_checkpoint`]):
-/// builds the network, restores `blob` into it and runs the point's own
-/// workload from the warm state. The one fork path of warm-started
-/// sweeps, here and in the sweep service.
-pub fn fork_point(
-    build: impl FnOnce() -> Network,
-    blob: &[u8],
-    pattern: TrafficPattern,
-    rate: f64,
-    packet_len: u16,
-    spec: RunSpec,
-    seed: u64,
-) -> RunOutcome {
-    let mut net = build();
-    net.restore(blob)
-        .expect("the warm checkpoint restores into an identically-built network");
-    run_synthetic(&mut net, pattern, rate, packet_len, spec, seed)
-}
-
-/// Sweeps injection rates on fresh networks built by `build`, over a pool
-/// of `threads` workers (1 = sequential), stopping two points after
-/// saturation (the curves of Fig. 11 end just past the saturation
-/// throughput). An empty `rates` list is a no-op returning no points
-/// ([`sweep_endpoints`] handles the empty curve without panicking).
-///
-/// Returns the same points, in the same order, for any `threads`.
-pub fn latency_sweep(
-    build: impl Fn() -> Network + Sync,
-    pattern: TrafficPattern,
-    rates: &[f64],
-    packet_len: u16,
-    spec: RunSpec,
-    seed: u64,
-    threads: usize,
-) -> Vec<SweepPoint> {
-    sweep_executor(
-        |rate| run_synthetic(&mut build(), pattern, rate, packet_len, spec, seed),
-        rates,
-        threads,
-    )
-    .0
-}
-
-/// The shared sweep machinery behind [`latency_sweep`] and
-/// [`latency_sweep_warm_start`]: runs the point `run_at(rate)` for each
-/// rate on a pool of `threads` workers, applies the early-exit rule, and also
-/// reports how many points actually executed (the warm-start savings
-/// accounting needs the executed count, not the reported one — workers
-/// may finish points the truncation later drops).
-fn sweep_executor(
-    run_at: impl Fn(f64) -> RunOutcome + Sync,
-    rates: &[f64],
-    threads: usize,
-) -> (Vec<SweepPoint>, usize) {
-    let jobs: Vec<(usize, f64)> = rates.iter().copied().enumerate().collect();
-    let saturated_idx: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    let slots = simkit::par::map(&jobs, threads, |&(i, rate)| {
-        // Early exit: with two known-saturated points below i, the
-        // sequential sweep stops before reaching i.
-        let sat = saturated_idx.lock().expect("sweep lock");
-        if sat.iter().filter(|&&s| s < i).count() >= 2 {
-            return None;
-        }
-        drop(sat);
-        let outcome = run_at(rate);
-        let point = SweepPoint {
-            rate,
-            results: outcome.results,
-            drained: outcome.drained,
-        };
-        if point.results.is_saturated() {
-            saturated_idx.lock().expect("sweep lock").push(i);
-        }
-        Some(point)
-    });
-    let executed = slots.iter().flatten().count();
-    // Stop two points past saturation. A skipped point ends the curve:
-    // the sequential sweep stopped before it.
-    let mut out = Vec::new();
-    let mut past_saturation = 0;
-    for point in slots.into_iter().map_while(|p| p) {
-        let saturated = point.results.is_saturated();
-        out.push(point);
-        if saturated {
-            past_saturation += 1;
-            if past_saturation >= 2 {
-                break;
-            }
-        }
-    }
-    (out, executed)
-}
-
-/// A warm-started sweep: the points plus how many warm-up cycles the
-/// shared checkpoint avoided re-simulating.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmSweep {
-    /// Sweep points, truncated by the sequential early-exit rule.
-    pub points: Vec<SweepPoint>,
-    /// Warm-up cycles skipped across all executed points thanks to the
-    /// shared warm checkpoint. The first warm-up is paid once to build
-    /// the checkpoint, so `n` executed points save `warmup × (n − 1)`
-    /// cycles over a cold sweep.
-    pub warmup_cycles_saved: Cycle,
-}
-
 /// Runs the warm-up of a fresh `build()` network at `rate` and
 /// checkpoints it ([`Network::checkpoint`]) — the shared starting state
 /// of a warm-started sweep. `None` when the warm-up itself ends early
@@ -185,23 +145,36 @@ pub fn warm_checkpoint(
     }
 }
 
-/// Warm-start variant of [`latency_sweep`]: pays the warm-up once — at
-/// the first (lightest) rate — checkpoints the warmed network
-/// ([`warm_checkpoint`]) and starts every sweep point from the restored
-/// state instead of re-simulating its own warm-up.
+/// Runs one point forked from a warm checkpoint ([`warm_checkpoint`]):
+/// builds the network, restores `blob` into it and runs the point's own
+/// workload from the warm state.
 ///
-/// This is an *approximation mode*: each point resumes the warm state
-/// reached under the first rate with a fresh workload at its own rate, so
-/// results are close to — but not bit-identical with — a cold sweep
-/// (whose every point warms up under its own rate). Use it for dense
-/// sweeps where warm-up dominates the schedule; [`latency_sweep`] keeps
-/// the exact cold semantics.
+/// This is an *approximation*: the point resumes the warm state reached
+/// under the checkpoint's rate with a fresh workload at its own rate, so
+/// its results are close to — but not bit-identical with — a cold point
+/// (which warms up under its own rate). Use it for dense sweeps where
+/// warm-up dominates the schedule.
+pub fn fork_point(
+    build: impl FnOnce() -> Network,
+    blob: &[u8],
+    pattern: TrafficPattern,
+    rate: f64,
+    packet_len: u16,
+    spec: RunSpec,
+    seed: u64,
+) -> RunOutcome {
+    let mut net = build();
+    net.restore(blob)
+        .expect("the warm checkpoint restores into an identically-built network");
+    run_synthetic(&mut net, pattern, rate, packet_len, spec, seed)
+}
+
+/// Sweeps injection rates on fresh networks built by `build`, over a pool
+/// of `threads` workers (1 = sequential), cut by [`until_saturated`]. An
+/// empty `rates` list is a no-op returning no points.
 ///
-/// Falls back to a cold sweep (`warmup_cycles_saved == 0`) when there is
-/// nothing to save (`warmup == 0`, fewer than two rates) or the warm-up
-/// run itself ends early (deadlock or fault stall).
-#[allow(clippy::too_many_arguments)]
-pub fn latency_sweep_warm_start(
+/// Returns the same points, in the same order, for any `threads`.
+pub fn latency_sweep(
     build: impl Fn() -> Network + Sync,
     pattern: TrafficPattern,
     rates: &[f64],
@@ -209,47 +182,21 @@ pub fn latency_sweep_warm_start(
     spec: RunSpec,
     seed: u64,
     threads: usize,
-) -> WarmSweep {
-    let blob = if spec.warmup == 0 || rates.len() < 2 {
-        None
-    } else {
-        warm_checkpoint(&build, pattern, rates[0], packet_len, spec, seed)
-    };
-    let Some(blob) = blob else {
-        return WarmSweep {
-            points: latency_sweep(build, pattern, rates, packet_len, spec, seed, threads),
-            warmup_cycles_saved: 0,
-        };
-    };
-    let (points, executed) = sweep_executor(
-        |rate| fork_point(&build, &blob, pattern, rate, packet_len, spec, seed),
-        rates,
-        threads,
-    );
-    WarmSweep {
-        points,
-        warmup_cycles_saved: spec.warmup * executed.saturating_sub(1) as Cycle,
-    }
+) -> Vec<CachedPoint> {
+    sweep_points(rates, threads, |rate| {
+        let out = run_synthetic(&mut build(), pattern, rate, packet_len, spec, seed);
+        CachedPoint::from_outcome(rate, &out)
+    })
 }
 
-/// The saturation injection rate: the highest swept rate whose run stayed
-/// unsaturated, or `None` if even the first point saturated.
-pub fn saturation_rate(points: &[SweepPoint]) -> Option<f64> {
+/// The saturation injection rate: the highest swept rate whose point
+/// stayed unsaturated, or `None` if even the first point saturated.
+pub fn saturation_rate<P: CurvePoint>(points: &[P]) -> Option<f64> {
     points
         .iter()
-        .filter(|p| !p.results.is_saturated())
-        .map(|p| p.rate)
+        .filter(|p| !p.saturated())
+        .map(P::rate)
         .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
-}
-
-/// The first and last point of a sweep, or `None` for an empty sweep.
-///
-/// Sweeps over an empty rate list legitimately produce no points (see
-/// [`latency_sweep`]); consumers that only care about the curve's
-/// endpoints use this instead of bare `first()/last().unwrap()` so the
-/// empty case surfaces as a value, not a panic.
-pub fn sweep_endpoints(points: &[SweepPoint]) -> Option<(&SweepPoint, &SweepPoint)> {
-    Some((points.first()?, points.last()?))
 }
 
 /// The default injection-rate ladder of the CLI and the calibration
@@ -270,8 +217,10 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::presets::NetworkKind;
+    use crate::results::SimResults;
     use crate::scheduler::SchedulingProfile;
     use chiplet_topo::Geometry;
+    use std::cell::Cell;
 
     /// The 16-node uniform parallel mesh every sweep test runs on.
     fn mesh() -> Network {
@@ -283,7 +232,7 @@ mod tests {
     }
 
     /// A cold uniform-traffic sweep of [`mesh`].
-    fn mesh_sweep(rates: &[f64], threads: usize) -> Vec<SweepPoint> {
+    fn mesh_sweep(rates: &[f64], threads: usize) -> Vec<CachedPoint> {
         let config = SimConfig::default();
         latency_sweep(
             mesh,
@@ -302,9 +251,7 @@ mod tests {
         let points = mesh_sweep(&rates, 1);
         assert!(points.len() >= 3);
         // Latency is (weakly) increasing from the first to the last point.
-        let Some((first, last)) = sweep_endpoints(&points) else {
-            panic!("a non-empty rate list always yields points");
-        };
+        let (first, last) = (&points[0], &points[points.len() - 1]);
         let (first, last) = (first.results.avg_latency, last.results.avg_latency);
         assert!(last > first, "{first} !< {last}");
         // The sweep stops early once saturated (7 rates offered).
@@ -327,34 +274,19 @@ mod tests {
 
     #[test]
     fn saturation_rate_of_empty_is_none() {
-        assert_eq!(saturation_rate(&[]), None);
-        assert!(sweep_endpoints(&[]).is_none());
+        assert_eq!(saturation_rate::<CachedPoint>(&[]), None);
     }
 
     #[test]
     fn empty_rate_list_is_a_clean_no_op() {
-        let config = SimConfig::default();
         let points = mesh_sweep(&[], 1);
         assert!(points.is_empty());
         assert_eq!(saturation_rate(&points), None);
-        assert!(sweep_endpoints(&points).is_none());
-        // The warm-start variant degrades to the same clean no-op.
-        let warm = latency_sweep_warm_start(
-            mesh,
-            TrafficPattern::Uniform,
-            &[],
-            config.packet_len,
-            RunSpec::smoke(),
-            config.seed,
-            2,
-        );
-        assert!(warm.points.is_empty());
-        assert_eq!(warm.warmup_cycles_saved, 0);
     }
 
     /// A hand-built sweep point: `saturated` drives the backlog-based
     /// branch of [`SimResults::is_saturated`], `latency` the curve shape.
-    fn synthetic_point(rate: f64, latency: f64, saturated: bool) -> SweepPoint {
+    fn synthetic_point(rate: f64, latency: f64, saturated: bool) -> CachedPoint {
         use crate::network::Collector;
         let mut c = Collector::default();
         for _ in 0..100 {
@@ -363,10 +295,89 @@ mod tests {
             c.measured_flits += 16;
         }
         let backlog = if saturated { 100 } else { 0 };
-        SweepPoint {
+        CachedPoint {
             rate,
-            results: SimResults::from_collector(&c, 16, 1_000, backlog),
             drained: !saturated,
+            deadlocked: false,
+            fault_stalled: false,
+            results: SimResults::from_collector(&c, 16, 1_000, backlog),
+        }
+    }
+
+    /// A bare curve point: a rate and a saturation verdict.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Bare(f64, bool);
+
+    impl CurvePoint for Bare {
+        fn rate(&self) -> f64 {
+            self.0
+        }
+
+        fn saturated(&self) -> bool {
+            self.1
+        }
+    }
+
+    /// Bare points at rates 1, 2, ... with the given saturation verdicts.
+    fn bare(verdicts: &[bool]) -> Vec<Bare> {
+        (1..)
+            .zip(verdicts)
+            .map(|(i, &s)| Bare(i as f64, s))
+            .collect()
+    }
+
+    #[test]
+    fn until_saturated_stops_two_points_past_saturation() {
+        let (t, f) = (true, false);
+        for (verdicts, kept) in [
+            (&[][..], 0),
+            (&[f, f, f], 3),
+            (&[f, t], 2),
+            (&[f, t, t, t, f], 3),
+            (&[t, t, f], 2),
+            // Noise near the knee: a recovered point between the two
+            // saturated ones does not reset the count.
+            (&[f, t, f, t, f, t], 4),
+        ] {
+            let points = bare(verdicts);
+            assert_eq!(
+                until_saturated(points.clone()),
+                points[..kept],
+                "{verdicts:?}"
+            );
+        }
+        // The sequence is consumed lazily: nothing past the cut is made.
+        let produced = Cell::new(0);
+        let points = bare(&[f, t, t, f, f]);
+        let lazy = points.iter().inspect(|_| produced.set(produced.get() + 1));
+        assert_eq!(until_saturated(lazy.copied()).len(), 3);
+        assert_eq!(produced.get(), 3);
+    }
+
+    #[test]
+    fn sweep_points_cut_like_the_sequential_rule_at_any_thread_count() {
+        let (t, f) = (true, false);
+        let verdicts = [f, f, t, f, t, t, f, t];
+        let points = bare(&verdicts);
+        let rates: Vec<f64> = points.iter().map(Bare::rate).collect();
+        let want = until_saturated(points.iter().copied());
+        assert_eq!(want.len(), 5);
+        for threads in 1..=4 {
+            let ran = Mutex::new(Vec::new());
+            let got = sweep_points(&rates, threads, |rate| {
+                ran.lock().unwrap().push(rate);
+                points[rate as usize - 1]
+            });
+            assert_eq!(got, want, "threads={threads}");
+            let ran = ran.into_inner().unwrap();
+            assert!(ran.len() >= want.len(), "threads={threads}: ran {ran:?}");
+            if threads == 1 {
+                assert_eq!(
+                    ran,
+                    rates[..5],
+                    "a sequential sweep runs nothing past the cut"
+                );
+            }
         }
     }
 
@@ -425,45 +436,5 @@ mod tests {
         // Spans past every preset's saturation (≥ 1.0 would be ideal, the
         // ladder tops out at 0.02·1.5⁹ ≈ 0.77 < 1.2 ≤ 0.02·1.5¹⁰).
         assert!(rates.last().is_some_and(|&r| r > 0.5));
-    }
-
-    #[test]
-    fn warm_start_sweep_skips_warmup_and_reports_savings() {
-        let config = SimConfig::default();
-        let rates = [0.02, 0.08, 0.14];
-        let spec = RunSpec::smoke();
-        let warm = latency_sweep_warm_start(
-            mesh,
-            TrafficPattern::Uniform,
-            &rates,
-            config.packet_len,
-            spec,
-            config.seed,
-            2,
-        );
-        assert_eq!(warm.points.len(), rates.len());
-        // Three executed points share one paid warm-up: two are saved.
-        assert_eq!(warm.warmup_cycles_saved, spec.warmup * 2);
-        for p in &warm.points {
-            assert!(p.results.packets > 0, "rate {} produced no traffic", p.rate);
-            assert!(p.drained, "light load must drain at rate {}", p.rate);
-        }
-        // The curve still behaves like a latency–injection curve.
-        let Some((first, last)) = sweep_endpoints(&warm.points) else {
-            panic!("warm sweep over three rates yields points");
-        };
-        assert!(last.results.avg_latency >= first.results.avg_latency * 0.9);
-        // Warm-starting is deterministic: the same call reproduces the
-        // same points bit-for-bit at any worker count.
-        let again = latency_sweep_warm_start(
-            mesh,
-            TrafficPattern::Uniform,
-            &rates,
-            config.packet_len,
-            spec,
-            config.seed,
-            1,
-        );
-        assert_eq!(again.points, warm.points);
     }
 }

@@ -1,11 +1,13 @@
 //! The sweep-shaped front-end: estimate a latency–injection curve the
-//! way [`hetero_if::sweep::latency_sweep`] measures one.
+//! way [`hetero_if::sweep::latency_sweep`] measures one. Both use the one
+//! early-exit rule, [`hetero_if::sweep::until_saturated`].
 
 use crate::backend::{mdl_wait, AnalyticalBackend, CycleAccurateBackend, FitConstants, LinkSim};
 use crate::decompose::Decomposition;
 use chiplet_topo::Geometry;
 use chiplet_traffic::TrafficPattern;
 use hetero_if::sim::RunSpec;
+use hetero_if::sweep::{saturation_rate, until_saturated, CurvePoint};
 use hetero_if::{NetworkKind, SchedulingProfile, SimConfig};
 
 /// What to estimate: one paper preset under one traffic spec — the knobs
@@ -45,16 +47,28 @@ pub struct EstimatedPoint {
     pub saturated: bool,
 }
 
+impl CurvePoint for EstimatedPoint {
+    fn rate(&self) -> f64 {
+        self.rate
+    }
+
+    fn saturated(&self) -> bool {
+        self.saturated
+    }
+}
+
 /// An estimated latency–injection curve with its saturation prediction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimatedCurve {
     /// Name of the backend that produced the curve.
     pub backend: &'static str,
     /// The points, in rate order (the ladder stops two points past
-    /// saturation, mirroring the measured sweeps).
+    /// saturation: the measured sweeps' early-exit rule,
+    /// [`hetero_if::sweep::until_saturated`]).
     pub points: Vec<EstimatedPoint>,
-    /// The highest swept rate the model keeps unsaturated (the measured
-    /// sweeps' [`hetero_if::sweep::saturation_rate`] semantics), `None`
+    /// The highest swept rate the model keeps unsaturated (read off the
+    /// points by [`hetero_if::sweep::saturation_rate`], as for the
+    /// measured sweeps), `None`
     /// if even the first point saturates.
     pub saturation_rate: Option<f64>,
     /// The closed-form saturation prediction `rho_sat /
@@ -146,8 +160,9 @@ impl Estimator {
     }
 
     /// Estimates the latency–injection curve of `req` over `rates`,
-    /// stopping two points past predicted saturation like the measured
-    /// sweeps. An empty ladder yields an empty curve.
+    /// stopping two points past predicted saturation by the measured
+    /// sweeps' rule ([`until_saturated`]); no point past the cut is
+    /// computed. An empty ladder yields an empty curve.
     pub fn estimate_sweep(&mut self, req: &EstimateRequest, rates: &[f64]) -> EstimatedCurve {
         let config = req.kind.effective_config(req.config, req.profile);
         let topo = req.kind.topology(req.geom);
@@ -156,30 +171,15 @@ impl Estimator {
         let max_unit = dec
             .max_unit_utilization(&config, self.fit.link_derate, self.fit.port_derate)
             .max(1e-12);
-        let mut points = Vec::new();
-        let mut past_saturation = 0;
-        for &rate in rates {
-            let p = self.point(&dec, &config, rate, max_unit);
-            let saturated = p.saturated;
-            points.push(p);
-            if saturated {
-                past_saturation += 1;
-                if past_saturation >= 2 {
-                    break;
-                }
-            }
-        }
-        let saturation_rate = points
-            .iter()
-            .filter(|p| !p.saturated)
-            .map(|p| p.rate)
-            .fold(None, |acc: Option<f64>, r| {
-                Some(acc.map_or(r, |a| a.max(r)))
-            });
+        let points = until_saturated(
+            rates
+                .iter()
+                .map(|&rate| self.point(&dec, &config, rate, max_unit)),
+        );
         EstimatedCurve {
             backend: self.backend.name(),
+            saturation_rate: saturation_rate(&points),
             points,
-            saturation_rate,
             predicted_saturation_rate: self.fit.rho_sat / max_unit,
             link_classes: dec.groups.len(),
             links: dec.unit_loads.len(),
@@ -299,7 +299,7 @@ mod tests {
             &extended_ladder(),
         );
         let saturated: usize = curve.points.iter().filter(|p| p.saturated).count();
-        assert_eq!(saturated, 2, "early exit mirrors latency_sweep");
+        assert_eq!(saturated, 2, "early exit uses the sweep rule");
     }
 
     #[test]

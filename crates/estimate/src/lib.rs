@@ -17,8 +17,10 @@
 //!   engine on a reduced two-node scenario per link class and caches the
 //!   measured latency per (class, load-bucket).
 //!
-//! The [`Estimator`] front-end mirrors [`hetero_if::sweep::latency_sweep`]:
-//! [`Estimator::estimate_sweep`] walks a rate ladder and returns an
+//! The [`Estimator`] front-end answers the question
+//! [`hetero_if::sweep::latency_sweep`] measures: [`Estimator::estimate_sweep`]
+//! walks a rate ladder, uses the sweeps' early-exit rule
+//! ([`hetero_if::sweep::until_saturated`]) and returns an
 //! [`EstimatedCurve`] with a predicted saturation point. The
 //! [`calibrate`] module runs both tiers over the paper presets and
 //! reports per-preset error against the cycle-accurate golden curves —

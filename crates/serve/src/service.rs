@@ -18,15 +18,18 @@
 //!    An async job ([`SweepService::submit`]) whose batch panics finishes
 //!    with a `{"state": "failed", "error": ...}` body.
 //!
-//! Sweep jobs fan their rate points out over a bounded worker pool
-//! ([`SweepService::workers`] threads of [`simkit::par::map`]). Jobs that
-//! opt into warm-start mode pay the warm-up once per (preset, config,
-//! pattern, lowest-rate) group, checkpoint the warmed network
-//! ([`hetero_if::sweep::warm_checkpoint`]) and fork every remaining point
-//! from the restored state ([`hetero_if::sweep::fork_point`], the fork
-//! path warm-started sweeps use too) — the points are keyed under a distinct
-//! `warm@<rate0>/w<warmup>` variant because warm-started results are an
-//! approximation of, not identical to, cold runs.
+//! Engine sweeps ([`SweepService::sweep`]) fan their rate points out over
+//! a bounded worker pool ([`SweepService::workers`] threads) through
+//! [`hetero_if::sweep::sweep_points`], so they stop two points past
+//! saturation by the rule every sweep uses. Jobs that opt into warm-start
+//! mode pay the warm-up once per (preset, config, pattern, lowest-rate)
+//! group, checkpoint the warmed network
+//! ([`hetero_if::sweep::warm_checkpoint`]) and fork every point that
+//! misses the cache from the restored state
+//! ([`hetero_if::sweep::fork_point`]) — the points are keyed under a
+//! distinct `warm@<rate0>/w<warmup>` variant because warm-started results
+//! are an approximation of, not identical to, cold runs. `hetero-sim
+//! --sweep` runs through the same path.
 //!
 //! Every cache/dedup/scheduling event increments a counter in a
 //! [`simkit::metrics::MetricsRegistry`] slice; [`SweepService::snapshot`]
@@ -38,16 +41,16 @@ use hetero_estimate::{error_bound_pct, EstimateRequest, Estimator};
 use hetero_if::cache::{
     engine_point, phase_point, CacheKey, CacheSource, CachedPoint, PointDesc, ResultCache,
 };
-use hetero_if::sweep::{fork_point, warm_checkpoint};
+use hetero_if::sweep::{fork_point, sweep_points, warm_checkpoint};
+use hetero_if::SimConfig;
 use simkit::json::Json;
 use simkit::metrics::{MetricId, MetricsRegistry, MetricsSlice, MetricsSnapshot};
-use std::cell::OnceCell;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Where a served point came from, in wire vocabulary.
@@ -124,8 +127,9 @@ struct Ids {
     analytical_points: MetricId,
 }
 
-/// A point-in-time copy of the service counters (test assertions and the
-/// per-response cache summary).
+/// Service counters: a point-in-time copy of the shared ones
+/// ([`SweepService::stats`]), or the tally of what one batch served (its
+/// response's cache summary).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Batches executed.
@@ -164,6 +168,17 @@ impl ServiceStats {
             0.0
         } else {
             self.hits() as f64 / self.points as f64
+        }
+    }
+
+    /// Tallies one served point by its source label.
+    fn count(&mut self, source: &str) {
+        self.points += 1;
+        match source {
+            "memory" => self.mem_hits += 1,
+            "disk" => self.disk_hits += 1,
+            "computed" => self.computed += 1,
+            _ => self.dedup_joins += 1,
         }
     }
 }
@@ -392,14 +407,6 @@ impl SweepService {
         self.cached_point(desc.key(), || phase_point(desc, &mut graph.clone()))
     }
 
-    /// Runs one engine job cold: every rate is an independent cached
-    /// point, fanned out over the worker pool.
-    fn run_cold_job(&self, job: &JobSpec) -> Vec<(CachedPoint, &'static str)> {
-        simkit::par::map(&job.rates, self.workers, |&rate| {
-            self.point(&job.point_desc(rate))
-        })
-    }
-
     /// Runs one phase-workload job: every compute-window scale is an
     /// independent cached point, keyed on the scaled graph's fingerprint
     /// (`variant=workload@<sha256>`), fanned out over the worker pool. A
@@ -417,86 +424,77 @@ impl SweepService {
         })
     }
 
-    /// Runs one engine job in warm-start mode: all points share the
-    /// warm-up paid once at the lowest requested rate, forked from one
-    /// checkpoint. Results are approximate relative to cold runs and are
-    /// keyed under a `warm@<rate0>/w<warmup>` variant. Falls back to the
-    /// cold path when there is nothing to amortize or the warm-up run
-    /// aborts (deadlock / fault stall).
-    fn run_warm_job(&self, job: &JobSpec) -> (Vec<(CachedPoint, &'static str)>, bool) {
-        if job.spec.warmup == 0 || job.rates.len() < 2 {
-            return (self.run_cold_job(job), false);
-        }
-        let mut rate0 = job.rates[0];
-        for &r in &job.rates[1..] {
-            rate0 = rate0.min(r);
-        }
-        let variant = format!("warm@{}/w{}", rate0, job.spec.warmup);
-        let descs: Vec<PointDesc> = job
-            .rates
-            .iter()
-            .map(|&r| job.point_desc(r).with_variant(variant.clone()))
-            .collect();
-
-        // The warm checkpoint is built lazily, once, only if some point
-        // actually misses the cache — a fully-hot warm job forks nothing.
-        let config = job.config();
-        let build = || job.kind.build(job.geom, config, job.profile);
-        let blob: OnceCell<Option<Vec<u8>>> = OnceCell::new();
-        let warm_blob = || {
-            blob.get_or_init(|| {
-                let blob = warm_checkpoint(
-                    build,
-                    job.pattern,
-                    rate0,
-                    job.packet_len,
-                    job.spec,
-                    config.seed,
-                );
-                if blob.is_some() {
-                    self.count(self.ids.warm_forks, 1);
-                }
-                blob
-            })
+    /// Serves an engine sweep of `job` with every point run under
+    /// `config`: the job's own [`JobSpec::config`] for a served job, with
+    /// `hetero-sim`'s run flags laid over it for the CLI. The points fan
+    /// out over the worker pool and stop two points past saturation
+    /// ([`sweep_points`]); each is served through the cache like
+    /// [`SweepService::point`].
+    ///
+    /// In warm-start mode all points share the warm-up paid once at the
+    /// lowest rate and fork from one checkpoint, built by the first point
+    /// that misses the cache (a fully hot job forks nothing). They are
+    /// keyed under a `warm@<rate0>/w<warmup>` variant: their results
+    /// approximate cold runs. With no warm-up, or no second rate to share
+    /// it with, the sweep runs cold; if the warm-up itself aborts
+    /// (deadlock, fault stall), the missed points run cold under the warm
+    /// keys — the abort is a property of the group, so every process
+    /// agrees.
+    ///
+    /// Tallies every point served — those a worker ran past the cut
+    /// included — and the warm-up cycles saved into `served`. Returns the
+    /// kept points and whether they were warm-started.
+    pub fn sweep(
+        &self,
+        job: &JobSpec,
+        config: SimConfig,
+        served: &mut ServiceStats,
+    ) -> (Vec<(CachedPoint, &'static str)>, bool) {
+        let warm = job.warm_start && job.spec.warmup > 0 && job.rates.len() > 1;
+        let rate0 = job.rates.iter().copied().fold(f64::INFINITY, f64::min);
+        let variant = if warm {
+            format!("warm@{}/w{}", rate0, job.spec.warmup)
+        } else {
+            String::new()
         };
-
-        let computed_before = self.stats().computed;
-        let points: Vec<_> = descs
-            .iter()
-            .map(|desc| {
-                self.cached_point(desc.key(), || match warm_blob() {
-                    Some(blob) => {
-                        let out = fork_point(
-                            build,
-                            blob,
-                            job.pattern,
-                            desc.rate,
-                            job.packet_len,
-                            job.spec,
-                            config.seed,
-                        );
-                        CachedPoint::from_outcome(desc.rate, &out)
-                    }
-                    None => engine_point(&job.point_desc(desc.rate)),
-                })
-            })
-            .collect();
-        if let Some(None) = blob.get() {
-            // The warm-up wedged; the computed points above already fell
-            // back to cold simulations (still keyed under the warm
-            // variant, which is deterministic — an aborted warm-up is a
-            // property of the group, so every process agrees).
-            return (points, false);
-        }
-        let computed_now = self.stats().computed;
-        let saved = job.spec.warmup
-            * computed_now
-                .saturating_sub(computed_before)
-                .saturating_sub(1);
-        if saved > 0 {
+        let desc = |rate| PointDesc {
+            config,
+            variant: variant.clone(),
+            ..job.point_desc(rate)
+        };
+        let build = || job.kind.build(job.geom, config, job.profile);
+        let (pattern, packet_len, spec) = (job.pattern, job.packet_len, job.spec);
+        let blob = OnceLock::new();
+        let forked = AtomicU64::new(0);
+        let tally = Mutex::new(std::mem::take(served));
+        let points = sweep_points(&job.rates, self.workers, |rate| {
+            let desc = desc(rate);
+            let point = self.cached_point(desc.key(), || {
+                let warm_blob = warm.then(|| {
+                    blob.get_or_init(|| {
+                        warm_checkpoint(build, pattern, rate0, packet_len, spec, config.seed)
+                    })
+                });
+                let Some(Some(blob)) = warm_blob else {
+                    return engine_point(&desc);
+                };
+                forked.fetch_add(1, Ordering::Relaxed);
+                let out = fork_point(build, blob, pattern, rate, packet_len, spec, config.seed);
+                CachedPoint::from_outcome(rate, &out)
+            });
+            tally.lock().expect("sweep tally").count(point.1);
+            point
+        });
+        *served = tally.into_inner().expect("sweep tally");
+        if let Some(Some(_)) = blob.get() {
+            // The first fork paid the warm-up that the others skip.
+            let saved = spec.warmup * forked.into_inner().saturating_sub(1);
+            self.count(self.ids.warm_forks, 1);
             self.count(self.ids.warm_cycles_saved, saved);
+            served.warm_forks += 1;
+            served.warm_cycles_saved += saved;
         }
-        (points, true)
+        (points, warm && !matches!(blob.get(), Some(None)))
     }
 
     fn engine_point_json(point: &CachedPoint, src: &'static str) -> Json {
@@ -517,8 +515,9 @@ impl SweepService {
         j
     }
 
-    /// Runs one job and renders its report.
-    fn run_job(&self, job: &JobSpec) -> Json {
+    /// Runs one job, tallies the points it served into `served` and
+    /// renders its report.
+    fn run_job(&self, job: &JobSpec, served: &mut ServiceStats) -> Json {
         self.count(self.ids.jobs, 1);
         let mut report = Json::obj();
         report
@@ -571,6 +570,9 @@ impl SweepService {
             Backend::Engine => {
                 if let Some(graph) = &job.workload {
                     let points = self.run_workload_job(job, graph);
+                    for (_, _, src) in &points {
+                        served.count(src);
+                    }
                     let rendered: Vec<Json> = points
                         .iter()
                         .map(|(scale, p, src)| {
@@ -585,11 +587,7 @@ impl SweepService {
                         .set("phases", Json::from(graph.phases().len() as u64));
                     return report;
                 }
-                let (points, warm) = if job.warm_start {
-                    self.run_warm_job(job)
-                } else {
-                    (self.run_cold_job(job), false)
-                };
+                let (points, warm) = self.sweep(job, job.config(), served);
                 let rendered: Vec<Json> = points
                     .iter()
                     .map(|(p, src)| Self::engine_point_json(p, src))
@@ -606,35 +604,24 @@ impl SweepService {
     pub fn run_batch(&self, batch: &BatchRequest) -> Json {
         let started = Instant::now();
         self.count(self.ids.requests, 1);
-        let before = self.stats();
-        let jobs: Vec<Json> = batch.jobs.iter().map(|j| self.run_job(j)).collect();
-        let after = self.stats();
-        let (d_points, d_hits) = (after.points - before.points, after.hits() - before.hits());
+        let mut served = ServiceStats::default();
+        let jobs: Vec<Json> = batch
+            .jobs
+            .iter()
+            .map(|j| self.run_job(j, &mut served))
+            .collect();
         let mut cache = Json::obj();
         cache
-            .set("points", Json::from(d_points))
-            .set("mem_hits", Json::from(after.mem_hits - before.mem_hits))
-            .set("disk_hits", Json::from(after.disk_hits - before.disk_hits))
-            .set("computed", Json::from(after.computed - before.computed))
-            .set(
-                "dedup_joins",
-                Json::from(after.dedup_joins - before.dedup_joins),
-            )
-            .set(
-                "hit_rate",
-                Json::from(if d_points == 0 {
-                    0.0
-                } else {
-                    d_hits as f64 / d_points as f64
-                }),
-            );
+            .set("points", Json::from(served.points))
+            .set("mem_hits", Json::from(served.mem_hits))
+            .set("disk_hits", Json::from(served.disk_hits))
+            .set("computed", Json::from(served.computed))
+            .set("dedup_joins", Json::from(served.dedup_joins))
+            .set("hit_rate", Json::from(served.hit_rate()));
         let mut resp = Json::obj();
         resp.set("jobs", Json::Arr(jobs))
             .set("cache", cache)
-            .set(
-                "warm_cycles_saved",
-                Json::from(after.warm_cycles_saved - before.warm_cycles_saved),
-            )
+            .set("warm_cycles_saved", Json::from(served.warm_cycles_saved))
             .set(
                 "elapsed_ms",
                 Json::from(started.elapsed().as_secs_f64() * 1e3),
@@ -695,6 +682,7 @@ impl SweepService {
 mod tests {
     use super::*;
     use hetero_if::sim::RunSpec;
+    use hetero_if::sweep::latency_sweep;
     use hetero_if::{NetworkKind, SchedulingProfile};
 
     fn smoke_job(rates: &[f64], warm: bool) -> JobSpec {
@@ -903,11 +891,29 @@ mod tests {
             job.spec.warmup * 2,
             "three points share one paid warm-up"
         );
+        assert_eq!(
+            resp.get("warm_cycles_saved").and_then(Json::as_u64),
+            Some(job.spec.warmup * 2)
+        );
         // Re-running the warm job is all hits (warm keys are stable)...
         let again = service.run_batch(&batch);
         let cache = again.get("cache").unwrap();
         assert_eq!(cache.get("hit_rate").and_then(Json::as_f64), Some(1.0));
         assert_eq!(service.stats().warm_forks, 1, "no new fork for a hot job");
+        assert_eq!(
+            again.get("warm_cycles_saved").and_then(Json::as_u64),
+            Some(0)
+        );
+        // ...forking is deterministic: one worker forks the same bits as
+        // two...
+        let points = |service: &SweepService| -> Vec<CachedPoint> {
+            let served = &mut ServiceStats::default();
+            let (points, warm) = service.sweep(&job, job.config(), served);
+            assert!(warm);
+            points.into_iter().map(|(p, _)| p).collect()
+        };
+        let solo = SweepService::new(None, 1).expect("service");
+        assert_eq!(points(&solo), points(&service));
         // ...and a cold job over the same rates does NOT alias them.
         let cold = BatchRequest {
             jobs: vec![smoke_job(&[0.02, 0.03, 0.045], false)],
@@ -922,6 +928,88 @@ mod tests {
             Some(3),
             "cold points are keyed separately from warm points"
         );
+    }
+
+    #[test]
+    fn engine_job_stops_past_saturation_like_latency_sweep() {
+        let rates = [0.1, 0.5, 0.8, 1.2, 1.6, 2.0];
+        let mut job = smoke_job(&rates, false);
+        job.pattern = chiplet_traffic::TrafficPattern::BitComplement;
+        let config = job.config();
+        let want = latency_sweep(
+            || job.kind.build(job.geom, config, job.profile),
+            job.pattern,
+            &rates,
+            job.packet_len,
+            job.spec,
+            config.seed,
+            1,
+        );
+        assert!(want.len() < rates.len(), "the rate list saturates");
+        let want_rates: Vec<f64> = want.iter().map(|p| p.rate).collect();
+        for workers in [1, 2] {
+            let service = SweepService::new(None, workers).expect("service");
+            let resp = service.run_batch(&BatchRequest {
+                jobs: vec![job.clone()],
+            });
+            let points = resp.get("jobs").unwrap().as_arr().unwrap()[0]
+                .get("points")
+                .unwrap()
+                .as_arr()
+                .unwrap();
+            let rates: Vec<f64> = points
+                .iter()
+                .filter_map(|p| p.get("rate")?.as_f64())
+                .collect();
+            assert_eq!(rates, want_rates, "workers={workers}");
+            // The served points are latency_sweep's, bit for bit.
+            for p in &want {
+                let (hit, src) = service.point(&job.point_desc(p.rate));
+                assert_eq!((&hit, src), (p, "memory"), "workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_counts_only_the_points_it_served() {
+        // Two concurrent one-job batches ask for the same point: the
+        // leader computes it and the joiner adopts it in flight. Each
+        // response's summary counts its own point, not the other's.
+        let service = Arc::new(SweepService::new(None, 1).expect("service"));
+        let mut job = smoke_job(&[0.05], false);
+        job.spec = RunSpec::quick();
+        let key = job.point_desc(0.05).key();
+        let batch = BatchRequest { jobs: vec![job] };
+        let leader = {
+            let (service, batch) = (Arc::clone(&service), batch.clone());
+            std::thread::spawn(move || service.run_batch(&batch))
+        };
+        while !service.inflight.lock().unwrap().contains_key(&key) && !leader.is_finished() {
+            std::thread::yield_now();
+        }
+        let joiner = service.run_batch(&batch);
+        let leader = leader.join().expect("leader batch");
+        let source = |resp: &Json| {
+            let job = &resp.get("jobs").unwrap().as_arr().unwrap()[0];
+            let point = &job.get("points").unwrap().as_arr().unwrap()[0];
+            point
+                .get("source")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_string()
+        };
+        assert_eq!(source(&leader), "computed");
+        assert_eq!(
+            source(&joiner),
+            "dedup",
+            "the second batch joined in flight"
+        );
+        let summary = |resp: &Json| {
+            let cache = resp.get("cache").unwrap();
+            ["computed", "dedup_joins", "points"].map(|k| cache.get(k).and_then(Json::as_u64))
+        };
+        assert_eq!(summary(&leader), [Some(1), Some(0), Some(1)]);
+        assert_eq!(summary(&joiner), [Some(0), Some(1), Some(1)]);
     }
 
     #[test]

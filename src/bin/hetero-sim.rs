@@ -19,10 +19,10 @@ use hetero_estimate::{EstimateRequest, Estimator};
 use hetero_if::cache::PointDesc;
 use hetero_if::presets::NetworkKind;
 use hetero_if::sim::{run, run_timeline, run_until, RunOutcome, RunSpec, Sample};
-use hetero_if::sweep::{default_rate_ladder, latency_sweep, latency_sweep_warm_start, SweepPoint};
+use hetero_if::sweep::default_rate_ladder;
 use hetero_if::{Network, SchedulingProfile, SimConfig, SimResults};
 use hetero_serve::api::{check_geometry, ApiError, Backend, JobSpec};
-use hetero_serve::service::SweepService;
+use hetero_serve::service::{ServiceStats, SweepService};
 use simkit::codec::{ByteReader, ByteWriter, LoadState, SaveState};
 use simkit::{Cycle, TraceFilter};
 
@@ -101,7 +101,9 @@ fn usage() -> ! {
          \u{20}            write the phase trace (with observed release\n\
          \u{20}            cycles as comments) to FILE for later replay\n\
          --threads N  worker threads for --sweep           (default 1;\n\
-         \u{20}            results are bit-identical for any N)\n\
+         \u{20}            points are bit-identical for any N; the\n\
+         \u{20}            --warm-start saved-cycles line counts the points\n\
+         \u{20}            that ran, which can grow with N)\n\
          --shard-threads N  shard the cycle loop of a single run across\n\
          \u{20}            N worker threads (0 = auto from the core count;\n\
          \u{20}            default $HETERO_SIM_THREADS or 1; results are\n\
@@ -150,10 +152,11 @@ fn usage() -> ! {
          \u{20}            with --calibrate: write the JSON report to FILE\n\
          --cache-dir DIR  read/write the content-addressed result store\n\
          \u{20}            shared with hetero-serve: a single synthetic or\n\
-         \u{20}            phase-workload run whose configuration was computed\n\
-         \u{20}            before (by any process) is served from the store\n\
-         \u{20}            bit-identically instead of re-simulated; a miss\n\
-         \u{20}            simulates and stores. Prints a cache hit/miss line.\n\
+         \u{20}            phase-workload run, or a --sweep point, whose\n\
+         \u{20}            configuration was computed before (by any process)\n\
+         \u{20}            is served from the store bit-identically instead of\n\
+         \u{20}            re-simulated; a miss simulates and stores. Prints a\n\
+         \u{20}            cache hit/miss line (a sweep: points simulated).\n\
          \n\
          A run is checked before it starts, as hetero-serve checks a job:\n\
          a geometry the preset cannot build, a rate that is not positive\n\
@@ -626,8 +629,7 @@ fn main() {
         std::process::exit(2);
     }
     if args.cache_dir.is_some()
-        && (args.sweep
-            || args.replay.is_some()
+        && (args.replay.is_some()
             || args.estimate
             || args.calibrate
             || fault_script.is_some()
@@ -641,7 +643,7 @@ fn main() {
         // network, so flags that observe or steer the live run (and
         // fault scripts, which are not part of the cache key) cannot
         // combine with it.
-        eprintln!("--cache-dir applies to plain single synthetic or phase-workload runs");
+        eprintln!("--cache-dir applies to plain synthetic runs, sweeps and phase workloads");
         std::process::exit(2);
     }
     let spec = job.spec;
@@ -663,35 +665,16 @@ fn main() {
         job.profile.name,
     );
     if args.sweep {
-        let build = || job.kind.build(geom, config, job.profile);
-        let (points, saved): (Vec<SweepPoint>, Cycle) = if job.warm_start {
-            let warm = latency_sweep_warm_start(
-                build,
-                job.pattern,
-                &job.rates,
-                config.packet_len,
-                spec,
-                config.seed,
-                args.threads,
-            );
-            (warm.points, warm.warmup_cycles_saved)
-        } else {
-            let points = latency_sweep(
-                build,
-                job.pattern,
-                &job.rates,
-                config.packet_len,
-                spec,
-                config.seed,
-                args.threads,
-            );
-            (points, 0)
-        };
+        // Every point runs under the CLI's config: its --ber, --retry and
+        // --shard-threads reach the service through it.
+        let service = open_service(args.cache_dir.as_deref(), args.threads);
+        let mut served = ServiceStats::default();
+        let (points, _) = service.sweep(job, config, &mut served);
         println!(
             "{:>8} {:>12} {:>12} {:>10}",
             "rate", "latency(cy)", "throughput", "status"
         );
-        for p in &points {
+        for (p, _) in &points {
             println!(
                 "{:>8.3} {:>12.1} {:>12.4} {:>10}",
                 p.rate,
@@ -706,9 +689,17 @@ fn main() {
         }
         if job.warm_start {
             println!(
-                "\nwarm-start: {saved} warm-up cycles saved \
+                "\nwarm-start: {} warm-up cycles saved \
                  (one {}-cycle warm-up shared by every point)",
-                spec.warmup
+                served.warm_cycles_saved, spec.warmup
+            );
+        }
+        if let Some(dir) = &args.cache_dir {
+            println!(
+                "\ncache: {} of {} points simulated and stored, {} served from {dir}",
+                served.computed,
+                served.points,
+                served.hits()
             );
         }
     } else if let Some(path) = &args.replay {
@@ -783,10 +774,7 @@ fn main() {
 /// entirely and reprints the stored results bit-identically; a miss
 /// simulates and stores. `graph` is the phase workload `desc` keys, if any.
 fn run_cached(desc: &PointDesc, graph: Option<&PhaseGraph>, dir: &str) {
-    let service = SweepService::new(Some(dir.into()), 1).unwrap_or_else(|e| {
-        eprintln!("cannot open cache store {dir}: {e}");
-        std::process::exit(1);
-    });
+    let service = open_service(Some(dir), 1);
     let t0 = std::time::Instant::now();
     let (point, source) = match graph {
         Some(graph) => service.phase_point(desc, graph),
@@ -805,6 +793,15 @@ fn run_cached(desc: &PointDesc, graph: Option<&PhaseGraph>, dir: &str) {
         println!("cache hit ({source}) — served {key} in {secs:.3}s without simulating");
     }
     print_outcome(&point.to_outcome());
+}
+
+/// The sweep service over the store in `dir` (in memory without one),
+/// fanning points out over `workers` threads.
+fn open_service(dir: Option<&str>, workers: usize) -> SweepService {
+    SweepService::new(dir.map(Into::into), workers).unwrap_or_else(|e| {
+        eprintln!("cannot open cache store {}: {e}", dir.unwrap_or_default());
+        std::process::exit(1);
+    })
 }
 
 /// `--workload`/`--workload-trace`: drive the dependency-released phase

@@ -1,7 +1,8 @@
 //! The `hetero-sim` command line, driven as a process: invalid points
 //! exit 2 with a message naming the flag (never a panic), every printed
-//! pattern name is accepted, and a `--cache-dir` run stores exactly the
-//! point the sweep service serves for the equivalent job.
+//! pattern name is accepted, and a `--cache-dir` run (single or
+//! `--sweep`) stores exactly the points the sweep service serves for the
+//! equivalent job.
 
 use chiplet_topo::Geometry;
 use chiplet_traffic::{PhaseGraph, TrafficPattern};
@@ -146,5 +147,42 @@ fn cli_cache_entries_are_disk_hits_for_the_equivalent_job() {
         phase_point(&desc, &mut graph.clone())
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sweep_reruns_from_the_store_without_simulating() {
+    let dir = std::env::temp_dir().join(format!("hetero-cli-sweep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = dir.to_str().expect("UTF-8 temp path");
+    let run = [
+        &SMALL[..],
+        &["--cycles", "300", "--sweep", "--cache-dir", cache],
+    ]
+    .concat();
+    // The rate table, and the cache summary line after it.
+    let sweep = || {
+        let out = hetero_sim(&run);
+        assert!(out.status.success(), "{out:?}");
+        let text = stdout(&out);
+        let (table, summary) = text.split_once("\ncache: ").expect("a cache summary");
+        (table.to_string(), summary.trim().to_string())
+    };
+    let (first, stored) = sweep();
+    let (second, served) = sweep();
+    assert_eq!(second, first, "the rerun prints the same table");
+    let points = first
+        .lines()
+        .filter(|l| l.ends_with(" ok") || l.ends_with("saturated"));
+    let n = points.count();
+    assert!(n > 0, "{first}");
+    assert!(
+        stored.starts_with(&format!("{n} of {n} points simulated")),
+        "{stored}"
+    );
+    assert!(
+        served.starts_with(&format!("0 of {n} points simulated and stored, {n} served")),
+        "{served}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
