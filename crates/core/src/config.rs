@@ -282,15 +282,6 @@ impl SimConfig {
         )
     }
 
-    /// The SHA-256 content hash of [`SimConfig::canonical_key`]: the
-    /// collision-resistant config identity used by the persistent result
-    /// cache ([`crate::cache`]). Unlike [`SimConfig::fingerprint`], which
-    /// is a 64-bit FNV label good enough for in-process reports, this is
-    /// safe to key a durable, shared store on.
-    pub fn content_hash(&self) -> [u8; 32] {
-        simkit::hash::sha256(self.canonical_key().as_bytes())
-    }
-
     /// A 64-bit FNV-1a fingerprint of [`SimConfig::canonical_key`]: a
     /// compact config identity for reports and caches.
     pub fn fingerprint(&self) -> u64 {

@@ -6,7 +6,7 @@
 //! the same die ships in many systems, and a uniform interface prevents
 //! that (parallel-only chiplets cannot build big/cheap-package systems;
 //! serial-only chiplets waste power in small ones). This module provides a
-//! first-order cost model in the spirit of the paper's reference [29]
+//! first-order cost model in the spirit of the paper's reference \[29\]
 //! (Feng & Ma, *Chiplet Actuary*): classic defect-density die cost, mask
 //! NRE amortization, and per-package assembly cost, so the examples can put
 //! numbers on "one hetero-IF chiplet serving three markets" vs "three

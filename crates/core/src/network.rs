@@ -7,9 +7,9 @@
 //! [`HeteroPhyLink`] for hetero-PHY links), each link's credit return
 //! latency, and per-node NICs (injection queues + ejection accounting),
 //! then partitions them into chiplet-group shards. The per-cycle
-//! execution lives in [`crate::engine::ShardedEngine`] (staged cycles
+//! execution lives in the engine's `ShardedEngine` (staged cycles
 //! over the shards, serial or on a worker pool — see
-//! [`crate::parallel`]); this module holds the immutable system
+//! the `parallel` module); this module holds the immutable system
 //! description and the statistics [`Collector`].
 
 use crate::config::SimConfig;

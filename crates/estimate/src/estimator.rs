@@ -146,14 +146,6 @@ impl Estimator {
         }
     }
 
-    /// A custom backend.
-    pub fn with_backend(backend: Box<dyn LinkSim>) -> Self {
-        Self {
-            backend,
-            fit: FitConstants::default(),
-        }
-    }
-
     /// The backend's name.
     pub fn backend_name(&self) -> &'static str {
         self.backend.name()

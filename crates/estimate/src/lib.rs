@@ -22,7 +22,7 @@
 //! walks a rate ladder, uses the sweeps' early-exit rule
 //! ([`hetero_if::sweep::until_saturated`]) and returns an
 //! [`EstimatedCurve`] with a predicted saturation point. The
-//! [`calibrate`] module runs both tiers over the paper presets and
+//! [`calibrate`](mod@calibrate) module runs both tiers over the paper presets and
 //! reports per-preset error against the cycle-accurate golden curves —
 //! the calibration gate in `tests/calibration.rs` holds the analytical
 //! tier to documented error bounds.
@@ -54,12 +54,10 @@ pub mod backend;
 pub mod calibrate;
 pub mod decompose;
 pub mod estimator;
-pub mod phases;
 pub mod workload;
 
 pub use backend::{AnalyticalBackend, CycleAccurateBackend, FitConstants, LinkEstimate, LinkSim};
 pub use calibrate::{calibrate, error_bound_pct, CalibrationReport, PresetCalibration};
 pub use decompose::{Decomposition, LinkClassGroup, RoutingRole};
 pub use estimator::{EstimateRequest, EstimatedCurve, EstimatedPoint, Estimator};
-pub use phases::PhaseTrafficSummary;
 pub use workload::{ClassKey, LinkWorkload};

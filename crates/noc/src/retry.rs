@@ -23,6 +23,8 @@
 //! cycle-for-cycle identical to a [`DelayLine`] of the same geometry: the
 //! replay buffer is sized so that steady-state acknowledgements always pop
 //! entries before the buffer can bind, and no NAK or timeout ever fires.
+//!
+//! [`DelayLine`]: crate::DelayLine
 
 use crate::arena::{FlitArena, FlitRef};
 use crate::flit::Flit;
@@ -80,7 +82,7 @@ enum AckMsg {
 /// A fixed-latency, bandwidth-limited flit pipeline with CRC detection and
 /// go-back-N replay.
 ///
-/// The interface mirrors [`DelayLine`] — [`Self::capacity`],
+/// The interface mirrors [`DelayLine`](crate::DelayLine) — [`Self::capacity`],
 /// [`Self::try_send`], per-cycle advancement, delivery draining — with two
 /// differences: `try_send` takes the wire's corruption verdict for this
 /// transmission, and the per-cycle [`Self::advance`] needs a corruption

@@ -148,9 +148,10 @@ pub struct ServiceStats {
     pub dedup_joins: u64,
     /// On-disk entries rejected by the integrity checks.
     pub corrupt_rejected: u64,
-    /// Warm-start checkpoint forks (one per warm group computed).
+    /// Warm-start checkpoint forks (one per warm group whose returned
+    /// points forked).
     pub warm_forks: u64,
-    /// Warm-up cycles the forks avoided re-simulating.
+    /// Warm-up cycles the returned points' forks avoided re-simulating.
     pub warm_cycles_saved: u64,
     /// Points served by the analytical estimator.
     pub analytical_points: u64,
@@ -441,9 +442,11 @@ impl SweepService {
     /// keys — the abort is a property of the group, so every process
     /// agrees.
     ///
-    /// Tallies every point served — those a worker ran past the cut
-    /// included — and the warm-up cycles saved into `served`. Returns the
-    /// kept points and whether they were warm-started.
+    /// Tallies the kept points' sources and the warm-up cycles their forks
+    /// saved into `served`: points a worker ran past the cut count in the
+    /// service-wide counters but not here, so the tally is the same for
+    /// any worker count. Returns the kept points and whether they were
+    /// warm-started.
     pub fn sweep(
         &self,
         job: &JobSpec,
@@ -465,10 +468,10 @@ impl SweepService {
         let build = || job.kind.build(job.geom, config, job.profile);
         let (pattern, packet_len, spec) = (job.pattern, job.packet_len, job.spec);
         let blob = OnceLock::new();
-        let forked = AtomicU64::new(0);
-        let tally = Mutex::new(std::mem::take(served));
+        // Each point: (the served point and its source, whether it forked).
         let points = sweep_points(&job.rates, self.workers, |rate| {
             let desc = desc(rate);
+            let mut forked = false;
             let point = self.cached_point(desc.key(), || {
                 let warm_blob = warm.then(|| {
                     blob.get_or_init(|| {
@@ -478,21 +481,24 @@ impl SweepService {
                 let Some(Some(blob)) = warm_blob else {
                     return engine_point(&desc);
                 };
-                forked.fetch_add(1, Ordering::Relaxed);
+                forked = true;
                 let out = fork_point(build, blob, pattern, rate, packet_len, spec, config.seed);
                 CachedPoint::from_outcome(rate, &out)
             });
-            tally.lock().expect("sweep tally").count(point.1);
-            point
+            (point, forked)
         });
-        *served = tally.into_inner().expect("sweep tally");
-        if let Some(Some(_)) = blob.get() {
+        let forks = points.iter().filter(|(_, forked)| *forked).count() as u64;
+        if forks > 0 {
             // The first fork paid the warm-up that the others skip.
-            let saved = spec.warmup * forked.into_inner().saturating_sub(1);
+            let saved = spec.warmup * (forks - 1);
             self.count(self.ids.warm_forks, 1);
             self.count(self.ids.warm_cycles_saved, saved);
             served.warm_forks += 1;
             served.warm_cycles_saved += saved;
+        }
+        let points: Vec<_> = points.into_iter().map(|(point, _)| point).collect();
+        for (_, src) in &points {
+            served.count(src);
         }
         (points, warm && !matches!(blob.get(), Some(None)))
     }

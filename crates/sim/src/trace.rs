@@ -307,7 +307,7 @@ pub fn node_key(node: u32) -> u64 {
 /// `(key, seq)` order an explicit sequence counter would. Keeping the
 /// record at 32 bytes (down from 40 with a counter) is a measurable win:
 /// the full-trace hot path pushes, copies and sorts every one of these.
-/// The buffer is drained with [`TraceBuf::clear`] every cycle, so its
+/// The buffer is drained with [`Tracer::clear`] every cycle, so its
 /// capacity reaches a high-water mark and then stops allocating.
 #[derive(Debug)]
 pub struct TraceBuf {

@@ -1,8 +1,9 @@
-//! The `hetero-sim` command line, driven as a process: invalid points
-//! exit 2 with a message naming the flag (never a panic), every printed
-//! pattern name is accepted, and a `--cache-dir` run (single or
-//! `--sweep`) stores exactly the points the sweep service serves for the
-//! equivalent job.
+//! The `hetero-sim` command line, driven as a process: invalid points and
+//! flags the run's mode does not read exit 2 with a message naming the
+//! flag (never a panic), every printed pattern name is accepted, a
+//! `--cache-dir` run (single or `--sweep`) stores exactly the points the
+//! sweep service serves for the equivalent job, and a warm-started
+//! sweep's saved-cycles line does not depend on `--threads`.
 
 use chiplet_topo::Geometry;
 use chiplet_traffic::{PhaseGraph, TrafficPattern};
@@ -29,15 +30,68 @@ fn stdout(out: &Output) -> String {
 
 #[test]
 fn invalid_points_exit_2_naming_the_flag() {
+    let dir = std::env::temp_dir().join(format!("hetero-cli-invalid-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| {
+        dir.join(name)
+            .to_str()
+            .expect("UTF-8 temp path")
+            .to_string()
+    };
+    let (faults, out_file) = (path("faults.txt"), path("out"));
+    std::fs::write(&faults, "200 phy-down parallel\n").expect("fault script");
+    let (f, o) = (faults.as_str(), out_file.as_str());
+    let dnn = "dnn:ranks=4,layers=1,grad=32";
     for (args, flag) in [
+        // Points the job validator rejects.
         (&["--packet", "0"][..], "--packet"),
         (&["--rate", "-1"], "--rate"),
         (&["--rate", "nan"], "--rate"),
         (&["--pattern", "zigzag"], "--pattern"),
         (&["--chiplets", "1x1", "--chip", "1x1"], "--chiplets"),
         (&["--chiplets", "300x1", "--chip", "300x1"], "--chiplets"),
+        // Flag combinations rejected since the mode checks were written
+        // out by hand; each names the flag it named then.
+        (&["--sweep", "--fault-script", f], "--fault-script"),
+        (&["--sweep", "--metrics", o], "--metrics"),
+        (&["--sweep", "--trace", o], "--trace"),
+        (&["--sweep", "--checkpoint-out", o], "--checkpoint-out"),
+        (&["--replay", o, "--checkpoint-in", o], "--checkpoint-in"),
+        (&["--checkpoint-every", "100"], "--checkpoint-every"),
+        (
+            &["--checkpoint-out", o, "--probe", "links"],
+            "--checkpoint-out",
+        ),
+        (&["--warm-start"], "--warm-start"),
+        (&["--workload", dnn, "--sweep"], "--workload"),
+        (&["--capture-trace", o], "--capture-trace"),
+        (
+            &["--workload", dnn, "--capture-trace", o, "--cache-dir", o],
+            "--capture-trace",
+        ),
+        (&["--estimate", "--metrics", o], "--estimate"),
+        (&["--report", o], "--report"),
+        (&["--cache-dir", o, "--probe", "links"], "--cache-dir"),
+        (&["--workload", dnn, "--workload-trace", o], "--workload"),
+        // Flags the selected mode used to drop without a word.
+        (&["--sweep", "--replay", o], "--replay"),
+        (&["--sweep", "--probe", "links"], "--probe"),
+        (&["--estimate", "--fault-script", f], "--fault-script"),
+        (&["--calibrate", "--fault-script", f], "--fault-script"),
+        (&["--calibrate", "--metrics", o], "--metrics"),
+        (&["--calibrate", "--trace", o], "--trace"),
+        (&["--calibrate", "--checkpoint-out", o], "--checkpoint-out"),
+        (&["--trace-filter", "flit"], "--trace-filter"),
+        (&["--backend", "cycle"], "--backend"),
+        (&["--threads", "2"], "--threads"),
+        (&["--network", "parallel-mesh", "--half"], "--half"),
+        (&["--network", "serial-torus", "--half"], "--half"),
+        (&["--network", "serial-hypercube", "--half"], "--half"),
+        (&["--estimate", "--ber", "1e-3"], "--ber"),
+        (&["--estimate", "--retry"], "--retry"),
+        (&["--estimate", "--shard-threads", "2"], "--shard-threads"),
     ] {
-        let out = hetero_sim(&[&SMALL[..], args].concat());
+        let out = hetero_sim(&[&SMALL[..], &["--cycles", "300"], args].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(
@@ -45,6 +99,7 @@ fn invalid_points_exit_2_naming_the_flag() {
             "{args:?}: {stderr:?} should name {flag}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -185,4 +240,36 @@ fn sweep_reruns_from_the_store_without_simulating() {
         "{served}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_start_savings_count_only_the_kept_points() {
+    // The 64-node bit-complement sweep stops two points past saturation,
+    // at 10 of the ladder's 11 rates. A second worker may still run the
+    // 11th; its fork saves nothing the printed curve shows, so the line
+    // reads the same at any thread count.
+    for threads in ["1", "2"] {
+        let out = hetero_sim(&[
+            "--network",
+            "parallel-mesh",
+            "--chiplets",
+            "2x2",
+            "--chip",
+            "4x4",
+            "--pattern",
+            "bit-complement",
+            "--cycles",
+            "3000",
+            "--sweep",
+            "--warm-start",
+            "--threads",
+            threads,
+        ]);
+        assert!(out.status.success(), "{out:?}");
+        let text = stdout(&out);
+        assert!(
+            text.contains("warm-start: 2700 warm-up cycles saved"),
+            "--threads {threads}: {text}"
+        );
+    }
 }
