@@ -48,6 +48,7 @@ use crate::wheel::Due;
 use chiplet_noc::{Flit, FlitRef};
 use chiplet_topo::{LinkClass, LinkId, SystemTopology};
 use simkit::codec::{crc32, ByteReader, ByteWriter, CodecError, LoadState, SaveState};
+use simkit::hash::fnv1a64;
 use simkit::metrics::MetricKind;
 use simkit::stats::Histogram;
 use std::sync::atomic::Ordering::Relaxed;
@@ -68,16 +69,6 @@ const SEC_ACTIVE: [u8; 4] = *b"ACTV";
 const SEC_CREDITS: [u8; 4] = *b"CRDT";
 const SEC_OBSERVE: [u8; 4] = *b"OBSV";
 
-/// FNV-1a over `bytes` (fingerprints only — not a payload checksum).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Fingerprint of everything in the config that must match between save
 /// and restore. `shard_threads` is zeroed and `idle_skip` cleared first:
 /// the whole point of the global-entity blob layout is that the
@@ -88,7 +79,7 @@ fn config_fingerprint(config: &crate::config::SimConfig) -> u64 {
     let mut c = *config;
     c.shard_threads = 0;
     c.idle_skip = false;
-    fnv64(format!("{c:?}").as_bytes())
+    fnv1a64(format!("{c:?}").as_bytes())
 }
 
 fn class_code(class: LinkClass) -> u8 {
@@ -114,7 +105,7 @@ fn topo_fingerprint(topo: &SystemTopology) -> u64 {
         w.put_u32(l.dst.0);
         w.put_u8(class_code(l.class));
     }
-    fnv64(&w.into_bytes())
+    fnv1a64(&w.into_bytes())
 }
 
 fn save_collector(c: &Collector, w: &mut ByteWriter) {
@@ -268,14 +259,14 @@ impl Network {
             );
         }
         let part = &self.engine.part;
-        let topo = self.topo.read().expect("topology lock poisoned");
+        let topo = self.fabric.topo.read().expect("topology lock poisoned");
         let nodes = part.node_shard.len();
         let links = part.link_owner.len();
 
         let mut w = ByteWriter::new();
 
         let t = w.begin_section(SEC_META);
-        w.put_u64(config_fingerprint(&self.config));
+        w.put_u64(config_fingerprint(&self.fabric.wiring.config));
         w.put_u64(topo_fingerprint(&topo));
         w.put_u32(nodes as u32);
         w.put_u32(links as u32);
@@ -283,7 +274,7 @@ impl Network {
 
         let t = w.begin_section(SEC_ENGINE);
         w.put_u64(self.engine.now.load(Relaxed));
-        w.put_u64(self.engine.measure_from.load(Relaxed));
+        w.put_u64(self.hub.measure_from);
         w.put_u64(self.hub.last_activity);
         w.put_usize(self.hub.script_pos);
         w.put_u64(guards.iter().map(|g| g.arena.allocated_total()).sum());
@@ -512,8 +503,8 @@ impl Network {
         let nodes = r.get_u32()? as usize;
         let links = r.get_u32()? as usize;
         let link_dst: Vec<u32> = {
-            let topo = self.topo.get_mut().expect("topology lock poisoned");
-            if config_fp != config_fingerprint(&self.config) {
+            let topo = self.fabric.topo.get_mut().expect("topology lock poisoned");
+            if config_fp != config_fingerprint(&self.fabric.wiring.config) {
                 return Err(CodecError::Mismatch(
                     "checkpoint was taken under a different configuration".into(),
                 ));
@@ -611,7 +602,7 @@ impl Network {
             for _ in 0..r.get_usize()? {
                 let at = due_at_or_after(&mut r, now)?;
                 let vc = r.get_u8()?;
-                if vc >= self.config.vcs {
+                if vc >= self.fabric.wiring.config.vcs {
                     return Err(CodecError::Corrupt("returning credit names a missing VC"));
                 }
                 wheel.push_credit(at, li as u32, vc);
@@ -678,7 +669,7 @@ impl Network {
             if li >= links {
                 return Err(CodecError::Corrupt("credit message link out of range"));
             }
-            if vc >= self.config.vcs {
+            if vc >= self.fabric.wiring.config.vcs {
                 return Err(CodecError::Corrupt("credit message names a missing VC"));
             }
             // Producer = shard of the link's destination router (the
@@ -793,7 +784,7 @@ impl Network {
             .map(|(li, _)| LinkId(li as u32))
             .collect();
         if !blocked.is_empty() {
-            let topo = self.topo.get_mut().expect("topology lock poisoned");
+            let topo = self.fabric.topo.get_mut().expect("topology lock poisoned");
             for &id in &blocked {
                 topo.set_pair_down(id, true);
             }
@@ -806,7 +797,7 @@ impl Network {
         }
 
         self.engine.now.store(now, Relaxed);
-        self.engine.measure_from.store(measure_from, Relaxed);
+        self.hub.measure_from = measure_from;
         self.hub.last_activity = last_activity;
         self.hub.script_pos = script_pos;
         self.hub.barrier_wait_ns = barrier_wait_ns;
@@ -863,8 +854,8 @@ impl Network {
             .map(|s| s.lock().expect("shard lock poisoned"))
             .collect();
         let part = &self.engine.part;
-        let topo = self.topo.read().expect("topology lock poisoned");
-        let vcs = self.config.vcs as usize;
+        let topo = self.fabric.topo.read().expect("topology lock poisoned");
+        let vcs = self.fabric.wiring.config.vcs as usize;
 
         for (sid, g) in guards.iter().enumerate() {
             for &node in &g.nodes {
@@ -904,15 +895,15 @@ impl Network {
                 continue;
             }
             let depth = match link.class {
-                LinkClass::OnChip => self.config.onchip_vc_depth,
-                _ => self.config.iface_vc_depth,
+                LinkClass::OnChip => self.fabric.wiring.config.onchip_vc_depth,
+                _ => self.fabric.wiring.config.iface_vc_depth,
             } as usize;
             let src = &guards[part.node_shard[link.src.index()] as usize].routers[link.src.index()];
             let dst = &guards[part.node_shard[link.dst.index()] as usize].routers[link.dst.index()];
-            for vc in 0..self.config.vcs {
-                let credits = src.out_vc_credits(self.link_out_port[li], vc) as usize;
+            for vc in 0..self.fabric.wiring.config.vcs {
+                let credits = src.out_vc_credits(self.fabric.wiring.link_out_port[li], vc) as usize;
                 let on_wire = in_line[li * vcs + vc as usize];
-                let occupancy = dst.in_occupancy(self.link_in_port[li], vc);
+                let occupancy = dst.in_occupancy(self.fabric.wiring.link_in_port[li], vc);
                 let back = returning[li * vcs + vc as usize];
                 let total = credits + on_wire + occupancy + back;
                 if total != depth {

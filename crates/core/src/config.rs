@@ -285,12 +285,7 @@ impl SimConfig {
     /// A 64-bit FNV-1a fingerprint of [`SimConfig::canonical_key`]: a
     /// compact config identity for reports and caches.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.canonical_key().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        simkit::hash::fnv1a64(self.canonical_key().as_bytes())
     }
 
     /// The hetero-PHY parameters under the current bandwidth mode.

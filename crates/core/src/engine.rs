@@ -27,18 +27,15 @@
 //! the golden-trace matrix pins SimResults equality across every shard
 //! and thread count.
 //!
-//! The immutable description of the system (topology, routing, port maps,
-//! configuration) stays in [`crate::network::Network`] and is passed into
-//! each stage as an [`EngineCtx`].
+//! The immutable description of the system stays in the network's
+//! [`Fabric`]; each phase runs against one [`EngineCtx`], the cycle's view
+//! of that fabric and of the engine's shared parts.
 
-use crate::config::SimConfig;
-use crate::energy::EnergyModel;
-use crate::network::Collector;
+use crate::network::{Collector, Fabric, Wiring};
 use crate::shard::{Delivery, FaultCore, Mail, Medium, MetricIds, Partition, Shard, ShardMetrics};
 use crate::wheel::LinkWheel;
 use chiplet_fault::FaultScript;
 use chiplet_noc::{PacketId, PacketInfo, PacketStore, Router};
-use chiplet_topo::routing::Routing;
 use chiplet_topo::{LinkId, SystemTopology};
 use chiplet_traffic::PacketRequest;
 use simkit::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -50,30 +47,44 @@ use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, RwLock};
 
-/// The immutable system description a stage executes against, borrowed
-/// from the owning [`crate::network::Network`].
+/// One cycle's view: what every shard phase reads and nothing it owns.
+/// Built by [`EngineCtx::new`] alone, whichever driver runs the cycle.
 pub(crate) struct EngineCtx<'a> {
-    /// The system topology.
+    pub wiring: &'a Wiring,
+    /// The topology, through the caller's guard (or `get_mut`).
     pub topo: &'a SystemTopology,
-    /// The routing algorithm.
-    pub routing: &'a dyn Routing,
-    /// The simulation configuration.
-    pub config: &'a SimConfig,
-    /// The energy model applied at packet ejection.
-    pub energy_model: &'a EnergyModel,
-    /// LinkId → out port on its source router (1-based).
-    pub link_out_port: &'a [u16],
-    /// LinkId → in port on its destination router (1-based).
-    pub link_in_port: &'a [u16],
-    /// node → ordered outgoing links (out port k+1 = element k).
-    pub outport_links: &'a [Vec<LinkId>],
-    /// node → ordered incoming links (in port k+1 = element k).
-    pub inport_links: &'a [Vec<LinkId>],
+    /// The cycle being simulated.
+    pub now: Cycle,
+    /// Packet descriptors, read-only during the phases.
+    pub store: &'a PacketStore,
+    pub mail: &'a Mail,
+    pub part: &'a Partition,
+}
+
+impl<'a> EngineCtx<'a> {
+    pub fn new(
+        wiring: &'a Wiring,
+        topo: &'a SystemTopology,
+        now: Cycle,
+        store: &'a PacketStore,
+        mail: &'a Mail,
+        part: &'a Partition,
+    ) -> Self {
+        Self {
+            wiring,
+            topo,
+            now,
+            store,
+            mail,
+            part,
+        }
+    }
 }
 
 /// Orchestrator-side mutable state: everything that is only ever touched
-/// while the shards are at rest — the statistics collector, the fault
-/// script cursor, the activity clock and the pooled merge scratch.
+/// while the shards are at rest — the statistics collector and its
+/// measurement window, the fault script cursor, the activity clock and
+/// the pooled merge scratch.
 ///
 /// Splitting this out of the engine is what lets the parallel driver hand
 /// the [`ShardedEngine`] to the worker pool by shared reference while the
@@ -82,6 +93,11 @@ pub(crate) struct EngineCtx<'a> {
 pub(crate) struct Hub {
     /// The built-in statistics collector.
     pub collector: Collector,
+    /// Packets created at or after this cycle count toward the measured
+    /// statistics (warm-up exclusion). The collector applies it when a
+    /// delivery merges, which is the cycle its tail ejected: the window
+    /// only moves between cycles, so that is exact.
+    pub measure_from: Cycle,
     /// Last cycle in which any shard reported activity.
     pub last_activity: Cycle,
     /// Scheduled fault events, applied as simulated time passes them.
@@ -121,6 +137,7 @@ impl Hub {
     pub fn new() -> Self {
         Self {
             collector: Collector::default(),
+            measure_from: 0,
             last_activity: 0,
             script: FaultScript::default(),
             script_pos: 0,
@@ -147,13 +164,13 @@ impl Hub {
         }
     }
 
-    /// Opens the measurement window at the current cycle and traces the
+    /// Opens the measurement window at cycle `now` and traces the
     /// warm-up → measure phase change.
-    pub fn start_measurement(&mut self, engine: &ShardedEngine) {
-        engine.start_measurement();
+    pub fn start_measurement(&mut self, now: Cycle) {
+        self.measure_from = now;
         if let Some(ring) = self.trace.as_mut() {
             ring.push(TraceEvent {
-                cycle: engine.now(),
+                cycle: now,
                 kind: TraceKind::Phase,
                 pid: NO_PID,
                 a: 1, // warm-up → measure
@@ -211,9 +228,6 @@ pub(crate) struct ShardedEngine {
     pub mail: Mail,
     /// The current cycle.
     pub now: AtomicU64,
-    /// Packets created at or after this cycle count toward the measured
-    /// statistics (warm-up exclusion).
-    pub measure_from: AtomicU64,
 }
 
 impl ShardedEngine {
@@ -273,7 +287,6 @@ impl ShardedEngine {
             store: RwLock::new(PacketStore::new()),
             mail: Mail::new(ns),
             now: AtomicU64::new(0),
-            measure_from: AtomicU64::new(0),
             part,
         }
     }
@@ -292,10 +305,6 @@ impl ShardedEngine {
     /// [`Self::next_event`]). Called only between cycles.
     pub fn tick_idle(&self) {
         self.now.fetch_add(1, Relaxed);
-    }
-
-    pub fn start_measurement(&self) {
-        self.measure_from.store(self.now.load(Relaxed), Relaxed);
     }
 
     /// Queues a packet for injection at its source NIC. Called only
@@ -461,33 +470,58 @@ impl ShardedEngine {
     /// every shard in order, then the merge. Uses `get_mut` throughout,
     /// and the merge folds the shards in place, so the serial path takes
     /// no lock and allocates nothing per cycle.
-    pub fn step_serial(&mut self, ctx: &EngineCtx<'_>, hub: &mut Hub) {
-        let now = self.now.load(Relaxed);
-        let measure_from = self.measure_from.load(Relaxed);
+    pub fn step_serial(&mut self, fabric: &mut Fabric, hub: &mut Hub) {
+        let topo = &*fabric.topo.get_mut().expect("topology lock poisoned");
+        let Self {
+            part,
+            shards,
+            store,
+            mail,
+            now,
+        } = self;
         {
-            let store = &*self.store.get_mut().expect("store lock poisoned");
-            for s in &mut self.shards {
-                s.shard().phase1(ctx, now, store, &self.mail, &self.part);
+            let store = &*store.get_mut().expect("store lock poisoned");
+            let ctx = EngineCtx::new(&fabric.wiring, topo, now.load(Relaxed), store, mail, part);
+            for s in shards.iter_mut() {
+                s.shard().phase1(&ctx);
             }
-            for s in &mut self.shards {
-                s.shard()
-                    .phase2(ctx, now, store, &self.mail, measure_from, &self.part);
+            for s in shards.iter_mut() {
+                s.shard().phase2(&ctx);
             }
         }
-        let store = &mut self.store;
-        if Self::merge_shards(
-            &mut self.shards,
+        Self::merge_shards(
+            shards,
             || store.get_mut().expect("store lock poisoned"),
             hub,
-        ) {
-            hub.last_activity = now;
-        }
-        self.now.store(now + 1, Relaxed);
+            now,
+        );
+    }
+
+    /// Runs `phase` for shard `sid` from a pool thread: the topology, the
+    /// store and the shard are each locked for the phase (uncontended —
+    /// every thread holds its own shard, and writers wait for the pool to
+    /// park).
+    pub fn step_shard(&self, fabric: &Fabric, sid: usize, phase: fn(&mut Shard, &EngineCtx<'_>)) {
+        let topo = fabric.topo.read().expect("topology lock poisoned");
+        let store = self.store.read().expect("store lock poisoned");
+        let ctx = EngineCtx::new(
+            &fabric.wiring,
+            &topo,
+            self.now(),
+            &store,
+            &self.mail,
+            &self.part,
+        );
+        phase(
+            &mut self.shards[sid].lock().expect("shard lock poisoned"),
+            &ctx,
+        );
     }
 
     /// Folds every shard's buffered observations into the collector and
-    /// the trace ring, frees delivered descriptors, and clears the
-    /// buffers. Returns whether any shard reported activity this cycle.
+    /// the trace ring, frees delivered descriptors, clears the buffers
+    /// and advances the clock, marking the cycle active in `hub` if any
+    /// shard reported activity.
     ///
     /// Runs with every shard at rest (between cycles). Link events only
     /// bump counters, so their order is immaterial. Deliveries merge in
@@ -501,7 +535,7 @@ impl ShardedEngine {
     /// This is the parallel leader's entry: it locks every shard (free,
     /// the workers are parked). [`Self::step_serial`] reaches the same
     /// [`Self::merge_shards`] through `get_mut` instead.
-    pub fn merge(&self, hub: &mut Hub) -> bool {
+    pub fn merge(&self, hub: &mut Hub) {
         let mut guards: Vec<_> = self
             .shards
             .iter()
@@ -511,6 +545,7 @@ impl ShardedEngine {
             &mut guards,
             || self.store.write().expect("store lock poisoned"),
             hub,
+            &self.now,
         )
     }
 
@@ -521,7 +556,8 @@ impl ShardedEngine {
         shards: &mut [S],
         store: impl FnOnce() -> G,
         hub: &mut Hub,
-    ) -> bool {
+        clock: &AtomicU64,
+    ) {
         hub.del_scratch.clear();
         for s in shards.iter_mut() {
             let g = s.shard();
@@ -537,7 +573,7 @@ impl ShardedEngine {
         if !hub.del_scratch.is_empty() {
             let mut store = store();
             for &(_, d) in hub.del_scratch.iter() {
-                hub.collector.on_packet_delivered(&d.ev);
+                hub.collector.on_packet_delivered(&d.ev, hub.measure_from);
                 store.free(d.pid);
             }
         }
@@ -571,18 +607,18 @@ impl ShardedEngine {
                 ring.extend_prefiltered(&hub.trace_scratch);
             }
         }
-        let mut any = false;
+        let now = clock.load(Relaxed);
         for s in shards.iter_mut() {
             let g = s.shard();
             if g.activity {
-                any = true;
+                hub.last_activity = now;
                 g.active_cycles += 1;
             }
             g.link_events.clear();
             g.deliveries.clear();
             g.tracer.clear();
         }
-        any
+        clock.store(now + 1, Relaxed);
     }
 
     /// Turns tracing on in every shard: each gets a fresh buffer bound to

@@ -14,8 +14,9 @@
 
 use crate::config::SimConfig;
 use crate::energy::EnergyModel;
-use crate::engine::{EngineCtx, Hub, ShardedEngine};
+use crate::engine::{Hub, ShardedEngine};
 use crate::shard::{Medium, MetricIds, Partition, Shard};
+use crate::sim::CycleDriver;
 use chiplet_fault::{FaultEvent, FaultScript, FaultTarget, TimedFault};
 use chiplet_noc::{Lanes, PacketId, RetryLine, Router};
 use chiplet_phy::{HeteroPhyLink, PhyKind};
@@ -48,8 +49,6 @@ pub(crate) struct DeliveryEvent {
     pub high_priority: bool,
     /// Whether it fell back to the baseline (escape) subnetwork.
     pub baseline_locked: bool,
-    /// Whether it was created inside the measurement window.
-    pub measured: bool,
     /// Workload phase tag (0 = untagged traffic).
     pub tag: u16,
     /// On-chip traversal energy, pJ.
@@ -171,8 +170,9 @@ impl Collector {
         }
     }
 
-    /// Folds one packet delivery into the running statistics.
-    pub(crate) fn on_packet_delivered(&mut self, ev: &DeliveryEvent) {
+    /// Folds one packet delivery into the running statistics; it counts
+    /// as measured when created at or after `measure_from`.
+    pub(crate) fn on_packet_delivered(&mut self, ev: &DeliveryEvent, measure_from: Cycle) {
         self.delivered_packets += 1;
         self.delivered_flits += ev.len as u64;
         if ev.tag != 0 {
@@ -182,7 +182,7 @@ impl Collector {
             }
             self.by_tag[t].delivered += 1;
         }
-        if !ev.measured {
+        if ev.created < measure_from {
             return;
         }
         self.measured_packets += 1;
@@ -215,32 +215,47 @@ impl Collector {
     }
 }
 
-/// A fully assembled multi-chiplet network simulation.
-pub struct Network {
+/// The immutable system description a network is assembled from: the
+/// topology behind its lock, and the [`Wiring`] every stage reads.
+pub(crate) struct Fabric {
     /// Behind a lock so the parallel driver can share it with the worker
     /// pool; the serial path uses `get_mut` and never locks. Only
     /// scripted hard faults ever take the write side (to edit routing
     /// views), and they run while the pool is parked.
-    pub(crate) topo: RwLock<SystemTopology>,
-    pub(crate) routing: Box<dyn Routing>,
-    pub(crate) config: SimConfig,
-    pub(crate) energy_model: EnergyModel,
+    pub topo: RwLock<SystemTopology>,
+    pub wiring: Wiring,
+}
+
+/// Everything in the [`Fabric`] but the topology: what every stage reads
+/// without a lock.
+pub(crate) struct Wiring {
+    pub routing: Box<dyn Routing>,
+    pub config: SimConfig,
+    pub energy_model: EnergyModel,
     /// LinkId → out port on its source router (1-based).
-    pub(crate) link_out_port: Vec<u16>,
+    pub link_out_port: Vec<u16>,
     /// LinkId → in port on its destination router (1-based).
-    pub(crate) link_in_port: Vec<u16>,
+    pub link_in_port: Vec<u16>,
     /// node → ordered outgoing links (out port k+1 = element k).
-    pub(crate) outport_links: Vec<Vec<LinkId>>,
+    pub outport_links: Vec<Vec<LinkId>>,
     /// node → ordered incoming links (in port k+1 = element k).
-    pub(crate) inport_links: Vec<Vec<LinkId>>,
+    pub inport_links: Vec<Vec<LinkId>>,
+}
+
+/// A fully assembled multi-chiplet network simulation: the immutable
+/// fabric (topology, routing, config, energy model, port maps) plus its
+/// run state.
+pub struct Network {
+    pub(crate) fabric: Fabric,
     pub(crate) engine: ShardedEngine,
-    /// Orchestrator-side state: collector, fault script, merge scratch.
+    /// Orchestrator-side state: collector, measurement window, fault
+    /// script, merge scratch.
     pub(crate) hub: Hub,
 }
 
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let topo = self.topo.read().expect("topology lock poisoned");
+        let topo = self.topology();
         f.debug_struct("Network")
             .field("kind", &topo.kind())
             .field("nodes", &topo.geometry().nodes())
@@ -370,8 +385,7 @@ impl Network {
         let part = Partition::new(&topo, config.resolved_shard_threads());
         let engine =
             ShardedEngine::new(routers, media, credit_latency, &link_ps, config.seed, part);
-        Self {
-            topo: RwLock::new(topo),
+        let wiring = Wiring {
             routing,
             config,
             energy_model: EnergyModel::default(),
@@ -379,6 +393,12 @@ impl Network {
             link_in_port,
             outport_links,
             inport_links,
+        };
+        Self {
+            fabric: Fabric {
+                topo: RwLock::new(topo),
+                wiring,
+            },
             engine,
             hub: Hub::new(),
         }
@@ -387,12 +407,12 @@ impl Network {
     /// The topology this network was built from (a read guard; hold it
     /// only briefly — scripted hard faults take the write side).
     pub fn topology(&self) -> impl std::ops::Deref<Target = SystemTopology> + '_ {
-        self.topo.read().expect("topology lock poisoned")
+        self.fabric.topo.read().expect("topology lock poisoned")
     }
 
     /// The configuration.
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        &self.fabric.wiring.config
     }
 
     /// The number of chiplet-group shards the cycle loop runs over
@@ -410,7 +430,7 @@ impl Network {
 
     /// Replaces the energy model (default: [`EnergyModel::default`]).
     pub fn set_energy_model(&mut self, m: EnergyModel) {
-        self.energy_model = m;
+        self.fabric.wiring.energy_model = m;
     }
 
     /// Installs a fault script. Events fire as simulated time reaches
@@ -428,19 +448,17 @@ impl Network {
     /// retry layer alone at BER = 0 does not count — it never perturbs an
     /// error-free run.
     pub fn faults_active(&self) -> bool {
-        self.config.fault.ber_serial > 0.0
-            || self.config.fault.ber_parallel > 0.0
-            || !self.hub.script.is_empty()
+        CycleDriver::faults_active(self)
     }
 
     /// The current cycle.
     pub fn now(&self) -> Cycle {
-        self.engine.now()
+        CycleDriver::now(self)
     }
 
     /// The statistics collector.
     pub fn collector(&self) -> &Collector {
-        &self.hub.collector
+        CycleDriver::collector(self)
     }
 
     /// Flits delivered over each directed link so far (indexed by
@@ -452,7 +470,7 @@ impl Network {
     /// Starts the measurement window: packets created from now on are
     /// recorded in the measured statistics.
     pub fn start_measurement(&mut self) {
-        self.hub.start_measurement(&self.engine);
+        CycleDriver::start_measurement(self)
     }
 
     /// Turns the metrics layer on: registers the hot-path metrics (per-
@@ -467,7 +485,7 @@ impl Network {
         }
         let mut reg = MetricsRegistry::new();
         let rob_gauge = {
-            let topo = self.topo.get_mut().expect("topology lock poisoned");
+            let topo = self.fabric.topo.get_mut().expect("topology lock poisoned");
             let mut v = vec![None; topo.links().len()];
             for link in topo.links() {
                 if link.class == LinkClass::HeteroPhy {
@@ -624,13 +642,13 @@ impl Network {
 
     /// Total packets waiting in source queues (not yet fully injected).
     pub fn queued_packets(&self) -> usize {
-        self.engine.queued_packets()
+        CycleDriver::queued_packets(self)
     }
 
     /// Cycles since anything moved — a growing value with live packets
     /// indicates deadlock (used by the simulation watchdog).
     pub fn idle_cycles(&self) -> Cycle {
-        self.engine.now() - self.hub.last_activity
+        CycleDriver::idle_cycles(self)
     }
 
     /// The earliest cycle ≥ [`Self::now`] at which this network can make
@@ -649,25 +667,14 @@ impl Network {
     /// would have been a total no-op except the clock advance. The
     /// idle-skip loop in [`crate::sim`] is the caller.
     pub fn tick_idle(&mut self) {
-        self.engine.tick_idle();
+        CycleDriver::tick_idle(self)
     }
 
     /// Runs one simulation cycle on the calling thread (both phases over
     /// every shard in order — any shard count).
     pub fn step(&mut self) {
-        apply_due_faults(&self.topo, &self.engine, &mut self.hub);
-        let topo = &*self.topo.get_mut().expect("topology lock poisoned");
-        let ctx = EngineCtx {
-            topo,
-            routing: self.routing.as_ref(),
-            config: &self.config,
-            energy_model: &self.energy_model,
-            link_out_port: &self.link_out_port,
-            link_in_port: &self.link_in_port,
-            outport_links: &self.outport_links,
-            inport_links: &self.inport_links,
-        };
-        self.engine.step_serial(&ctx, &mut self.hub);
+        apply_due_faults(&self.fabric.topo, &self.engine, &mut self.hub);
+        self.engine.step_serial(&mut self.fabric, &mut self.hub);
     }
 }
 
@@ -1051,7 +1058,6 @@ mod tests {
             len: 16,
             high_priority: false,
             baseline_locked: false,
-            measured: true,
             tag: 0,
             onchip_pj: 10.0,
             parallel_pj: 20.0,

@@ -35,16 +35,15 @@
 //! signal, set on every exit path (normal completion, leader panic,
 //! worker panic) by a drop guard, so no thread is ever left parked.
 
-use crate::engine::{EngineCtx, Hub, ShardedEngine};
-use crate::network::{apply_due_faults, Collector, Network};
+use crate::engine::{Hub, ShardedEngine};
+use crate::network::{apply_due_faults, Fabric, Network};
+use crate::shard::Shard;
 use crate::sim::{drive, CycleDriver, RunOutcome, RunSpec, Timeline};
-use chiplet_topo::SystemTopology;
 use chiplet_traffic::{PacketRequest, Workload};
 use simkit::par::{Gate, PanicSignal};
 use simkit::trace::{TraceEvent, TraceKind, NO_PID};
 use simkit::Cycle;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::RwLock;
 
 /// The pool's shared synchronization state: the two phase gates, the
 /// cooperative stop flag (doubles as the workers' wait-cancel signal) and
@@ -94,35 +93,20 @@ pub(crate) fn run_parallel(
     halt_at: Option<Cycle>,
     timeline: Option<&mut Timeline>,
 ) -> Option<RunOutcome> {
-    // Split the network into the worker-shared immutable description +
-    // engine, and the leader-held mutable hub.
+    // The workers share the fabric and the engine; the hub stays with
+    // the leader.
     let Network {
-        topo,
-        routing,
-        config,
-        energy_model,
-        link_out_port,
-        link_in_port,
-        outport_links,
-        inport_links,
+        fabric,
         engine,
         hub,
     } = net;
-    let engine: &ShardedEngine = engine;
-    let routing: &dyn chiplet_topo::routing::Routing = routing.as_ref();
+    let (fabric, engine): (&Fabric, &ShardedEngine) = (fabric, engine);
     let nshards = engine.nshards();
     let gates = Gates::new();
     std::thread::scope(|s| {
         let _stop_guard = StopOnDrop(&gates);
         for sid in 1..nshards {
             let gates = &gates;
-            let topo: &RwLock<SystemTopology> = topo;
-            let config = &*config;
-            let energy_model = &*energy_model;
-            let link_out_port = &*link_out_port;
-            let link_in_port = &*link_in_port;
-            let outport_links = &*outport_links;
-            let inport_links = &*inport_links;
             s.spawn(move || {
                 let _signal = PanicSignal(&gates.dead);
                 loop {
@@ -130,45 +114,17 @@ pub(crate) fn run_parallel(
                     if gates.stop.load(Ordering::Acquire) {
                         return;
                     }
-                    let t = topo.read().expect("topology lock poisoned");
-                    let ctx = EngineCtx {
-                        topo: &t,
-                        routing,
-                        config,
-                        energy_model,
-                        link_out_port,
-                        link_in_port,
-                        outport_links,
-                        inport_links,
-                    };
-                    let now = engine.now.load(Ordering::Relaxed);
-                    let measure_from = engine.measure_from.load(Ordering::Relaxed);
-                    {
-                        let store = engine.store.read().expect("store lock poisoned");
-                        let mut sh = engine.shards[sid].lock().expect("shard lock poisoned");
-                        sh.phase1(&ctx, now, &store, &engine.mail, &engine.part);
-                    }
+                    engine.step_shard(fabric, sid, Shard::phase1);
                     gates.b.arrive_and_wait(&gates.stop);
                     if gates.stop.load(Ordering::Acquire) {
                         return;
                     }
-                    {
-                        let store = engine.store.read().expect("store lock poisoned");
-                        let mut sh = engine.shards[sid].lock().expect("shard lock poisoned");
-                        sh.phase2(&ctx, now, &store, &engine.mail, measure_from, &engine.part);
-                    }
+                    engine.step_shard(fabric, sid, Shard::phase2);
                 }
             });
         }
         let mut leader = Leader {
-            topo,
-            routing,
-            config,
-            energy_model,
-            link_out_port,
-            link_in_port,
-            outport_links,
-            inport_links,
+            fabric,
             engine,
             hub,
             gates: &gates,
@@ -187,14 +143,7 @@ pub(crate) fn run_parallel(
 /// the rest, and runs every serial step (offers, fault script, merge)
 /// while the workers are parked.
 struct Leader<'a> {
-    topo: &'a RwLock<SystemTopology>,
-    routing: &'a dyn chiplet_topo::routing::Routing,
-    config: &'a crate::config::SimConfig,
-    energy_model: &'a crate::energy::EnergyModel,
-    link_out_port: &'a [u16],
-    link_in_port: &'a [u16],
-    outport_links: &'a [Vec<chiplet_topo::LinkId>],
-    inport_links: &'a [Vec<chiplet_topo::LinkId>],
+    fabric: &'a Fabric,
     engine: &'a ShardedEngine,
     hub: &'a mut Hub,
     gates: &'a Gates,
@@ -244,8 +193,12 @@ impl Leader<'_> {
 }
 
 impl CycleDriver for Leader<'_> {
-    fn now(&self) -> Cycle {
-        self.engine.now()
+    fn parts(&self) -> (&Fabric, &ShardedEngine, &Hub) {
+        (self.fabric, self.engine, self.hub)
+    }
+
+    fn hub_mut(&mut self) -> &mut Hub {
+        self.hub
     }
 
     fn offer(&mut self, req: PacketRequest) {
@@ -255,83 +208,21 @@ impl CycleDriver for Leader<'_> {
 
     fn step(&mut self) {
         // Safe to lock every shard: the pool is parked at gate A.
-        apply_due_faults(self.topo, self.engine, self.hub);
-        let now = self.engine.now.load(Ordering::Relaxed);
-        let measure_from = self.engine.measure_from.load(Ordering::Relaxed);
-        {
-            let t = self.topo.read().expect("topology lock poisoned");
-            let ctx = EngineCtx {
-                topo: &t,
-                routing: self.routing,
-                config: self.config,
-                energy_model: self.energy_model,
-                link_out_port: self.link_out_port,
-                link_in_port: self.link_in_port,
-                outport_links: self.outport_links,
-                inport_links: self.inport_links,
-            };
-            self.gates.a.release();
-            {
-                let store = self.engine.store.read().expect("store lock poisoned");
-                let mut sh = self.engine.shards[0].lock().expect("shard lock poisoned");
-                sh.phase1(&ctx, now, &store, &self.engine.mail, &self.engine.part);
-            }
-            self.sync_observed(0, now);
-            self.gates.b.release();
-            {
-                let store = self.engine.store.read().expect("store lock poisoned");
-                let mut sh = self.engine.shards[0].lock().expect("shard lock poisoned");
-                sh.phase2(
-                    &ctx,
-                    now,
-                    &store,
-                    &self.engine.mail,
-                    measure_from,
-                    &self.engine.part,
-                );
-            }
-            self.sync_observed(1, now);
-        }
+        apply_due_faults(&self.fabric.topo, self.engine, self.hub);
+        let now = self.engine.now();
+        self.gates.a.release();
+        self.engine.step_shard(self.fabric, 0, Shard::phase1);
+        self.sync_observed(0, now);
+        self.gates.b.release();
+        self.engine.step_shard(self.fabric, 0, Shard::phase2);
+        self.sync_observed(1, now);
         // Serial window again: fold per-shard observations in canonical
         // order and advance the clock.
-        if self.engine.merge(self.hub) {
-            self.hub.last_activity = now;
-        }
-        self.engine.now.store(now + 1, Ordering::Relaxed);
+        self.engine.merge(self.hub);
     }
 
     fn live_packets(&mut self) -> usize {
         self.engine.live_packets()
-    }
-
-    fn queued_packets(&self) -> usize {
-        self.engine.queued_packets()
-    }
-
-    fn collector(&self) -> &Collector {
-        &self.hub.collector
-    }
-
-    fn idle_cycles(&self) -> Cycle {
-        self.engine.now() - self.hub.last_activity
-    }
-
-    fn faults_active(&self) -> bool {
-        self.config.fault.ber_serial > 0.0
-            || self.config.fault.ber_parallel > 0.0
-            || !self.hub.script.is_empty()
-    }
-
-    fn start_measurement(&mut self) {
-        self.hub.start_measurement(self.engine);
-    }
-
-    fn nodes(&self) -> u32 {
-        self.topo
-            .read()
-            .expect("topology lock poisoned")
-            .geometry()
-            .nodes()
     }
 
     fn next_event(&mut self) -> Cycle {
@@ -339,17 +230,5 @@ impl CycleDriver for Leader<'_> {
         // shard (inside the engine's bound) is free and race-free.
         let now = self.engine.now();
         self.hub.next_event(now, self.engine.next_event(now))
-    }
-
-    fn tick_idle(&mut self) {
-        // Advance the shared clock without releasing the gates: the
-        // workers stay parked through the whole skipped stretch and only
-        // ever read the clock after a release, so they never observe the
-        // intermediate values.
-        self.engine.tick_idle();
-    }
-
-    fn skip_enabled(&self) -> bool {
-        self.config.idle_skip
     }
 }

@@ -34,11 +34,11 @@ use crate::network::DeliveryEvent;
 use crate::wheel::LinkWheel;
 use chiplet_noc::router::PipelineStage;
 use chiplet_noc::{
-    Flit, FlitArena, FlitRef, Lanes, PacketId, PacketInfo, PacketStore, PortCandidate, RetryLine,
-    Router, RouterEnv, ShardMailbox,
+    Flit, FlitArena, FlitRef, Lanes, PacketId, PacketInfo, PortCandidate, RetryLine, Router,
+    RouterEnv, ShardMailbox,
 };
 use chiplet_phy::{HeteroPhyLink, PhyKind};
-use chiplet_topo::routing::{RouteTable, Routing};
+use chiplet_topo::routing::RouteTable;
 use chiplet_topo::{LinkClass, LinkId, NodeId, SystemTopology};
 use simkit::codec::{ByteReader, ByteWriter, CodecError};
 use simkit::metrics::{MetricId, MetricsSlice};
@@ -440,7 +440,12 @@ impl Nic {
 /// never activated, unowned media slots are `None`. This keeps every
 /// stage's indexing identical to the serial engine at the cost of
 /// `O(nshards)` stub storage.
+///
+/// Aligned to two cache lines so that shards side by side in the engine
+/// never share a line: each pool thread writes its shard's fields on
+/// every flit, and reads them through the router environment.
 #[derive(Debug)]
+#[repr(align(128))]
 pub(crate) struct Shard {
     pub id: u16,
     /// Owned nodes, ascending (stat sums, restore validation).
@@ -562,14 +567,8 @@ impl Shard {
 
     /// Phase 1 of a cycle: inbound credit replay → credit stage → media
     /// stage → boundary-flit flush.
-    pub fn phase1(
-        &mut self,
-        ctx: &EngineCtx<'_>,
-        now: Cycle,
-        store: &PacketStore,
-        mail: &Mail,
-        part: &Partition,
-    ) {
+    pub fn phase1(&mut self, ctx: &EngineCtx<'_>) {
+        let now = ctx.now;
         self.activity = false;
         let sid = self.id as usize;
         {
@@ -583,30 +582,21 @@ impl Shard {
                 credit_latency,
                 ..
             } = self;
-            mail.credits.drain(sid, |_, m: CreditMsg| {
+            ctx.mail.credits.drain(sid, |_, m: CreditMsg| {
                 let at = now - 1 + credit_latency[m.li as usize] as Cycle;
                 wheel.push_credit(at, m.li, m.vc);
             });
         }
-        self.stage_credits(ctx, now);
-        self.stage_media(ctx, now, store, part);
-        for consumer in 0..part.nshards as usize {
-            mail.flits
-                .append(sid, consumer, &mut self.out_flits[consumer]);
+        self.stage_credits(ctx);
+        self.stage_media(ctx);
+        for (consumer, out) in self.out_flits.iter_mut().enumerate() {
+            ctx.mail.flits.append(sid, consumer, out);
         }
     }
 
     /// Phase 2 of a cycle: inbound flit delivery → inject stage → route
     /// stage → boundary-credit flush.
-    pub fn phase2(
-        &mut self,
-        ctx: &EngineCtx<'_>,
-        now: Cycle,
-        store: &PacketStore,
-        mail: &Mail,
-        measure_from: Cycle,
-        part: &Partition,
-    ) {
+    pub fn phase2(&mut self, ctx: &EngineCtx<'_>) {
         let sid = self.id as usize;
         {
             // Boundary flits land in the destination router before it
@@ -619,49 +609,40 @@ impl Shard {
                 activity,
                 ..
             } = self;
-            mail.flits.drain(sid, |_, m: FlitMsg| {
-                let link = ctx.topo.link(LinkId(m.li));
-                let dst = link.dst.index();
+            ctx.mail.flits.drain(sid, |_, m: FlitMsg| {
+                let dst = ctx.topo.link(LinkId(m.li)).dst.index();
                 let fref = arena.alloc(m.flit);
-                routers[dst].receive(ctx.link_in_port[m.li as usize], fref, m.flit.vc);
+                routers[dst].receive(ctx.wiring.link_in_port[m.li as usize], fref, m.flit.vc);
                 active_routers.insert(dst);
                 *activity = true;
             });
         }
-        self.stage_inject(ctx, now, store);
-        self.stage_route(ctx, now, store, measure_from, part);
-        for consumer in 0..part.nshards as usize {
-            mail.credits
-                .append(sid, consumer, &mut self.out_credits[consumer]);
+        self.stage_inject(ctx);
+        self.stage_route(ctx);
+        for (consumer, out) in self.out_credits.iter_mut().enumerate() {
+            ctx.mail.credits.append(sid, consumer, out);
         }
     }
 
     /// Credits due this cycle are restored to the transmitting router.
-    fn stage_credits(&mut self, ctx: &EngineCtx<'_>, now: Cycle) {
+    fn stage_credits(&mut self, ctx: &EngineCtx<'_>) {
         let Shard { wheel, routers, .. } = self;
-        wheel.drain_credits(now, |li, vc| {
+        wheel.drain_credits(ctx.now, |li, vc| {
             // Credits top up counters only; they cannot give a quiescent
             // router work, so no router activation here.
             let src = ctx.topo.link(LinkId(li)).src.index();
-            routers[src].add_credit(ctx.link_out_port[li as usize], vc);
+            routers[src].add_credit(ctx.wiring.link_out_port[li as usize], vc);
         });
     }
 
     /// Media deliver arrived flits: the wheel hands over the plain-link
     /// flits due this cycle, then every active guarded or hetero-PHY
     /// medium steps and hands over what it delivered.
-    fn stage_media(
-        &mut self,
-        ctx: &EngineCtx<'_>,
-        now: Cycle,
-        store: &PacketStore,
-        part: &Partition,
-    ) {
+    fn stage_media(&mut self, ctx: &EngineCtx<'_>) {
+        let now = ctx.now;
         // `deliver` needs the whole shard; the wheel goes back right after.
         let mut wheel = std::mem::take(&mut self.wheel);
-        wheel.drain_flits(now, |li, fref| {
-            self.deliver(ctx, now, store, part, li as usize, fref, None)
-        });
+        wheel.drain_flits(now, |li, fref| self.deliver(ctx, li as usize, fref, None));
         self.wheel = wheel;
 
         let mut ids = std::mem::take(&mut self.ids);
@@ -724,7 +705,7 @@ impl Shard {
                 active_media.insert(li);
             }
             for (fref, phy) in arrivals.drain(..) {
-                self.deliver(ctx, now, store, part, li, fref, phy);
+                self.deliver(ctx, li, fref, phy);
             }
         }
         self.arrivals = arrivals;
@@ -737,23 +718,13 @@ impl Shard {
     /// accounting happens here, at the owner — the serial engine's
     /// accounting site. `phy` names the hetero-PHY adapter lane the flit
     /// came off, if any.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &mut self,
-        ctx: &EngineCtx<'_>,
-        now: Cycle,
-        store: &PacketStore,
-        part: &Partition,
-        li: usize,
-        fref: FlitRef,
-        phy: Option<PhyKind>,
-    ) {
+    fn deliver(&mut self, ctx: &EngineCtx<'_>, li: usize, fref: FlitRef, phy: Option<PhyKind>) {
         let link = ctx.topo.link(LinkId(li as u32));
         let dst = link.dst.index();
-        let dst_shard = part.node_shard[dst];
+        let dst_shard = ctx.part.node_shard[dst];
         let flit = self.arena.get(fref);
         self.link_flits[li] += 1;
-        let info = store.get(flit.pid);
+        let info = ctx.store.get(flit.pid);
         let class = match phy {
             None => link.class,
             Some(PhyKind::Parallel) => LinkClass::Parallel,
@@ -783,10 +754,16 @@ impl Shard {
                 (TraceKind::PhyDispatch, lane as u32)
             }
         };
-        self.tracer
-            .emit(link_key(li as u32), now, kind, flit.pid.0, li as u32, arg);
+        self.tracer.emit(
+            link_key(li as u32),
+            ctx.now,
+            kind,
+            flit.pid.0,
+            li as u32,
+            arg,
+        );
         if dst_shard == self.id {
-            self.routers[dst].receive(ctx.link_in_port[li], fref, flit.vc);
+            self.routers[dst].receive(ctx.wiring.link_in_port[li], fref, flit.vc);
             self.active_routers.insert(dst);
         } else {
             let flit = self.arena.free(fref);
@@ -799,17 +776,18 @@ impl Shard {
     }
 
     /// NICs stream queued packets into injection ports.
-    fn stage_inject(&mut self, ctx: &EngineCtx<'_>, now: Cycle, store: &PacketStore) {
+    fn stage_inject(&mut self, ctx: &EngineCtx<'_>) {
+        let (now, store, config) = (ctx.now, ctx.store, &ctx.wiring.config);
         let mut ids = std::mem::take(&mut self.ids);
         self.active_nics.drain_into(&mut ids);
         for &node in &ids {
             let nic = &mut self.nics[node];
             let router = &mut self.routers[node];
-            let mut budget = ctx.config.inj_bandwidth;
+            let mut budget = config.inj_bandwidth;
             while budget > 0 {
                 if nic.cur.is_none() {
                     let Some(&pid) = nic.queue.front() else { break };
-                    let Some(vc) = (0..ctx.config.vcs).find(|&v| router.in_vc_idle(0, v)) else {
+                    let Some(vc) = (0..config.vcs).find(|&v| router.in_vc_idle(0, v)) else {
                         break;
                     };
                     nic.queue.pop_front();
@@ -862,44 +840,22 @@ impl Shard {
     }
 
     /// Every active owned router runs its RC/VA/SA pipeline.
-    fn stage_route(
-        &mut self,
-        ctx: &EngineCtx<'_>,
-        now: Cycle,
-        store: &PacketStore,
-        measure_from: Cycle,
-        part: &Partition,
-    ) {
+    fn stage_route(&mut self, ctx: &EngineCtx<'_>) {
         let mut ids = std::mem::take(&mut self.ids);
         self.active_routers.drain_into(&mut ids);
+        // The routers and the arena step outside the shard the environment
+        // borrows; both go back after the sweep.
         let mut routers = std::mem::take(&mut self.routers);
+        let mut arena = std::mem::take(&mut self.arena);
         // One environment for the whole sweep; only the per-node fields
         // are rewritten between routers.
         let mut env = ShardEnv {
-            now,
+            ctx,
+            shard: self,
             node: NodeId(0),
-            topo: ctx.topo,
-            routing: ctx.routing,
-            store,
-            media: &mut self.media,
-            wheel: &mut self.wheel,
-            credit_latency: &self.credit_latency,
-            faults: &mut self.faults,
             outport_link: &[],
             inport_link: &[],
-            vcs: ctx.config.vcs,
             eject_budget: 0,
-            energy_model: ctx.energy_model,
-            measure_from,
-            route_table: &mut self.route_table,
-            link_out_port: ctx.link_out_port,
-            link_owner: &part.link_owner,
-            sid: self.id,
-            activity: &mut self.activity,
-            active_media: &mut self.active_media,
-            deliveries: &mut self.deliveries,
-            out_credits: &mut self.out_credits,
-            tracer: &mut self.tracer,
         };
         for &node in &ids {
             let router = &mut routers[node];
@@ -907,56 +863,40 @@ impl Shard {
                 continue;
             }
             env.node = NodeId(node as u32);
-            env.outport_link = &ctx.outport_links[node];
-            env.inport_link = &ctx.inport_links[node];
-            env.eject_budget = ctx.config.eject_bandwidth as u16;
-            router.step(now, &mut env, &mut self.arena);
+            env.outport_link = &ctx.wiring.outport_links[node];
+            env.inport_link = &ctx.wiring.inport_links[node];
+            env.eject_budget = ctx.wiring.config.eject_bandwidth as u16;
+            router.step(ctx.now, &mut env, &mut arena);
             if !router.is_quiescent() {
-                self.active_routers.insert(node);
+                env.shard.active_routers.insert(node);
             }
         }
         self.routers = routers;
+        self.arena = arena;
         self.ids = ids;
     }
 }
 
-/// The router's window onto its shard during [`Shard::stage_route`].
+/// The router's window onto its shard during [`Shard::stage_route`]: the
+/// cycle's view, the shard (its routers and arena set aside), and the
+/// node being stepped.
 struct ShardEnv<'a> {
-    now: Cycle,
+    ctx: &'a EngineCtx<'a>,
+    shard: &'a mut Shard,
     node: NodeId,
-    topo: &'a SystemTopology,
-    routing: &'a dyn Routing,
-    store: &'a PacketStore,
-    media: &'a mut [Option<Medium>],
-    wheel: &'a mut LinkWheel,
-    credit_latency: &'a [u32],
-    faults: &'a mut FaultCore,
     /// out_port (1-based; 0 is ejection) → LinkId, per this node.
     outport_link: &'a [LinkId],
     /// in_port (1-based; 0 is injection) → LinkId, per this node.
     inport_link: &'a [LinkId],
-    vcs: u8,
     eject_budget: u16,
-    energy_model: &'a EnergyModel,
-    measure_from: Cycle,
-    route_table: &'a mut RouteTable,
-    /// LinkId → out port on its source router (1-based), global map.
-    link_out_port: &'a [u16],
-    /// LinkId → owning shard, global map.
-    link_owner: &'a [u16],
-    sid: u16,
-    activity: &'a mut bool,
-    active_media: &'a mut ActiveSet,
-    deliveries: &'a mut Vec<Delivery>,
-    out_credits: &'a mut [Vec<CreditMsg>],
-    tracer: &'a mut Tracer,
 }
 
 impl RouterEnv for ShardEnv<'_> {
     fn route(&mut self, pid: PacketId, out: &mut Vec<PortCandidate>) {
-        let info = self.store.get(pid);
+        let ctx = self.ctx;
+        let info = ctx.store.get(pid);
         if info.dst == self.node {
-            for vc in 0..self.vcs {
+            for vc in 0..ctx.wiring.config.vcs {
                 out.push(PortCandidate {
                     out_port: 0,
                     vc,
@@ -967,9 +907,13 @@ impl RouterEnv for ShardEnv<'_> {
             return;
         }
         let state = info.route_state();
-        let cands = self
-            .route_table
-            .lookup(self.routing, self.topo, self.node, info.dst, &state);
+        let cands = self.shard.route_table.lookup(
+            ctx.wiring.routing.as_ref(),
+            ctx.topo,
+            self.node,
+            info.dst,
+            &state,
+        );
         debug_assert!(
             !cands.is_empty(),
             "no route from {} to {}",
@@ -979,7 +923,7 @@ impl RouterEnv for ShardEnv<'_> {
         for c in cands {
             // Links leaving this node occupy out ports 1.. in adjacency
             // order; the network precomputed the link → out-port map.
-            let port = self.link_out_port[c.link.index()];
+            let port = ctx.wiring.link_out_port[c.link.index()];
             debug_assert_eq!(
                 self.outport_link[(port - 1) as usize],
                 c.link,
@@ -1000,35 +944,37 @@ impl RouterEnv for ShardEnv<'_> {
         }
         let link = self.outport_link[(out_port - 1) as usize];
         let li = link.index();
-        if self.faults.blocked(li) {
+        let (now, sh) = (self.ctx.now, &mut *self.shard);
+        if sh.faults.blocked(li) {
             return 0; // hard-failed link: nothing enters (upstream stalls)
         }
-        let cap = match self.media[li].as_mut().expect("out over unowned link") {
-            Medium::Plain(lanes) => lanes.capacity(self.now) as u16,
-            Medium::Guarded(line) => line.capacity(self.now) as u16,
+        let cap = match sh.media[li].as_mut().expect("out over unowned link") {
+            Medium::Plain(lanes) => lanes.capacity(now) as u16,
+            Medium::Guarded(line) => line.capacity(now) as u16,
             Medium::Hetero(h) => h.space(),
         };
-        match self.faults.lane_cap(li) {
+        match sh.faults.lane_cap(li) {
             Some(lanes) => cap.min(lanes as u16),
             None => cap,
         }
     }
 
     fn send(&mut self, out_port: u16, fref: FlitRef, arena: &mut FlitArena) {
-        *self.activity = true;
+        let (ctx, now) = (self.ctx, self.ctx.now);
+        let sh = &mut *self.shard;
+        sh.activity = true;
         if out_port == 0 {
             debug_assert!(self.eject_budget > 0);
             self.eject_budget -= 1;
-            let now = self.now;
             let flit = arena.free(fref);
-            let info = self.store.get(flit.pid);
+            let info = ctx.store.get(flit.pid);
             debug_assert_eq!(info.dst, self.node, "flit ejected at wrong node");
             let prev = info.ejected.fetch_add(1, Relaxed);
             debug_assert_eq!(prev, flit.seq, "out-of-order ejection");
             if flit.last {
                 debug_assert_eq!(prev + 1, info.len, "flit loss detected");
-                let ev = delivery_event(now, info, self.energy_model, self.measure_from);
-                self.tracer.emit(
+                let ev = delivery_event(now, info, &ctx.wiring.energy_model);
+                sh.tracer.emit(
                     node_key(self.node.0),
                     now,
                     TraceKind::Eject,
@@ -1039,7 +985,7 @@ impl RouterEnv for ShardEnv<'_> {
                 // The descriptor slot is freed at merge, in ascending-node
                 // order across shards — the serial free order, keeping
                 // PacketId recycling bit-identical.
-                self.deliveries.push(Delivery {
+                sh.deliveries.push(Delivery {
                     node: self.node.0,
                     pid: flit.pid,
                     ev,
@@ -1049,28 +995,28 @@ impl RouterEnv for ShardEnv<'_> {
         }
         let link = self.outport_link[(out_port - 1) as usize];
         let li = link.index();
-        match self.media[li].as_mut().expect("send over unowned link") {
+        match sh.media[li].as_mut().expect("send over unowned link") {
             Medium::Plain(lanes) => {
-                let at = lanes.try_take(self.now);
+                let at = lanes.try_take(now);
                 debug_assert!(at.is_some(), "plain link over capacity");
                 if let Some(at) = at {
-                    self.wheel.push_flit(at, link.0, fref);
+                    sh.wheel.push_flit(at, link.0, fref);
                 }
                 return;
             }
             Medium::Guarded(line) => {
                 // Corruption strikes the wire at transmission time; the
                 // receiver's CRC catches it and the replay buffer recovers.
-                let corrupt = self.faults.draw(li, self.now);
-                let ok = line.try_send(self.now, fref, arena, corrupt);
+                let corrupt = sh.faults.draw(li, now);
+                let ok = line.try_send(now, fref, arena, corrupt);
                 debug_assert!(ok, "guarded link over capacity");
             }
             Medium::Hetero(h) => {
-                let info = self.store.get(arena.get(fref).pid);
-                h.push(self.now, fref, info.class, info.priority);
+                let info = ctx.store.get(arena.get(fref).pid);
+                h.push(now, fref, info.class, info.priority);
             }
         }
-        self.active_media.insert(li);
+        sh.active_media.insert(li);
     }
 
     fn credit(&mut self, in_port: u16, vc: u8) {
@@ -1079,19 +1025,20 @@ impl RouterEnv for ShardEnv<'_> {
         }
         let link = self.inport_link[(in_port - 1) as usize];
         let li = link.index();
-        let owner = self.link_owner[li];
-        if owner == self.sid {
-            let at = self.now + self.credit_latency[li] as Cycle;
-            self.wheel.push_credit(at, link.0, vc);
+        let owner = self.ctx.part.link_owner[li];
+        let sh = &mut *self.shard;
+        if owner == sh.id {
+            let at = self.ctx.now + sh.credit_latency[li] as Cycle;
+            sh.wheel.push_credit(at, link.0, vc);
         } else {
             // The link's transmitter lives in its source shard; post the
             // credit for replay at the top of the next cycle.
-            self.out_credits[owner as usize].push(CreditMsg { li: li as u32, vc });
+            sh.out_credits[owner as usize].push(CreditMsg { li: li as u32, vc });
         }
     }
 
     fn note_baseline_lock(&mut self, pid: PacketId) {
-        self.store.get(pid).baseline_locked.store(true, Relaxed);
+        self.ctx.store.get(pid).baseline_locked.store(true, Relaxed);
     }
 
     #[inline]
@@ -1101,9 +1048,9 @@ impl RouterEnv for ShardEnv<'_> {
             PipelineStage::VcAlloc => TraceKind::VcAlloc,
             PipelineStage::SwitchTraverse => TraceKind::SwitchTraverse,
         };
-        self.tracer.emit(
+        self.shard.tracer.emit(
             node_key(self.node.0),
-            self.now,
+            self.ctx.now,
             kind,
             pid.0,
             self.node.0,
@@ -1113,12 +1060,7 @@ impl RouterEnv for ShardEnv<'_> {
 }
 
 /// Builds the collector-facing summary of a packet at tail ejection.
-fn delivery_event(
-    now: Cycle,
-    info: &PacketInfo,
-    energy_model: &EnergyModel,
-    measure_from: Cycle,
-) -> DeliveryEvent {
+fn delivery_event(now: Cycle, info: &PacketInfo, energy_model: &EnergyModel) -> DeliveryEvent {
     let e = energy_model.packet(info);
     DeliveryEvent {
         now,
@@ -1128,7 +1070,6 @@ fn delivery_event(
         len: info.len,
         high_priority: info.priority == chiplet_noc::Priority::High,
         baseline_locked: info.baseline_locked.load(Relaxed),
-        measured: info.created >= measure_from,
         tag: info.tag,
         onchip_pj: e.onchip_pj,
         parallel_pj: e.parallel_pj,

@@ -1,6 +1,7 @@
 //! The simulation driver: warm-up, measurement, drain, deadlock watchdog.
 
-use crate::network::{Collector, Network};
+use crate::engine::{Hub, ShardedEngine};
+use crate::network::{Collector, Fabric, Network};
 use crate::results::SimResults;
 use chiplet_traffic::{PacketRequest, Workload};
 use simkit::Cycle;
@@ -195,40 +196,82 @@ fn dispatch(
 }
 
 /// One cycle-loop endpoint the driver can run: the serial [`Network`]
-/// itself, or the parallel pool leader ([`crate::parallel`]). Both expose
-/// the same observable surface, so the warm-up/measure/drain schedule,
-/// the watchdog and the progress sampler live in exactly one place —
-/// [`drive`] — whatever the execution backend.
+/// itself, or the parallel pool leader ([`crate::parallel`]). The two
+/// share the fabric, the engine and the hub, and differ only in how they
+/// reach the shards and the store: the network through `get_mut`, the
+/// leader through locks while its pool is parked. So the
+/// warm-up/measure/drain schedule, the watchdog and the progress sampler
+/// live in exactly one place — [`drive`] — and every other query is
+/// answered once, by a default method over the shared parts.
 pub(crate) trait CycleDriver {
-    fn now(&self) -> Cycle;
+    /// The fabric, the engine and the hub.
+    fn parts(&self) -> (&Fabric, &ShardedEngine, &Hub);
+    fn hub_mut(&mut self) -> &mut Hub;
     fn offer(&mut self, req: PacketRequest);
     fn step(&mut self);
     fn live_packets(&mut self) -> usize;
-    fn queued_packets(&self) -> usize;
-    fn collector(&self) -> &Collector;
-    fn idle_cycles(&self) -> Cycle;
-    fn faults_active(&self) -> bool;
-    fn start_measurement(&mut self);
-    /// Node count (for per-node result normalization).
-    fn nodes(&self) -> u32;
     /// The earliest cycle ≥ `now` at which the driver can make progress:
     /// a pending delivery, ack or retry timeout on a link, a non-empty
     /// mailbox, an active router or NIC (both pin the bound to `now`), or
     /// the next unapplied fault-script event. [`Cycle::MAX`] when nothing
     /// is scheduled. The bound need not be tight, only never late.
     fn next_event(&mut self) -> Cycle;
+
+    fn now(&self) -> Cycle {
+        self.parts().1.now()
+    }
+
+    fn queued_packets(&self) -> usize {
+        self.parts().1.queued_packets()
+    }
+
+    fn collector(&self) -> &Collector {
+        &self.parts().2.collector
+    }
+
+    fn idle_cycles(&self) -> Cycle {
+        self.now() - self.parts().2.last_activity
+    }
+
+    fn faults_active(&self) -> bool {
+        let (fabric, _, hub) = self.parts();
+        let fault = &fabric.wiring.config.fault;
+        fault.ber_serial > 0.0 || fault.ber_parallel > 0.0 || !hub.script.is_empty()
+    }
+
+    fn start_measurement(&mut self) {
+        let now = self.now();
+        self.hub_mut().start_measurement(now);
+    }
+
+    /// Node count (for per-node result normalization).
+    fn nodes(&self) -> u32 {
+        let topo = self.parts().0.topo.read().expect("topology lock poisoned");
+        topo.geometry().nodes()
+    }
+
     /// Advances the clock one cycle without simulating it. Only sound
-    /// when [`Self::next_event`] is in the future: a step on a fully
-    /// quiescent network is a total no-op except `now += 1`, so eliding
-    /// it is bit-identical to running it.
-    fn tick_idle(&mut self);
+    /// when [`Self::next_event`] is in the future: a step on a
+    /// fully quiescent network is a total no-op except `now += 1`, so
+    /// eliding it is bit-identical to running it. A pool stays parked
+    /// through the whole skipped stretch: its workers only read the clock
+    /// after a release, so they never see the intermediate values.
+    fn tick_idle(&mut self) {
+        self.parts().1.tick_idle();
+    }
+
     /// Whether the configuration allows the idle-skip fast path.
-    fn skip_enabled(&self) -> bool;
+    fn skip_enabled(&self) -> bool {
+        self.parts().0.wiring.config.idle_skip
+    }
 }
 
 impl CycleDriver for Network {
-    fn now(&self) -> Cycle {
-        Network::now(self)
+    fn parts(&self) -> (&Fabric, &ShardedEngine, &Hub) {
+        (&self.fabric, &self.engine, &self.hub)
+    }
+    fn hub_mut(&mut self) -> &mut Hub {
+        &mut self.hub
     }
     fn offer(&mut self, req: PacketRequest) {
         Network::offer(self, req);
@@ -239,32 +282,8 @@ impl CycleDriver for Network {
     fn live_packets(&mut self) -> usize {
         self.engine.live_packets_mut()
     }
-    fn queued_packets(&self) -> usize {
-        Network::queued_packets(self)
-    }
-    fn collector(&self) -> &Collector {
-        Network::collector(self)
-    }
-    fn idle_cycles(&self) -> Cycle {
-        Network::idle_cycles(self)
-    }
-    fn faults_active(&self) -> bool {
-        Network::faults_active(self)
-    }
-    fn start_measurement(&mut self) {
-        Network::start_measurement(self)
-    }
-    fn nodes(&self) -> u32 {
-        self.topology().geometry().nodes()
-    }
     fn next_event(&mut self) -> Cycle {
         Network::next_event(self)
-    }
-    fn tick_idle(&mut self) {
-        Network::tick_idle(self)
-    }
-    fn skip_enabled(&self) -> bool {
-        self.config().idle_skip
     }
 }
 
@@ -392,7 +411,7 @@ pub(crate) fn drive<D: CycleDriver>(
             return None;
         }
         // A resume past the warm-up boundary must NOT re-arm measurement:
-        // the restored `measure_from` already marks the original start.
+        // the restored window already marks the original start.
         net.start_measurement();
     }
     let measure_start = if initial > spec.warmup {

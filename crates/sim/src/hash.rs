@@ -1,4 +1,5 @@
-//! Dependency-free SHA-256 (FIPS 180-4).
+//! Dependency-free SHA-256 (FIPS 180-4), and the 64-bit FNV-1a used for
+//! compact fingerprints.
 //!
 //! The result cache keys every simulation point by a content hash of its
 //! canonical configuration string. The previous 64-bit FNV-1a fingerprint
@@ -167,6 +168,17 @@ pub fn sha256_hex(data: &[u8]) -> String {
     to_hex(&sha256(data))
 }
 
+/// 64-bit FNV-1a of `bytes`: a fast, compact fingerprint (config labels,
+/// checkpoint headers), not a collision-resistant key.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Lowercase hex encoding of `bytes`.
 pub fn to_hex(bytes: &[u8]) -> String {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
@@ -181,6 +193,14 @@ pub fn to_hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The published FNV-1a 64-bit vectors.
+    #[test]
+    fn fnv1a64_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     /// FIPS 180-4 / RFC 6234 test vectors.
     #[test]

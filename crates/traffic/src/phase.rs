@@ -43,8 +43,7 @@
 use crate::collectives::{
     barrier_round_edges, ceil_log2, control, push_bulk, ring_step_edges, tree_round_edges,
 };
-use crate::trace::{PacketRequest, ParseTraceError, Workload};
-use chiplet_noc::{OrderClass, Priority};
+use crate::trace::{parse_row, write_row, PacketRequest, ParseTraceError, Workload};
 use chiplet_topo::NodeId;
 use simkit::codec::{ByteReader, ByteWriter, CodecError, LoadState, SaveState};
 use simkit::hash::sha256_hex;
@@ -436,20 +435,8 @@ impl PhaseGraph {
                 p.name, p.compute, deps
             ));
             for &(t, r) in &p.events {
-                out.push_str(&format!(
-                    "ev {t},{},{},{},{},{}\n",
-                    r.src.0,
-                    r.dst.0,
-                    r.len,
-                    match r.class {
-                        OrderClass::InOrder => "inorder",
-                        OrderClass::Unordered => "unordered",
-                    },
-                    match r.priority {
-                        Priority::Normal => "normal",
-                        Priority::High => "high",
-                    },
-                ));
+                out.push_str("ev ");
+                write_row(&mut out, t, &r);
             }
         }
         out
@@ -544,41 +531,8 @@ impl PhaseGraph {
                 let p = phases
                     .last_mut()
                     .ok_or_else(|| err("ev line before any phase line".into()))?;
-                let f: Vec<&str> = rest.split(',').collect();
-                if f.len() != 6 {
-                    return Err(err("expected 6 comma-separated ev fields".into()));
-                }
-                let t: Cycle = f[0].parse().map_err(|_| err("bad ev cycle".into()))?;
-                let src = NodeId(f[1].parse().map_err(|_| err("bad ev src".into()))?);
-                let dst = NodeId(f[2].parse().map_err(|_| err("bad ev dst".into()))?);
-                if src == dst {
-                    return Err(err("self-addressed ev".into()));
-                }
-                let len: u16 = f[3].parse().map_err(|_| err("bad ev len".into()))?;
-                if len == 0 {
-                    return Err(err("zero-length packet".into()));
-                }
-                let class = match f[4] {
-                    "inorder" => OrderClass::InOrder,
-                    "unordered" => OrderClass::Unordered,
-                    _ => return Err(err("bad ev class".into())),
-                };
-                let priority = match f[5] {
-                    "normal" => Priority::Normal,
-                    "high" => Priority::High,
-                    _ => return Err(err("bad ev priority".into())),
-                };
-                p.events.push((
-                    t,
-                    PacketRequest {
-                        src,
-                        dst,
-                        len,
-                        class,
-                        priority,
-                        tag: 0,
-                    },
-                ));
+                let ev = parse_row(rest).map_err(|e| err(format!("bad ev line: {e}")))?;
+                p.events.push(ev);
             } else {
                 return Err(err(format!("unrecognized line '{line}'")));
             }
@@ -887,6 +841,7 @@ impl DnnSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chiplet_noc::Priority;
 
     fn nodes(n: u32) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()

@@ -3,6 +3,7 @@
 use chiplet_noc::{OrderClass, Priority};
 use chiplet_topo::NodeId;
 use simkit::Cycle;
+use std::fmt::Write as _;
 
 /// A packet the workload wants injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,20 +169,7 @@ impl TraceWorkload {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("cycle,src,dst,len,class,priority\n");
         for &(t, r) in &self.events {
-            out.push_str(&format!(
-                "{t},{},{},{},{},{}\n",
-                r.src.0,
-                r.dst.0,
-                r.len,
-                match r.class {
-                    OrderClass::InOrder => "inorder",
-                    OrderClass::Unordered => "unordered",
-                },
-                match r.priority {
-                    Priority::Normal => "normal",
-                    Priority::High => "high",
-                },
-            ));
+            write_row(&mut out, t, &r);
         }
         out
     }
@@ -215,34 +203,10 @@ impl TraceWorkload {
             if line.is_empty() || (lineno == 0 && line.starts_with("cycle")) {
                 continue;
             }
-            let err = |what: &str| ParseTraceError {
+            let (t, req) = parse_row(line).map_err(|reason| ParseTraceError {
                 line: lineno + 1,
-                reason: what.to_string(),
-            };
-            let f: Vec<&str> = line.split(',').collect();
-            if f.len() != 6 {
-                return Err(err("expected 6 fields"));
-            }
-            let t: Cycle = f[0].parse().map_err(|_| err("bad cycle"))?;
-            let src = NodeId(f[1].parse().map_err(|_| err("bad src"))?);
-            let dst = NodeId(f[2].parse().map_err(|_| err("bad dst"))?);
-            if src == dst {
-                return Err(err("self-addressed packet"));
-            }
-            let len: u16 = f[3].parse().map_err(|_| err("bad len"))?;
-            if len == 0 {
-                return Err(err("zero-length packet"));
-            }
-            let class = match f[4] {
-                "inorder" => OrderClass::InOrder,
-                "unordered" => OrderClass::Unordered,
-                _ => return Err(err("bad class")),
-            };
-            let priority = match f[5] {
-                "normal" => Priority::Normal,
-                "high" => Priority::High,
-                _ => return Err(err("bad priority")),
-            };
+                reason: reason.to_string(),
+            })?;
             if !cycles_seen.insert(t) && duplicate.is_none() {
                 duplicate = Some(t);
             }
@@ -250,17 +214,7 @@ impl TraceWorkload {
                 out_of_order = Some((lineno + 1, t));
             }
             prev_cycle = Some(t);
-            events.push((
-                t,
-                PacketRequest {
-                    src,
-                    dst,
-                    len,
-                    class,
-                    priority,
-                    tag: 0,
-                },
-            ));
+            events.push((t, req));
         }
         if let (Some((line, t)), Some(dup)) = (out_of_order, duplicate) {
             return Err(ParseTraceError {
@@ -317,6 +271,63 @@ pub(crate) fn check_node_range<'a>(
         }
     }
     Ok(())
+}
+
+/// Appends one packet row, `cycle,src,dst,len,class,priority`, and a
+/// newline: a line of [`TraceWorkload::to_csv`] and the body of a phase
+/// trace's `ev` line.
+pub(crate) fn write_row(out: &mut String, t: Cycle, r: &PacketRequest) {
+    let class = match r.class {
+        OrderClass::InOrder => "inorder",
+        OrderClass::Unordered => "unordered",
+    };
+    let priority = match r.priority {
+        Priority::Normal => "normal",
+        Priority::High => "high",
+    };
+    let _ = writeln!(
+        out,
+        "{t},{},{},{},{class},{priority}",
+        r.src.0, r.dst.0, r.len
+    );
+}
+
+/// Parses one packet row written by [`write_row`] (no newline). A row is
+/// rejected for a wrong field count, an unparsable number, a
+/// self-addressed or zero-length packet, or a class or priority outside
+/// the vocabulary; the error says which, for the caller to place.
+pub(crate) fn parse_row(row: &str) -> Result<(Cycle, PacketRequest), &'static str> {
+    let f: Vec<&str> = row.split(',').collect();
+    let [t, src, dst, len, class, priority] = f[..] else {
+        return Err("expected 6 fields");
+    };
+    let t: Cycle = t.parse().map_err(|_| "bad cycle")?;
+    let src = NodeId(src.parse().map_err(|_| "bad src")?);
+    let dst = NodeId(dst.parse().map_err(|_| "bad dst")?);
+    if src == dst {
+        return Err("self-addressed packet");
+    }
+    let len: u16 = len.parse().map_err(|_| "bad len")?;
+    if len == 0 {
+        return Err("zero-length packet");
+    }
+    let req = PacketRequest {
+        src,
+        dst,
+        len,
+        class: match class {
+            "inorder" => OrderClass::InOrder,
+            "unordered" => OrderClass::Unordered,
+            _ => return Err("bad class"),
+        },
+        priority: match priority {
+            "normal" => Priority::Normal,
+            "high" => Priority::High,
+            _ => return Err("bad priority"),
+        },
+        tag: 0,
+    };
+    Ok((t, req))
 }
 
 /// A malformed trace row.

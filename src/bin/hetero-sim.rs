@@ -111,11 +111,11 @@ const FLAG: Flag = Flag {
 /// Every flag `hetero-sim` takes, in `--help` order.
 #[rustfmt::skip]
 static FLAGS: [Flag; 33] = [
-    Flag { name: "--network", meta: "NAME", default: "hetero-phy", field: "kind",
+    Flag { name: "--network", meta: "NAME", default: "hetero-phy", field: "kind", modes: ALL & !CALIBRATE,
         help: "parallel-mesh | serial-torus | hetero-phy | serial-hypercube | hetero-channel",
         set: |a, v| { a.job.kind = NETWORKS.iter().find(|n| n.0 == v).ok_or("unknown network")?.1; Ok(()) },
         ..FLAG },
-    Flag { name: "--half", field: "kind", help: "the halved (pin-constrained) hetero-phy or hetero-channel",
+    Flag { name: "--half", field: "kind", modes: ALL & !CALIBRATE, help: "the halved (pin-constrained) hetero-phy or hetero-channel",
         ..FLAG },
     Flag { name: "--chiplets", meta: "CxC", default: "4x4", field: "geom", help: "chiplet grid",
         set: |a, v| { let (x, y) = pair(v)?; a.job.geom = Geometry::new(x, y, a.job.geom.chip_w(), a.job.geom.chip_h()); Ok(()) },
@@ -123,22 +123,24 @@ static FLAGS: [Flag; 33] = [
     Flag { name: "--chip", meta: "WxH", default: "4x4", field: "geom", help: "nodes per chiplet",
         set: |a, v| { let (w, h) = pair(v)?; a.job.geom = Geometry::new(a.job.geom.chiplets_x(), a.job.geom.chiplets_y(), w, h); Ok(()) },
         ..FLAG },
-    Flag { name: "--pattern", meta: "NAME", default: "uniform", field: "pattern",
+    Flag { name: "--pattern", meta: "NAME", default: "uniform", field: "pattern", modes: ALL & !(REPLAY | WORKLOAD),
         help: "uniform | uniform-hotspot (alias hotspot) | bit-shuffle | bit-complement |\n\
                bit-transpose | bit-reverse",
         set: |a, v| { a.job.pattern = TrafficPattern::from_name(v).ok_or("unknown pattern")?; Ok(()) }, ..FLAG },
-    Flag { name: "--rate", meta: "R", default: "0.1", field: "rates", help: "flits/cycle/node",
+    Flag { name: "--rate", meta: "R", default: "0.1", field: "rates", modes: SINGLE | ESTIMATE | ESTIMATE_CYCLE,
+        excludes: "--sweep", help: "flits/cycle/node",
         set: |a, v| { a.rate = num(v)?; Ok(()) }, ..FLAG },
-    Flag { name: "--cycles", meta: "N", default: "20000", field: "spec",
+    Flag { name: "--cycles", meta: "N", default: "20000", field: "spec", modes: ALL & !(ESTIMATE | ESTIMATE_CYCLE),
         help: "measurement cycles (warm-up N/10, at least 100; drain N/2)",
         set: |a, v| { let n: u64 = num(v)?; a.job.spec = RunSpec { warmup: (n / 10).max(100), measure: n,
             drain: n / 2, watchdog: 5_000, drain_offers: false }; Ok(()) }, ..FLAG },
-    Flag { name: "--packet", meta: "N", default: "16", field: "packet_len", help: "flits per packet",
+    Flag { name: "--packet", meta: "N", default: "16", field: "packet_len", modes: ALL & !(REPLAY | WORKLOAD),
+        help: "flits per packet",
         set: |a, v| { a.job.packet_len = num(v)?; Ok(()) }, ..FLAG },
     Flag { name: "--policy", meta: "NAME", default: "balanced", field: "profile",
         help: "performance-first | balanced | energy-efficient | application-aware",
         set: |a, v| { a.job.profile = SchedulingProfile::from_name(v).ok_or("unknown policy")?; Ok(()) }, ..FLAG },
-    Flag { name: "--seed", meta: "N", default: "1", field: "seed", help: "RNG seed",
+    Flag { name: "--seed", meta: "N", default: "1", field: "seed", modes: ALL & !ESTIMATE, help: "RNG seed",
         set: |a, v| { a.job.seed = num(v)?; Ok(()) }, ..FLAG },
     Flag { name: "--sweep", modes: SWEEP | ESTIMATE | ESTIMATE_CYCLE,
         help: "sweep injection rates up to saturation instead of one run", ..FLAG },
@@ -595,11 +597,17 @@ fn main() {
         ESTIMATE | ESTIMATE_CYCLE => run_estimate(&args, config),
         _ => {}
     }
-    let (rate, policy) = (args.rate, job.profile.name);
-    println!(
-        "{} at {rate} flits/cycle/node, {policy} policy\n",
-        system(job)
-    );
+    // The header names the traffic settings this mode reads.
+    let reads = |name: &str| {
+        FLAGS
+            .iter()
+            .any(|f| f.name == name && f.modes & args.mode() != 0)
+    };
+    let mut header = system(job, reads("--pattern"));
+    if reads("--rate") {
+        header += &format!(" at {} flits/cycle/node", args.rate);
+    }
+    println!("{header}, {} policy\n", job.profile.name);
     if args.has("--sweep") {
         run_sweep(&args, config);
     } else if let Some(dir) = args.value("--cache-dir") {
@@ -614,11 +622,16 @@ fn main() {
     }
 }
 
-/// The system a run header describes: preset, geometry and traffic.
-fn system(job: &JobSpec) -> String {
-    let (g, kind, pattern) = (job.geom, job.kind, job.pattern);
+/// The system a run header describes: preset, geometry and, when
+/// `pattern`, the synthetic traffic pattern.
+fn system(job: &JobSpec, pattern: bool) -> String {
+    let (g, kind) = (job.geom, job.kind);
     let (chiplets, w, h, nodes) = (g.chiplets(), g.chip_w(), g.chip_h(), g.nodes());
-    format!("{kind} — {chiplets} chiplets x ({w}x{h}) = {nodes} nodes, {pattern} traffic")
+    let system = format!("{kind} — {chiplets} chiplets x ({w}x{h}) = {nodes} nodes");
+    match pattern {
+        true => format!("{system}, {} traffic", job.pattern),
+        false => system,
+    }
 }
 
 /// A curve table's status column.
@@ -831,7 +844,7 @@ fn run_estimate(args: &Args, config: SimConfig) -> ! {
     println!(
         "{}, {policy} policy\nestimated by the {} tier in {secs:.3}s: \
          {classes} link classes over {links} links\n",
-        system(job),
+        system(job, true),
         curve.backend
     );
     println!(

@@ -38,9 +38,10 @@ fn invalid_points_exit_2_naming_the_flag() {
             .expect("UTF-8 temp path")
             .to_string()
     };
-    let (faults, out_file) = (path("faults.txt"), path("out"));
+    let (faults, trace, out_file) = (path("faults.txt"), path("trace.csv"), path("out"));
     std::fs::write(&faults, "200 phy-down parallel\n").expect("fault script");
-    let (f, o) = (faults.as_str(), out_file.as_str());
+    std::fs::write(&trace, "0,0,1,4,inorder,normal\n").expect("replay trace");
+    let (f, t, o) = (faults.as_str(), trace.as_str(), out_file.as_str());
     let dnn = "dnn:ranks=4,layers=1,grad=32";
     for (args, flag) in [
         // Points the job validator rejects.
@@ -69,7 +70,7 @@ fn invalid_points_exit_2_naming_the_flag() {
             &["--workload", dnn, "--capture-trace", o, "--cache-dir", o],
             "--capture-trace",
         ),
-        (&["--estimate", "--metrics", o], "--estimate"),
+        (&["--estimate", "--metrics", o], "--metrics"),
         (&["--report", o], "--report"),
         (&["--cache-dir", o, "--probe", "links"], "--cache-dir"),
         (&["--workload", dnn, "--workload-trace", o], "--workload"),
@@ -90,8 +91,48 @@ fn invalid_points_exit_2_naming_the_flag() {
         (&["--estimate", "--ber", "1e-3"], "--ber"),
         (&["--estimate", "--retry"], "--retry"),
         (&["--estimate", "--shard-threads", "2"], "--shard-threads"),
+        // Point flags the selected mode used to drop without a word.
+        (&["--calibrate", "--network", "serial-torus"], "--network"),
+        (&["--calibrate", "--half"], "--half"),
+        (&["--replay", t, "--pattern", "bit-complement"], "--pattern"),
+        (
+            &["--workload", dnn, "--pattern", "bit-complement"],
+            "--pattern",
+        ),
+        (&["--sweep", "--rate", "0.7"], "--rate"),
+        (&["--replay", t, "--rate", "0.3"], "--rate"),
+        (&["--workload", dnn, "--rate", "0.3"], "--rate"),
+        (&["--calibrate", "--rate", "0.5"], "--rate"),
+        (&["--estimate", "--sweep", "--rate", "0.3"], "--rate"),
+        (
+            &[
+                "--estimate",
+                "--backend",
+                "cycle",
+                "--sweep",
+                "--rate",
+                "0.3",
+            ],
+            "--rate",
+        ),
+        (&["--estimate", "--cycles", "777"], "--cycles"),
+        (
+            &["--estimate", "--backend", "cycle", "--cycles", "777"],
+            "--cycles",
+        ),
+        (&["--replay", t, "--packet", "4"], "--packet"),
+        (&["--workload", dnn, "--packet", "4"], "--packet"),
+        (&["--estimate", "--seed", "9"], "--seed"),
     ] {
-        let out = hetero_sim(&[&SMALL[..], &["--cycles", "300"], args].concat());
+        // `--cycles 300` keeps a wrongly accepted run short; `--estimate`
+        // does not read it, so those rows go without it and each is
+        // rejected for its own flag alone.
+        let cycles: &[&str] = if args.contains(&"--estimate") {
+            &[]
+        } else {
+            &["--cycles", "300"]
+        };
+        let out = hetero_sim(&[&SMALL[..], cycles, args].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(
