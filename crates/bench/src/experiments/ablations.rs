@@ -45,12 +45,7 @@ fn rob_capacity(r: &mut Report) {
         for now in 0..cycles {
             while link.space() > 0 {
                 let vc = if seq[0] <= seq[1] { 0 } else { 1 };
-                let flit = Flit {
-                    pid: PacketId(pid[vc]),
-                    seq: seq[vc],
-                    vc: vc as u8,
-                    last: seq[vc] == 15,
-                };
+                let flit = Flit::new(PacketId(pid[vc]), seq[vc], vc as u8, seq[vc] == 15);
                 link.push(
                     now,
                     arena.alloc(flit),
@@ -173,24 +168,14 @@ fn bypass(r: &mut Report, _opts: &Opts) {
             for s in 0..backlog {
                 link.push(
                     0,
-                    arena.alloc(Flit {
-                        pid: PacketId(1),
-                        seq: s,
-                        vc: 0,
-                        last: s + 1 == backlog,
-                    }),
+                    arena.alloc(Flit::new(PacketId(1), s, 0, s + 1 == backlog)),
                     OrderClass::Unordered,
                     Priority::Normal,
                 );
             }
             link.push(
                 0,
-                arena.alloc(Flit {
-                    pid: PacketId(2),
-                    seq: 0,
-                    vc: 1,
-                    last: true,
-                }),
+                arena.alloc(Flit::new(PacketId(2), 0, 1, true)),
                 OrderClass::Unordered,
                 Priority::High,
             );

@@ -141,11 +141,15 @@ impl PointDesc {
     ///
     /// This is the one place the workload-key rule lives: the synthetic
     /// fields are inert for such points, so they are pinned (`Uniform`,
-    /// rate 0) whatever the caller passed, and the schedule drains
+    /// rate 0, the default packet length in both the descriptor and its
+    /// config) whatever the caller passed, and the schedule drains
     /// offers, which is how a phase workload runs.
     pub fn with_workload(mut self, graph: &PhaseGraph) -> Self {
+        let plen = SimConfig::default().packet_len;
         self.pattern = TrafficPattern::Uniform;
         self.rate = 0.0;
+        self.packet_len = plen;
+        self.config.packet_len = plen;
         self.spec = self.spec.with_drain_offers();
         self.with_variant(format!("workload@{}", graph.fingerprint()))
     }

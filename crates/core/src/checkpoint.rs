@@ -56,7 +56,7 @@ use std::sync::atomic::Ordering::Relaxed;
 /// Checkpoint blob format version. Bump on **any** layout change to the
 /// blob (including section contents), and record the bump in
 /// `CHANGELOG.md` — CI rejects version drift without a changelog entry.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 const MAGIC: [u8; 4] = *b"HCPT";
 const SEC_META: [u8; 4] = *b"META";
@@ -204,18 +204,6 @@ fn medium_tag(m: &Medium) -> u8 {
         Medium::Guarded(_) => 1,
         Medium::Hetero(_) => 2,
     }
-}
-
-/// Reads a wheel entry's due cycle: a checkpoint taken between cycles,
-/// at cycle `now`, holds nothing due earlier.
-fn due_at_or_after(r: &mut ByteReader, now: u64) -> Result<u64, CodecError> {
-    let at = r.get_u64()?;
-    if at < now {
-        return Err(CodecError::Corrupt(
-            "link entry due before the checkpoint cycle",
-        ));
-    }
-    Ok(at)
 }
 
 /// The leading run of `pending` on link `li`, advancing `pending` past it.
@@ -502,7 +490,7 @@ impl Network {
         let topo_fp = r.get_u64()?;
         let nodes = r.get_u32()? as usize;
         let links = r.get_u32()? as usize;
-        let link_dst: Vec<u32> = {
+        {
             let topo = self.fabric.topo.get_mut().expect("topology lock poisoned");
             if config_fp != config_fingerprint(&self.fabric.wiring.config) {
                 return Err(CodecError::Mismatch(
@@ -514,8 +502,7 @@ impl Network {
                     "checkpoint was taken on a different topology".into(),
                 ));
             }
-            topo.links().iter().map(|l| l.dst.0).collect()
-        };
+        }
         if nodes != self.engine.part.node_shard.len() || links != self.engine.part.link_owner.len()
         {
             return Err(CodecError::Mismatch(
@@ -585,7 +572,8 @@ impl Network {
                 (0, Medium::Plain(lanes)) => {
                     lanes.load_state(&mut r)?;
                     for _ in 0..r.get_usize()? {
-                        let at = due_at_or_after(&mut r, now)?;
+                        let at = r.get_u64()?;
+                        wheel.check_restored(now, at)?;
                         let flit = Flit::read_from(&mut r)?;
                         wheel.push_flit(at, li as u32, arena.alloc(flit));
                     }
@@ -600,7 +588,8 @@ impl Network {
                 _ => return Err(CodecError::Corrupt("medium kind tag")),
             }
             for _ in 0..r.get_usize()? {
-                let at = due_at_or_after(&mut r, now)?;
+                let at = r.get_u64()?;
+                wheel.check_restored(now, at)?;
                 let vc = r.get_u8()?;
                 if vc >= self.fabric.wiring.config.vcs {
                     return Err(CodecError::Corrupt("returning credit names a missing VC"));
@@ -675,7 +664,8 @@ impl Network {
             // Producer = shard of the link's destination router (the
             // crediting side); consumer = the link's owner, which replays
             // the credit onto its wheel next phase 1.
-            let producer = self.engine.part.node_shard[link_dst[li] as usize] as usize;
+            let dst = self.fabric.wiring.links[li].dst as usize;
+            let producer = self.engine.part.node_shard[dst] as usize;
             let consumer = self.engine.part.link_owner[li] as usize;
             self.engine
                 .mail
@@ -854,7 +844,6 @@ impl Network {
             .map(|s| s.lock().expect("shard lock poisoned"))
             .collect();
         let part = &self.engine.part;
-        let topo = self.fabric.topo.read().expect("topology lock poisoned");
         let vcs = self.fabric.wiring.config.vcs as usize;
 
         for (sid, g) in guards.iter().enumerate() {
@@ -888,8 +877,7 @@ impl Network {
                 returning[d.link as usize * vcs + d.item as usize] += 1;
             }
         }
-        for link in topo.links() {
-            let li = link.id.index();
+        for (li, link) in self.fabric.wiring.links.iter().enumerate() {
             let g = &guards[part.link_owner[li] as usize];
             if !matches!(g.media[li], Some(Medium::Plain(_))) {
                 continue;
@@ -898,12 +886,13 @@ impl Network {
                 LinkClass::OnChip => self.fabric.wiring.config.onchip_vc_depth,
                 _ => self.fabric.wiring.config.iface_vc_depth,
             } as usize;
-            let src = &guards[part.node_shard[link.src.index()] as usize].routers[link.src.index()];
-            let dst = &guards[part.node_shard[link.dst.index()] as usize].routers[link.dst.index()];
+            let (s, d) = (link.src as usize, link.dst as usize);
+            let src = &guards[part.node_shard[s] as usize].routers[s];
+            let dst = &guards[part.node_shard[d] as usize].routers[d];
             for vc in 0..self.fabric.wiring.config.vcs {
-                let credits = src.out_vc_credits(self.fabric.wiring.link_out_port[li], vc) as usize;
+                let credits = src.out_vc_credits(link.out_port, vc) as usize;
                 let on_wire = in_line[li * vcs + vc as usize];
-                let occupancy = dst.in_occupancy(self.fabric.wiring.link_in_port[li], vc);
+                let occupancy = dst.in_occupancy(link.in_port, vc);
                 let back = returning[li * vcs + vc as usize];
                 let total = credits + on_wire + occupancy + back;
                 if total != depth {
@@ -1066,6 +1055,24 @@ mod tests {
             mesh_net(1).restore(&drift).unwrap_err(),
             CodecError::BadVersion { .. }
         ));
+    }
+
+    /// Version 2 blobs carry flits without their hop counts and in-flight
+    /// packets with partial totals; they must be refused, not misread.
+    #[test]
+    fn version_2_blobs_are_refused() {
+        let mut a = mesh_net(1);
+        inject_and_step(&mut a, 5);
+        let mut blob = a.checkpoint();
+        assert_eq!(blob[4..8], CHECKPOINT_VERSION.to_le_bytes());
+        blob[4..8].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            mesh_net(1).restore(&blob).unwrap_err(),
+            CodecError::BadVersion {
+                found: 2,
+                expected: 3
+            }
+        );
     }
 
     #[test]

@@ -232,14 +232,29 @@ pub(crate) struct Wiring {
     pub routing: Box<dyn Routing>,
     pub config: SimConfig,
     pub energy_model: EnergyModel,
-    /// LinkId → out port on its source router (1-based).
-    pub link_out_port: Vec<u16>,
-    /// LinkId → in port on its destination router (1-based).
-    pub link_in_port: Vec<u16>,
+    /// LinkId → the link as the cycle loop reads it.
+    pub links: Vec<WiredLink>,
     /// node → ordered outgoing links (out port k+1 = element k).
     pub outport_links: Vec<Vec<LinkId>>,
     /// node → ordered incoming links (in port k+1 = element k).
     pub inport_links: Vec<Vec<LinkId>>,
+}
+
+/// One directed link in one dense record: its ends, the router ports it
+/// occupies there and its class. A copy of the topology's link table
+/// (which scripted faults never change) plus the port maps, so a hop
+/// costs one lookup.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WiredLink {
+    /// Transmitting router.
+    pub src: u32,
+    /// Receiving router.
+    pub dst: u32,
+    /// Input port on `dst` (1-based).
+    pub in_port: u16,
+    /// Output port on `src` (1-based).
+    pub out_port: u16,
+    pub class: LinkClass,
 }
 
 /// A fully assembled multi-chiplet network simulation: the immutable
@@ -292,8 +307,7 @@ impl Network {
         let mut routers: Vec<Router> = (0..n).map(|_| Router::new(config.vcs)).collect();
         let mut media = Vec::with_capacity(topo.links().len());
         let mut credit_latency = Vec::with_capacity(topo.links().len());
-        let mut link_out_port = vec![0u16; topo.links().len()];
-        let mut link_in_port = vec![0u16; topo.links().len()];
+        let mut links = Vec::with_capacity(topo.links().len());
         let mut outport_links: Vec<Vec<LinkId>> = vec![Vec::new(); n];
         let mut inport_links: Vec<Vec<LinkId>> = vec![Vec::new(); n];
         // Fault machinery: one RNG stream per hetero-PHY injector, one
@@ -325,7 +339,6 @@ impl Network {
             };
             // Input port on the destination router.
             let in_port = routers[link.dst.index()].add_in_port(in_depth);
-            link_in_port[link.id.index()] = in_port;
             inport_links[link.dst.index()].push(link.id);
             debug_assert_eq!(in_port as usize, inport_links[link.dst.index()].len());
             // Output port on the source router, crediting the destination's
@@ -338,7 +351,14 @@ impl Network {
                 bw.min(config.onchip.bandwidth)
             };
             let out_port = routers[link.src.index()].add_out_port(port_bw, in_depth, false);
-            link_out_port[link.id.index()] = out_port;
+            debug_assert_eq!(link.id.index(), links.len(), "links are listed by id");
+            links.push(WiredLink {
+                src: link.src.0,
+                dst: link.dst.0,
+                in_port,
+                out_port,
+                class: link.class,
+            });
             outport_links[link.src.index()].push(link.id);
             debug_assert_eq!(out_port as usize, outport_links[link.src.index()].len());
             // The medium. Plain latencies get +1 for the transmission
@@ -389,8 +409,7 @@ impl Network {
             routing,
             config,
             energy_model: EnergyModel::default(),
-            link_out_port,
-            link_in_port,
+            links,
             outport_links,
             inport_links,
         };

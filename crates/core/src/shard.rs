@@ -610,9 +610,10 @@ impl Shard {
                 ..
             } = self;
             ctx.mail.flits.drain(sid, |_, m: FlitMsg| {
-                let dst = ctx.topo.link(LinkId(m.li)).dst.index();
+                let link = &ctx.wiring.links[m.li as usize];
+                let dst = link.dst as usize;
                 let fref = arena.alloc(m.flit);
-                routers[dst].receive(ctx.wiring.link_in_port[m.li as usize], fref, m.flit.vc);
+                routers[dst].receive(link.in_port, fref, m.flit.vc);
                 active_routers.insert(dst);
                 *activity = true;
             });
@@ -630,8 +631,8 @@ impl Shard {
         wheel.drain_credits(ctx.now, |li, vc| {
             // Credits top up counters only; they cannot give a quiescent
             // router work, so no router activation here.
-            let src = ctx.topo.link(LinkId(li)).src.index();
-            routers[src].add_credit(ctx.wiring.link_out_port[li as usize], vc);
+            let link = &ctx.wiring.links[li as usize];
+            routers[link.src as usize].add_credit(link.out_port, vc);
         });
     }
 
@@ -714,37 +715,23 @@ impl Shard {
 
     /// Hands a flit that arrived over owned link `li` to its destination:
     /// the input buffer when the destination router is owned, the
-    /// destination shard's mailbox otherwise. All per-link/per-packet
-    /// accounting happens here, at the owner — the serial engine's
-    /// accounting site. `phy` names the hetero-PHY adapter lane the flit
-    /// came off, if any.
+    /// destination shard's mailbox otherwise. The per-link accounting
+    /// happens here, at the owner — the serial engine's accounting site —
+    /// and the flit counts the hop itself. `phy` names the hetero-PHY
+    /// adapter lane the flit came off, if any.
+    #[inline]
     fn deliver(&mut self, ctx: &EngineCtx<'_>, li: usize, fref: FlitRef, phy: Option<PhyKind>) {
-        let link = ctx.topo.link(LinkId(li as u32));
-        let dst = link.dst.index();
-        let dst_shard = ctx.part.node_shard[dst];
-        let flit = self.arena.get(fref);
-        self.link_flits[li] += 1;
-        let info = ctx.store.get(flit.pid);
+        let link = &ctx.wiring.links[li];
+        let dst = link.dst as usize;
         let class = match phy {
             None => link.class,
             Some(PhyKind::Parallel) => LinkClass::Parallel,
             Some(PhyKind::Serial) => LinkClass::Serial,
         };
-        match class {
-            LinkClass::OnChip => {
-                info.onchip_flits.fetch_add(1, Relaxed);
-            }
-            LinkClass::Parallel => {
-                info.parallel_flits.fetch_add(1, Relaxed);
-            }
-            LinkClass::Serial => {
-                info.serial_flits.fetch_add(1, Relaxed);
-            }
-            LinkClass::HeteroPhy => unreachable!(),
-        }
-        if flit.is_head() {
-            info.hops.fetch_add(1, Relaxed);
-        }
+        let flit = self.arena.get_mut(fref);
+        flit.count_hop(class);
+        let flit = *flit;
+        self.link_flits[li] += 1;
         let (kind, arg) = match phy {
             None => (TraceKind::Hop, flit.is_head() as u32),
             Some(lane) => {
@@ -762,8 +749,9 @@ impl Shard {
             li as u32,
             arg,
         );
+        let dst_shard = ctx.part.node_shard[dst];
         if dst_shard == self.id {
-            self.routers[dst].receive(ctx.wiring.link_in_port[li], fref, flit.vc);
+            self.routers[dst].receive(link.in_port, fref, flit.vc);
             self.active_routers.insert(dst);
         } else {
             let flit = self.arena.free(fref);
@@ -813,12 +801,12 @@ impl Shard {
                             info.dst.index() as u32,
                         );
                     }
-                    let fref = self.arena.alloc(Flit {
-                        pid: st.pid,
-                        seq: st.next_seq,
-                        vc: st.vc,
-                        last: st.next_seq + 1 == st.len,
-                    });
+                    let fref = self.arena.alloc(Flit::new(
+                        st.pid,
+                        st.next_seq,
+                        st.vc,
+                        st.next_seq + 1 == st.len,
+                    ));
                     router.receive(0, fref, st.vc);
                     self.active_routers.insert(node);
                     st.next_seq += 1;
@@ -892,6 +880,7 @@ struct ShardEnv<'a> {
 }
 
 impl RouterEnv for ShardEnv<'_> {
+    #[inline]
     fn route(&mut self, pid: PacketId, out: &mut Vec<PortCandidate>) {
         let ctx = self.ctx;
         let info = ctx.store.get(pid);
@@ -923,7 +912,7 @@ impl RouterEnv for ShardEnv<'_> {
         for c in cands {
             // Links leaving this node occupy out ports 1.. in adjacency
             // order; the network precomputed the link → out-port map.
-            let port = ctx.wiring.link_out_port[c.link.index()];
+            let port = ctx.wiring.links[c.link.index()].out_port;
             debug_assert_eq!(
                 self.outport_link[(port - 1) as usize],
                 c.link,
@@ -938,6 +927,7 @@ impl RouterEnv for ShardEnv<'_> {
         }
     }
 
+    #[inline]
     fn out_capacity(&mut self, out_port: u16) -> u16 {
         if out_port == 0 {
             return self.eject_budget;
@@ -959,6 +949,7 @@ impl RouterEnv for ShardEnv<'_> {
         }
     }
 
+    #[inline]
     fn send(&mut self, out_port: u16, fref: FlitRef, arena: &mut FlitArena) {
         let (ctx, now) = (self.ctx, self.ctx.now);
         let sh = &mut *self.shard;
@@ -969,7 +960,7 @@ impl RouterEnv for ShardEnv<'_> {
             let flit = arena.free(fref);
             let info = ctx.store.get(flit.pid);
             debug_assert_eq!(info.dst, self.node, "flit ejected at wrong node");
-            let prev = info.ejected.fetch_add(1, Relaxed);
+            let prev = info.eject(&flit);
             debug_assert_eq!(prev, flit.seq, "out-of-order ejection");
             if flit.last {
                 debug_assert_eq!(prev + 1, info.len, "flit loss detected");
@@ -1019,6 +1010,7 @@ impl RouterEnv for ShardEnv<'_> {
         sh.active_media.insert(li);
     }
 
+    #[inline]
     fn credit(&mut self, in_port: u16, vc: u8) {
         if in_port == 0 {
             return; // injection port: the NIC reads buffer space directly
@@ -1037,6 +1029,7 @@ impl RouterEnv for ShardEnv<'_> {
         }
     }
 
+    #[inline]
     fn note_baseline_lock(&mut self, pid: PacketId) {
         self.ctx.store.get(pid).baseline_locked.store(true, Relaxed);
     }

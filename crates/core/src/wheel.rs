@@ -12,13 +12,16 @@
 //! The wheel size is the largest latency among the built links, rounded
 //! up to a power of two so a bucket index is a mask (21 cycles with the
 //! default configuration, so 32 buckets). Every entry in a bucket is
-//! then due on the bucket's next turn. Latencies beyond [`MAX_SLOTS`] do
-//! not grow the wheel: such
-//! an entry carries its due cycle and simply stays in its bucket for the
-//! turns that come before it (draining keeps entries that are not yet
-//! due), which bounds the wheel's memory for any configured latency.
+//! then due on the bucket's next turn, so such an *exact* wheel drains a
+//! bucket whole, in send order, without looking at the due cycles.
+//! Latencies beyond [`MAX_SLOTS`] do not grow the wheel: such an entry
+//! carries its due cycle and simply stays in its bucket for the turns
+//! that come before it (the drain of a wheel built for them keeps
+//! entries that are not yet due), which bounds the wheel's memory for
+//! any configured latency.
 
 use chiplet_noc::FlitRef;
+use simkit::codec::CodecError;
 use simkit::Cycle;
 
 /// The most buckets a wheel has, whatever the configured latencies (a
@@ -47,6 +50,9 @@ struct Slot {
 #[derive(Debug, Default)]
 pub(crate) struct LinkWheel {
     slots: Vec<Slot>,
+    /// Whether every built latency fits the wheel: each entry is then
+    /// due on its bucket's next turn and a drain takes the whole bucket.
+    exact: bool,
     flits: usize,
     credits: usize,
 }
@@ -57,6 +63,7 @@ impl LinkWheel {
         let n = max_latency.clamp(1, MAX_SLOTS).next_power_of_two();
         Self {
             slots: (0..n).map(|_| Slot::default()).collect(),
+            exact: max_latency <= MAX_SLOTS,
             flits: 0,
             credits: 0,
         }
@@ -66,6 +73,24 @@ impl LinkWheel {
     fn slot(&mut self, at: Cycle) -> &mut Slot {
         let mask = self.slots.len() - 1;
         &mut self.slots[at as usize & mask]
+    }
+
+    /// Checks the due cycle `at` of an entry about to be restored into a
+    /// run paused at cycle `now`: nothing can be due before `now`, and on
+    /// an exact wheel nothing a full turn or more ahead (it would surface
+    /// a turn early).
+    pub fn check_restored(&self, now: Cycle, at: Cycle) -> Result<(), CodecError> {
+        if at < now {
+            return Err(CodecError::Corrupt(
+                "link entry due before the checkpoint cycle",
+            ));
+        }
+        if self.exact && at - now >= self.slots.len() as Cycle {
+            return Err(CodecError::Corrupt(
+                "link entry due beyond the wheel's span",
+            ));
+        }
+        Ok(())
     }
 
     /// Flits in flight on plain links.
@@ -94,35 +119,19 @@ impl LinkWheel {
     /// Hands every flit due at or before `now` in this cycle's bucket to
     /// `f` as `(link, flit)`, in send order.
     #[inline]
-    pub fn drain_flits(&mut self, now: Cycle, mut f: impl FnMut(u32, FlitRef)) {
-        let due = &mut self.slot(now).flits;
-        let before = due.len();
-        due.retain(|d| {
-            if d.at > now {
-                return true;
-            }
-            f(d.link, d.item);
-            false
-        });
-        let drained = before - due.len();
-        self.flits -= drained;
+    pub fn drain_flits(&mut self, now: Cycle, f: impl FnMut(u32, FlitRef)) {
+        let mask = self.slots.len() - 1;
+        let due = &mut self.slots[now as usize & mask].flits;
+        self.flits -= drain_due(due, now, self.exact, f);
     }
 
     /// Hands every credit due at or before `now` in this cycle's bucket
     /// to `f` as `(link, vc)`, in send order.
     #[inline]
-    pub fn drain_credits(&mut self, now: Cycle, mut f: impl FnMut(u32, u8)) {
-        let due = &mut self.slot(now).credits;
-        let before = due.len();
-        due.retain(|d| {
-            if d.at > now {
-                return true;
-            }
-            f(d.link, d.item);
-            false
-        });
-        let drained = before - due.len();
-        self.credits -= drained;
+    pub fn drain_credits(&mut self, now: Cycle, f: impl FnMut(u32, u8)) {
+        let mask = self.slots.len() - 1;
+        let due = &mut self.slots[now as usize & mask].credits;
+        self.credits -= drain_due(due, now, self.exact, f);
     }
 
     /// A lower bound on the earliest due cycle, never below `now`, or
@@ -153,6 +162,34 @@ impl LinkWheel {
     }
 }
 
+/// Hands the entries of bucket `due` that are due at `now` to `f` in
+/// send order and returns how many it handed over. On an `exact` wheel
+/// that is the whole bucket; otherwise entries for a later turn stay.
+#[inline]
+fn drain_due<T: Copy>(
+    due: &mut Vec<Due<T>>,
+    now: Cycle,
+    exact: bool,
+    mut f: impl FnMut(u32, T),
+) -> usize {
+    let before = due.len();
+    if exact {
+        for d in due.drain(..) {
+            debug_assert_eq!(d.at, now, "an exact wheel holds one turn");
+            f(d.link, d.item);
+        }
+        return before;
+    }
+    due.retain(|d| {
+        if d.at > now {
+            return true;
+        }
+        f(d.link, d.item);
+        false
+    });
+    before - due.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,14 +198,7 @@ mod tests {
     fn handles(n: u16) -> Vec<FlitRef> {
         let mut arena = FlitArena::new();
         (0..n)
-            .map(|seq| {
-                arena.alloc(Flit {
-                    pid: PacketId(0),
-                    seq,
-                    vc: 0,
-                    last: false,
-                })
-            })
+            .map(|seq| arena.alloc(Flit::new(PacketId(0), seq, 0, false)))
             .collect()
     }
 
@@ -195,6 +225,62 @@ mod tests {
         w.drain_flits(14, |l, f| flits.push((l, f)));
         assert_eq!(flits.last(), Some(&(7, h[2])));
         assert_eq!(w.next_due(15), Cycle::MAX);
+    }
+
+    #[test]
+    fn an_exact_wheel_drains_whole_buckets_in_send_order() {
+        let mut w = LinkWheel::new(21);
+        assert!(w.exact, "default latencies fit the wheel");
+        assert_eq!(w.slots.len(), 32);
+        let h = handles(4);
+        // Interleave links and kinds; a bucket keeps each kind in send
+        // order, whichever link an entry travels.
+        w.push_flit(40, 9, h[0]);
+        w.push_credit(40, 2, 3);
+        w.push_flit(40, 1, h[1]);
+        w.push_flit(41, 1, h[2]);
+        w.push_credit(40, 7, 0);
+        w.push_flit(40, 9, h[3]);
+        w.push_credit(40, 2, 1);
+        let mut flits = Vec::new();
+        let mut credits = Vec::new();
+        w.drain_credits(40, |l, vc| credits.push((l, vc)));
+        w.drain_flits(40, |l, f| flits.push((l, f)));
+        assert_eq!(flits, vec![(9, h[0]), (1, h[1]), (9, h[3])]);
+        assert_eq!(credits, vec![(2, 3), (7, 0), (2, 1)]);
+        assert_eq!((w.flits(), w.credits), (1, 0));
+        assert_eq!(w.next_due(41), 41);
+        w.drain_flits(41, |l, f| flits.push((l, f)));
+        assert_eq!(flits.last(), Some(&(1, h[2])));
+        assert_eq!(w.next_due(42), Cycle::MAX);
+    }
+
+    #[test]
+    fn restore_refuses_entries_the_wheel_cannot_keep() {
+        let w = LinkWheel::new(21);
+        let span = w.slots.len() as Cycle;
+        // One turn ahead is the farthest a saved entry can be due.
+        assert_eq!(w.check_restored(100, 100), Ok(()));
+        assert_eq!(w.check_restored(100, 100 + span - 1), Ok(()));
+        assert_eq!(
+            w.check_restored(100, 99),
+            Err(CodecError::Corrupt(
+                "link entry due before the checkpoint cycle"
+            ))
+        );
+        assert_eq!(
+            w.check_restored(100, 100 + span),
+            Err(CodecError::Corrupt(
+                "link entry due beyond the wheel's span"
+            ))
+        );
+        // A wheel built for latencies past the ceiling keeps far entries.
+        let far = LinkWheel::new(u32::MAX);
+        assert!(!far.exact);
+        assert_eq!(
+            far.check_restored(100, 100 + 7 * MAX_SLOTS as Cycle),
+            Ok(())
+        );
     }
 
     #[test]

@@ -197,7 +197,7 @@ impl FlitRef {
 /// use chiplet_noc::packet::PacketId;
 ///
 /// let mut arena = FlitArena::new();
-/// let f = Flit { pid: PacketId(0), seq: 0, vc: 0, last: true };
+/// let f = Flit::new(PacketId(0), 0, 0, true);
 /// let r = arena.alloc(f);
 /// assert_eq!(arena.get(r), f);
 /// arena.get_mut(r).vc = 1;
@@ -274,12 +274,7 @@ mod tests {
     use crate::packet::PacketId;
 
     fn flit(seq: u16) -> Flit {
-        Flit {
-            pid: PacketId(1),
-            seq,
-            vc: 0,
-            last: false,
-        }
+        Flit::new(PacketId(1), seq, 0, false)
     }
 
     #[test]

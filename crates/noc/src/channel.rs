@@ -120,7 +120,7 @@ impl LoadState for Lanes {
 /// use chiplet_noc::packet::PacketId;
 ///
 /// let mut line = DelayLine::new(5, 2);
-/// let f = Flit { pid: PacketId(0), seq: 0, vc: 0, last: true };
+/// let f = Flit::new(PacketId(0), 0, 0, true);
 /// assert!(line.try_send(10, f));
 /// assert!(line.pop_ready(14).is_none());
 /// assert_eq!(line.pop_ready(15), Some(f));
@@ -232,12 +232,7 @@ mod tests {
     use crate::packet::PacketId;
 
     fn flit(seq: u16) -> Flit {
-        Flit {
-            pid: PacketId(9),
-            seq,
-            vc: 1,
-            last: false,
-        }
+        Flit::new(PacketId(9), seq, 1, false)
     }
 
     #[test]

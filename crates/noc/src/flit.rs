@@ -1,6 +1,7 @@
 //! Flits: the flow-control units packets are segmented into.
 
 use crate::packet::PacketId;
+use chiplet_topo::LinkClass;
 use simkit::codec::{ByteReader, ByteWriter, CodecError, SaveState};
 
 /// Delivery-ordering class of a packet (§4.2).
@@ -30,10 +31,18 @@ pub enum Priority {
 
 /// One flit in flight.
 ///
-/// Flits carry only their identity; everything else (source, destination,
-/// timestamps, routing state) lives in the packet descriptor, looked up via
-/// [`PacketId`]. The `vc` field names the virtual channel of the link the
-/// flit is *currently* traversing and is rewritten at every hop.
+/// Flits carry their identity and their own link-traversal counts;
+/// everything else (source, destination, timestamps, routing state) lives
+/// in the packet descriptor, looked up via [`PacketId`]. The `vc` field
+/// names the virtual channel of the link the flit is *currently*
+/// traversing and is rewritten at every hop.
+///
+/// `hops` counts the links this flit has crossed so far by class,
+/// indexed by [`LinkClass`] as `usize` (on-chip, parallel, serial; a
+/// hetero-PHY crossing counts under the PHY that carried it). The shard
+/// that delivers the flit off a link bumps the count on the flit it
+/// holds, so no shared per-packet state is touched per hop; the
+/// destination folds the counts into the packet descriptor at ejection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Owning packet.
@@ -44,13 +53,36 @@ pub struct Flit {
     pub vc: u8,
     /// Whether this is the tail flit.
     pub last: bool,
+    /// Links crossed so far, by [`LinkClass`] index.
+    pub hops: [u16; 3],
 }
 
 impl Flit {
+    /// A flit of packet `pid` at position `seq` that has crossed no link
+    /// yet.
+    #[inline]
+    pub fn new(pid: PacketId, seq: u16, vc: u8, last: bool) -> Self {
+        Self {
+            pid,
+            seq,
+            vc,
+            last,
+            hops: [0; 3],
+        }
+    }
+
     /// Whether this is the head flit.
     #[inline]
     pub fn is_head(&self) -> bool {
         self.seq == 0
+    }
+
+    /// Counts one crossing of a link of `class`: on-chip, parallel or
+    /// serial (a hetero-PHY crossing is counted under the PHY that
+    /// carried it, so `HeteroPhy` itself is out of range).
+    #[inline]
+    pub fn count_hop(&mut self, class: LinkClass) {
+        self.hops[class as usize] += 1;
     }
 
     /// Decodes a flit written by its [`SaveState`] impl.
@@ -60,6 +92,7 @@ impl Flit {
             seq: r.get_u16()?,
             vc: r.get_u8()?,
             last: r.get_bool()?,
+            hops: [r.get_u16()?, r.get_u16()?, r.get_u16()?],
         })
     }
 }
@@ -70,6 +103,9 @@ impl SaveState for Flit {
         w.put_u16(self.seq);
         w.put_u8(self.vc);
         w.put_bool(self.last);
+        for n in self.hops {
+            w.put_u16(n);
+        }
     }
 }
 
@@ -79,21 +115,32 @@ mod tests {
 
     #[test]
     fn head_and_tail() {
-        let head = Flit {
-            pid: PacketId(0),
-            seq: 0,
-            vc: 0,
-            last: false,
-        };
+        let head = Flit::new(PacketId(0), 0, 0, false);
         assert!(head.is_head());
         assert!(!head.last);
-        let single = Flit {
-            pid: PacketId(0),
-            seq: 0,
-            vc: 0,
-            last: true,
-        };
+        let single = Flit::new(PacketId(0), 0, 0, true);
         assert!(single.is_head() && single.last);
+    }
+
+    #[test]
+    fn hop_counts_round_trip_through_the_codec() {
+        let mut f = Flit::new(PacketId(0x0102_0304), 9, 3, true);
+        f.count_hop(LinkClass::OnChip);
+        f.count_hop(LinkClass::OnChip);
+        f.count_hop(LinkClass::Parallel);
+        for _ in 0..700 {
+            f.count_hop(LinkClass::Serial);
+        }
+        assert_eq!(f.hops, [2, 1, 700]);
+        let mut w = ByteWriter::new();
+        f.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(Flit::read_from(&mut r).unwrap(), f);
+        assert_eq!(r.remaining(), 0, "the codec reads back every byte it wrote");
+        // A blob cut inside the counts is truncated, not misread.
+        let mut r = ByteReader::new(&bytes[..bytes.len() - 1]);
+        assert!(Flit::read_from(&mut r).is_err());
     }
 
     #[test]

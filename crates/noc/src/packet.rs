@@ -1,19 +1,25 @@
 //! Packet descriptors and their recycled store.
 //!
-//! Flits carry only a [`PacketId`]; the descriptor holds routing state,
-//! timestamps and the per-class flit-hop counters the energy model (§8.3)
-//! aggregates. Descriptor slots are recycled after the tail flit is
-//! ejected, so long simulations run in bounded memory.
+//! Flits carry a [`PacketId`] and their own link-traversal counts; the
+//! descriptor holds routing state, timestamps and the per-class flit-hop
+//! totals the energy model (§8.3) aggregates. Descriptor slots are
+//! recycled after the tail flit is ejected, so long simulations run in
+//! bounded memory.
 //!
 //! Identity fields (`src`, `dst`, `len`, `class`, `priority`, `created`)
-//! are plain — they are fixed at allocation. Everything mutated while the
-//! packet is in flight is atomic, so the sharded engine's workers can
-//! update descriptors through a shared `&PacketStore`: the counters are
-//! commutative (`fetch_add`), and the single-writer fields (`injected`
-//! by the source shard, `ejected` by the destination shard,
-//! `baseline_locked` monotonic) never race by construction. Relaxed
-//! ordering suffices because every cross-shard read is separated from
-//! the writes by a cycle barrier.
+//! are plain — they are fixed at allocation. The few fields written
+//! while the packet is in flight are atomics, so the sharded engine's
+//! workers can reach descriptors through a shared `&PacketStore`, but
+//! each has exactly one writer and is written with a plain store:
+//! `injected` by the source shard at injection, `baseline_locked`
+//! monotonically by whichever router falls back to the baseline route,
+//! and the hop totals plus `ejected` by the destination shard alone, in
+//! [`PacketInfo::eject`]. A flit counts its own hops on the way (see
+//! [`Flit`]), and ejection — in flit order, at one node — folds each
+//! flit's counts into the totals, so no shard read-modify-writes a
+//! descriptor another shard can touch. Relaxed ordering suffices
+//! because every cross-shard read is separated from the writes by a
+//! cycle barrier.
 
 use crate::arena::Slab;
 use crate::flit::{Flit, OrderClass, Priority};
@@ -58,16 +64,17 @@ pub struct PacketInfo {
     pub injected: AtomicU64,
     /// Algorithm 1's baseline lock (monotonic false→true).
     pub baseline_locked: AtomicBool,
-    /// Hops taken by the head flit.
+    /// Hops taken by the head flit (set when the head ejects).
     pub hops: AtomicU32,
-    /// Flit-traversals over on-chip links.
+    /// Flit-traversals over on-chip links, by the flits ejected so far.
     pub onchip_flits: AtomicU32,
-    /// Flit-traversals over parallel interface PHYs.
+    /// Flit-traversals over parallel interface PHYs, by the flits
+    /// ejected so far.
     pub parallel_flits: AtomicU32,
-    /// Flit-traversals over serial interface PHYs.
+    /// Flit-traversals over serial interface PHYs, by the flits ejected
+    /// so far.
     pub serial_flits: AtomicU32,
-    /// Flits ejected at the destination so far (written only by the
-    /// destination shard).
+    /// Flits ejected at the destination so far.
     pub ejected: AtomicU16,
 }
 
@@ -108,6 +115,29 @@ impl PacketInfo {
     pub fn with_tag(mut self, tag: u16) -> Self {
         self.tag = tag;
         self
+    }
+
+    /// Ejects `flit` at the destination: folds its hop counts into the
+    /// totals (the head's also into `hops`) and counts it ejected.
+    /// Returns how many flits had ejected before it.
+    ///
+    /// Only the destination shard calls this, one flit at a time, so
+    /// plain loads and stores suffice (see the module docs).
+    #[inline]
+    pub fn eject(&self, flit: &Flit) -> u16 {
+        let fold = |total: &AtomicU32, n: u32| {
+            total.store(total.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        };
+        let [onchip, parallel, serial] = flit.hops.map(u32::from);
+        fold(&self.onchip_flits, onchip);
+        fold(&self.parallel_flits, parallel);
+        fold(&self.serial_flits, serial);
+        if flit.is_head() {
+            fold(&self.hops, onchip + parallel + serial);
+        }
+        let prev = self.ejected.load(Ordering::Relaxed);
+        self.ejected.store(prev + 1, Ordering::Relaxed);
+        prev
     }
 
     /// The livelock/deadlock routing state (Algorithm 1's baseline lock)
@@ -216,12 +246,7 @@ impl PacketStore {
     /// Builds the flit sequence of packet `pid` (used by injection).
     pub fn flits(&self, pid: PacketId) -> impl Iterator<Item = Flit> + '_ {
         let len = self.get(pid).len;
-        (0..len).map(move |seq| Flit {
-            pid,
-            seq,
-            vc: 0,
-            last: seq + 1 == len,
-        })
+        (0..len).map(move |seq| Flit::new(pid, seq, 0, seq + 1 == len))
     }
 }
 
@@ -308,6 +333,7 @@ impl LoadState for PacketStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chiplet_topo::LinkClass;
 
     fn info(len: u16) -> PacketInfo {
         PacketInfo::new(
@@ -364,6 +390,33 @@ mod tests {
         let copy = p.clone();
         assert!(copy.route_state().baseline_locked);
         assert_eq!(copy.len, p.len);
+    }
+
+    #[test]
+    fn ejection_folds_every_flit_and_the_heads_hops() {
+        let mut s = PacketStore::new();
+        let p = s.alloc(info(3));
+        let mut flits: Vec<Flit> = s.flits(p).collect();
+        // The head took 2 on-chip hops and a serial one; the body and
+        // tail were rerouted over the parallel PHY instead.
+        for f in &mut flits {
+            f.count_hop(LinkClass::OnChip);
+            f.count_hop(LinkClass::OnChip);
+            f.count_hop(if f.is_head() {
+                LinkClass::Serial
+            } else {
+                LinkClass::Parallel
+            });
+        }
+        let info = s.get(p);
+        for (k, f) in flits.iter().enumerate() {
+            assert_eq!(info.eject(f), k as u16);
+        }
+        assert_eq!(info.hops.load(Ordering::Relaxed), 3);
+        assert_eq!(info.onchip_flits.load(Ordering::Relaxed), 6);
+        assert_eq!(info.parallel_flits.load(Ordering::Relaxed), 2);
+        assert_eq!(info.serial_flits.load(Ordering::Relaxed), 1);
+        assert_eq!(info.ejected.load(Ordering::Relaxed), 3);
     }
 
     #[test]

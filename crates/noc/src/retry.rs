@@ -104,7 +104,7 @@ enum AckMsg {
 ///
 /// let mut arena = FlitArena::new();
 /// let mut line = RetryLine::new(5, 2, 64);
-/// let f = Flit { pid: PacketId(0), seq: 0, vc: 0, last: true };
+/// let f = Flit::new(PacketId(0), 0, 0, true);
 /// let fref = arena.alloc(f);
 /// assert!(line.try_send(10, fref, &arena, false));
 /// line.advance(15, &mut arena, &mut || false, &mut |_| {});
@@ -559,12 +559,7 @@ mod tests {
     }
 
     fn flit(seq: u16) -> Flit {
-        Flit {
-            pid: PacketId(3),
-            seq,
-            vc: 0,
-            last: false,
-        }
+        Flit::new(PacketId(3), seq, 0, false)
     }
 
     /// Run both lines lock-step with no corruption; deliveries must match

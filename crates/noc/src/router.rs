@@ -162,7 +162,24 @@ struct OutPort {
     bandwidth: u8,
     unlimited_credits: bool,
     vcs: Vec<OutVc>,
+    /// Flits sent through the port in cycle `used_at`; any other cycle
+    /// has used none, so the count resets on the port's first use in a
+    /// cycle instead of every port being cleared each SA stage.
     used_now: u8,
+    used_at: Cycle,
+}
+
+impl OutPort {
+    /// Flits the port has sent this cycle (`now`), starting the count
+    /// afresh when the port was last used in an earlier cycle.
+    #[inline]
+    fn used(&mut self, now: Cycle) -> u8 {
+        if self.used_at != now {
+            self.used_at = now;
+            self.used_now = 0;
+        }
+        self.used_now
+    }
 }
 
 /// An input-buffered virtual-channel router.
@@ -286,6 +303,7 @@ impl Router {
                 })
                 .collect(),
             used_now: 0,
+            used_at: Cycle::MAX,
         });
         (self.out_ports.len() - 1) as u16
     }
@@ -404,9 +422,6 @@ impl Router {
 
         // --- Switch allocation + traversal ---------------------------------
         if self.active_vcs > 0 {
-            for op in &mut self.out_ports {
-                op.used_now = 0;
-            }
             let start = self.sa_rr % n;
             for (lo, hi) in [(start, n), (0, start)] {
                 let mut from = lo;
@@ -522,8 +537,8 @@ impl Router {
         let pi = cur / self.vcs as usize;
         let vi = cur % self.vcs as usize;
         loop {
-            let op = &self.out_ports[out_port as usize];
-            if op.used_now >= op.bandwidth {
+            let op = &mut self.out_ports[out_port as usize];
+            if op.used(now) >= op.bandwidth {
                 break;
             }
             if !op.unlimited_credits && op.vcs[out_vc as usize].credits == 0 {
@@ -691,7 +706,7 @@ impl Router {
             }
         }
         for op in &mut self.out_ports {
-            op.used_now = 0; // reset at the top of every SA stage
+            op.used_at = Cycle::MAX; // no flit sent in any cycle still to run
             for ov in &mut op.vcs {
                 ov.busy = r.get_bool()?;
                 ov.credits = r.get_u16()?;
@@ -856,12 +871,7 @@ mod tests {
     }
 
     fn flit(pid: u32, seq: u16, len: u16) -> Flit {
-        Flit {
-            pid: PacketId(pid),
-            seq,
-            vc: 0,
-            last: seq + 1 == len,
-        }
+        Flit::new(PacketId(pid), seq, 0, seq + 1 == len)
     }
 
     /// Admits a flit into the arena and hands it to the router.
@@ -1222,12 +1232,7 @@ mod tests {
                         next_pid += 1;
                         (next_pid, 0, 1 + rng.below(5) as u16)
                     });
-                    let f = Flit {
-                        pid: PacketId(pid),
-                        seq,
-                        vc: v,
-                        last: seq + 1 == len,
-                    };
+                    let f = Flit::new(PacketId(pid), seq, v, seq + 1 == len);
                     *slot = (!f.last).then_some((pid, seq + 1, len));
                     let fref = arena.alloc(f);
                     r.receive(p, fref, v);

@@ -263,7 +263,7 @@ impl Rob {
 /// let mut arena = FlitArena::new();
 /// let mut link = HeteroPhyLink::new(PhyParams::full(),
 ///                                   PhyPolicy::PerformanceFirst, 16);
-/// let f = Flit { pid: PacketId(0), seq: 0, vc: 0, last: true };
+/// let f = Flit::new(PacketId(0), 0, 0, true);
 /// link.push(0, arena.alloc(f), OrderClass::InOrder, Priority::Normal);
 /// for now in 1..=7 {
 ///     link.advance(now, &arena, &mut |_| {});
@@ -861,12 +861,7 @@ mod tests {
     /// Concurrent packets always ride distinct VCs (the upstream router's
     /// out-VC stays busy until the tail), so tests model that.
     fn flit_vc(pid: u32, seq: u16, len: u16, vc: u8) -> Flit {
-        Flit {
-            pid: PacketId(pid),
-            seq,
-            vc,
-            last: seq + 1 == len,
-        }
+        Flit::new(PacketId(pid), seq, vc, seq + 1 == len)
     }
 
     /// A link plus the arena its flits live in.

@@ -766,6 +766,32 @@ mod tests {
     }
 
     #[test]
+    fn workload_key_ignores_the_packet_length() {
+        let service = SweepService::new(None, 1).expect("service");
+        let body = |plen: u16| {
+            format!(
+                r#"{{"jobs": [{{"preset": "hetero-phy-full", "packet_len": {plen}, "workload": "dnn:ranks=4,layers=1,grad=32"}}]}}"#
+            )
+        };
+        let short = BatchRequest::parse(&body(4)).expect("workload job parses");
+        let long = BatchRequest::parse(&body(16)).expect("workload job parses");
+        let key = |batch: &BatchRequest| {
+            let job = &batch.jobs[0];
+            job.workload_desc(job.workload.as_ref().expect("a workload job"))
+                .key()
+        };
+        assert_eq!(
+            key(&short),
+            key(&long),
+            "a phase workload never reads packet_len"
+        );
+        for batch in [&short, &long] {
+            service.run_batch(batch);
+        }
+        assert_eq!(service.stats().computed, 1, "the second job is a cache hit");
+    }
+
+    #[test]
     fn point_counts_and_serves_each_level() {
         let dir = std::env::temp_dir().join(format!("serve-levels-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -289,12 +289,7 @@ fn rob_preserves_per_packet_order() {
                     continue;
                 };
                 let (pid, len, class, pri, ref mut seq) = pkts[i];
-                let flit = Flit {
-                    pid: PacketId(pid),
-                    seq: *seq,
-                    vc: vc as u8,
-                    last: *seq + 1 == len,
-                };
+                let flit = Flit::new(PacketId(pid), *seq, vc as u8, *seq + 1 == len);
                 *seq += 1;
                 if *seq == len {
                     vc_head[vc] += 1;
@@ -451,12 +446,8 @@ fn router_conserves_credits_and_arena_handles() {
                 let pid = PacketId(next_pid);
                 next_pid += 1;
                 for seq in 0..len {
-                    feed.push(Flit {
-                        pid,
-                        seq,
-                        vc: 0, // rewritten below to the feed's VC
-                        last: seq + 1 == len,
-                    });
+                    // The VC is rewritten below to the feed's.
+                    feed.push(Flit::new(pid, seq, 0, seq + 1 == len));
                     total += 1;
                 }
             }
@@ -540,12 +531,12 @@ fn switch_allocation_never_starves_a_vc() {
         for v in 0..VCS {
             let i = v as usize;
             while router.in_space(0, v) > 0 {
-                let f = Flit {
-                    pid: PacketId(next_pid[i]),
-                    seq: next_seq[i],
-                    vc: v,
-                    last: next_seq[i] + 1 == LEN,
-                };
+                let f = Flit::new(
+                    PacketId(next_pid[i]),
+                    next_seq[i],
+                    v,
+                    next_seq[i] + 1 == LEN,
+                );
                 let fref = arena.alloc(f);
                 router.receive(0, fref, v);
                 next_seq[i] += 1;
@@ -657,12 +648,7 @@ fn rob_occupancy_stays_within_eq1_bound() {
                 let mut now = 0u64;
                 while delivered < 2_000 {
                     while link.space() > 0 {
-                        let f = Flit {
-                            pid: PacketId(pid),
-                            seq,
-                            vc: 0,
-                            last: seq + 1 == LEN,
-                        };
+                        let f = Flit::new(PacketId(pid), seq, 0, seq + 1 == LEN);
                         seq += 1;
                         if seq == LEN {
                             seq = 0;
