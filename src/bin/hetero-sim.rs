@@ -896,7 +896,9 @@ fn run_calibration(args: &Args, config: SimConfig) -> ! {
 /// With `every == None` a single snapshot is taken at the warm-up
 /// boundary and written to `path`; with `Some(n)` a snapshot is taken
 /// every `n` cycles up to the end of the measurement window, each written
-/// to `path.<cycle>`.
+/// to `path.<cycle>`. A periodic run resumed from a checkpoint skips the
+/// snapshot at the restore cycle: it would be a byte copy of the blob
+/// the run just read.
 fn run_checkpointed(
     net: &mut Network,
     w: &mut SyntheticWorkload,
@@ -913,8 +915,9 @@ fn run_checkpointed(
             .map(|h| (h, format!("{path}.{h}")))
             .collect(),
     };
+    let from = net.now();
     for (halt, file) in halts {
-        if halt < net.now() {
+        if halt < from || (every.is_some() && halt == from) {
             continue;
         }
         match run_until(net, w, spec, halt) {

@@ -314,3 +314,49 @@ fn warm_start_savings_count_only_the_kept_points() {
         );
     }
 }
+
+#[test]
+fn a_resumed_periodic_run_does_not_resave_its_input_blob() {
+    let dir = std::env::temp_dir().join(format!("hetero-cli-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| {
+        dir.join(name)
+            .to_str()
+            .expect("UTF-8 temp path")
+            .to_string()
+    };
+    let (every, resumed) = (path("every.bin"), path("resumed.bin"));
+    let run = [
+        &SMALL[..],
+        &[
+            "--network",
+            "hetero-phy",
+            "--rate",
+            "0.1",
+            "--cycles",
+            "1000",
+        ],
+        &["--shard-threads", "1", "--checkpoint-every", "100"],
+    ]
+    .concat();
+    let out = hetero_sim(&[&run[..], &["--checkpoint-out", &every]].concat());
+    assert!(out.status.success(), "{out:?}");
+    let input = format!("{every}.200");
+    let out = hetero_sim(
+        &[
+            &run[..],
+            &["--checkpoint-in", &input, "--checkpoint-out", &resumed],
+        ]
+        .concat(),
+    );
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        !stdout(&out).contains(&format!("{resumed}.200")),
+        "{}",
+        stdout(&out)
+    );
+    assert!(!std::path::Path::new(&format!("{resumed}.200")).exists());
+    let read = |p: String| std::fs::read(&p).unwrap_or_else(|e| panic!("{p}: {e}"));
+    assert_eq!(read(format!("{resumed}.300")), read(format!("{every}.300")));
+    let _ = std::fs::remove_dir_all(&dir);
+}
